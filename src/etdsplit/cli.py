@@ -16,6 +16,7 @@ lines (``#`` comments allowed); flags override the file.  Exit codes:
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,7 @@ from .analysis import (
     MODE_SELF,
     run_study,
 )
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, SingularSystemError, ValidationError
 from .problems import PROBLEM_NAMES, discretize, interior_count_for_h, make_problem
 from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, integrate
 
@@ -100,7 +101,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(file_values) - set(_FIELD_TYPES)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for path in (cfg.out, cfg.plot_out):
+        if path:
+            _check_writable(path)
     return cfg
+
+
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any compute."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ValidationError(f"cannot write {path}: no directory {parent}")
+    target = path if os.path.exists(path) else parent
+    if not os.access(target, os.W_OK):
+        raise ValidationError(f"cannot write {path}: permission denied")
 
 
 def _fmt(x) -> str:
@@ -407,7 +423,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"etdsplit: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
+    except OSError as exc:
+        print(f"etdsplit: {exc}", file=sys.stderr)
+        return 1
+    except (DivergenceError, SingularSystemError) as exc:
         print(f"etdsplit: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Shifted-operator factorizations and solves.
 
-Two solve paths exist, matching the two scheme families:
+Three solve paths exist, matching the scheme families:
 
 * Axis-structured banded solves for the split scheme.  A 2-D system
   (k*A_axis - c*I) x = rhs with A_axis = -d (B kron I) or -d (I kron B)
@@ -8,11 +8,19 @@ Two solve paths exist, matching the two scheme families:
   matrix M = -k*d*B - c*I, solved with one LU factorization (LAPACK
   gbtrf/gbtrs with partial pivoting) and a matrix of right-hand sides.
 
-* Sparse LU of the full 2-D operator (k*A - shift*I), block-diagonal over
-  species, for the unsplit schemes and the IMEX baseline.
+* Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
+  the presmoother and the semi-implicit BDF schemes (fast diagonalization,
+  Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).  With the real
+  eigendecomposition B = V diag(lam) V^-1, a species block solves as
+  V ((V^-1 R V^-T) / (-k d (lam_i + lam_j) - shift)) V^T: four real p x p
+  matrix products.
+
+* Sparse LU of the full 2-D operator, block-diagonal over species, for the
+  unsplit fourth-order scheme, the sparse-direct baseline the split scheme
+  is measured against.
 
 Factorizations are computed once per (step size, pole) and reused for every
-time step; both kinds are immutable and safe to share across workers.
+time step; all kinds are immutable and safe to share across workers.
 """
 
 from dataclasses import dataclass
@@ -23,11 +31,18 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import ShapeError, SingularSystemError, ValidationError
-from .spatial import AXIS_X, AXIS_Y, FullOperator, SplitOperators
+from .spatial import AXIS_X, AXIS_Y, AxisOperator, FullOperator, SplitOperators
 
 _BANDWIDTH = 3  # lower/upper bandwidth of the 1-D axis operator
 
-_DENSE_CAP = 64 * 64
+# Eigenvalues of B with |imag| above this fraction of max |lam| are treated as
+# genuinely complex; the fourth-order operator's are real to the last bit.
+_EIG_IMAG_TOL = 1e-10
+
+# Largest accepted condition number of the eigenvector matrix V; the solve's
+# rounding error grows with it.  The fourth-order operator measures
+# 1.41-1.63 for m = 3..319 on both boundary kinds.
+EIGEN_COND_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -167,14 +182,81 @@ def solve_full(fact: SparseFactorization, rhs: np.ndarray) -> np.ndarray:
     return fact.solve(rhs)
 
 
-def dense_reference_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct dense solve used as a test oracle (size-capped)."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"matrix shape {mat.shape} is not square")
-    if mat.shape[0] > _DENSE_CAP:
-        raise ValidationError(f"dense reference solver capped at {_DENSE_CAP}")
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+@dataclass(frozen=True)
+class AxisEigenbasis:
+    """Real eigendecomposition B = V diag(lam) V^-1 of the 1-D operator.
+
+    The transposes are stored contiguous: a product with a contiguous right
+    factor runs about a third faster than with a transposed view at p = 79.
+    """
+
+    lam: np.ndarray
+    v: np.ndarray
+    v_t: np.ndarray
+    v_inv: np.ndarray
+    v_inv_t: np.ndarray
+
+
+def axis_eigenbasis(axis_op: AxisOperator) -> AxisEigenbasis:
+    """Diagonalize B once; every pole and species of a plan shares the result.
+
+    Raises SingularSystemError when B has complex eigenvalues or its
+    eigenvector matrix is worse conditioned than EIGEN_COND_MAX.
+    """
+    lam, v = np.linalg.eig(axis_op.toarray())
+    scale = np.max(np.abs(lam), initial=0.0)
+    imag = np.max(np.abs(lam.imag), initial=0.0)
+    if imag > _EIG_IMAG_TOL * scale:
+        raise SingularSystemError(
+            f"1-D operator has complex eigenvalues (max |imag| {imag:.3g})")
+    v = v.real
+    cond = np.linalg.cond(v)
+    if not cond <= EIGEN_COND_MAX:
+        raise SingularSystemError(
+            f"1-D eigenvector matrix too ill-conditioned (cond {cond:.3g} > {EIGEN_COND_MAX:g})")
+    v_inv = np.linalg.inv(v)
+    return AxisEigenbasis(lam=lam.real, v=v, v_t=np.ascontiguousarray(v.T),
+                          v_inv=v_inv, v_inv_t=np.ascontiguousarray(v_inv.T))
+
+
+def _congruence(m: np.ndarray, m_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x @ m.T over every (p, p) block of x, with real products only."""
+    if np.iscomplexobj(x):
+        return _congruence(m, m_t, x.real) + 1j * _congruence(m, m_t, x.imag)
+    return m @ x @ m_t
+
+
+@dataclass(frozen=True)
+class TensorEigenSolver:
+    """(k*A - shift*I)^-1 for the full 2-D operator, applied in B's eigenbasis.
+
+    inv_symbol[s, i, j] = 1 / (-k d_s (lam_i + lam_j) - shift) is the
+    inverse of the operator's eigenvalue grid for species s.
+    """
+
+    basis: AxisEigenbasis
+    inv_symbol: np.ndarray  # (species, p, p), real or complex with the shift
+
+    @property
+    def shape(self) -> tuple:
+        return self.inv_symbol.shape
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs)
+        if rhs.shape != self.shape:
+            raise ShapeError(f"rhs shape {rhs.shape}, expected {self.shape}")
+        b = self.basis
+        w = _congruence(b.v_inv, b.v_inv_t, rhs) * self.inv_symbol
+        return _congruence(b.v, b.v_t, w)
+
+
+def tensor_eigen_solver(basis: AxisEigenbasis, diffusion, k: float,
+                        shift) -> TensorEigenSolver:
+    """Eigen-solver of (k*A - shift*I), one eigenvalue grid per species."""
+    if not k > 0:
+        raise ValidationError(f"need k > 0, got {k}")
+    lam_sum = basis.lam[:, np.newaxis] + basis.lam[np.newaxis, :]
+    symbol = np.stack([-k * d * lam_sum - shift for d in diffusion])
+    if np.any(symbol == 0):
+        raise SingularSystemError(f"shifted operator is singular (shift={shift})")
+    return TensorEigenSolver(basis=basis, inv_symbol=1.0 / symbol)

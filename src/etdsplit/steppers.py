@@ -11,9 +11,11 @@ Schemes:
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order step built from the
   L-damping Pade(0,3) rational, used for a few initial steps to kill
-  oscillations from non-smooth initial data.  Always unsplit.
+  oscillations from non-smooth initial data.  Always unsplit; its 2-D
+  solves run in the eigenbasis of the 1-D operator.
 * ``sbdf4``       -- fourth-order semi-implicit BDF baseline with a
-  first-order semi-implicit startup run at a 2000x finer substep.
+  first-order semi-implicit startup run at a 2000x finer substep; its 2-D
+  solves also run in the 1-D eigenbasis.
 
 All rational functions are applied through partial fractions: each becomes
 "solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
@@ -30,7 +32,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, ValidationError
-from .linsolve import factorize_axis, factorize_full, solve_axis_system
+from .linsolve import (
+    axis_eigenbasis,
+    factorize_axis,
+    factorize_full,
+    solve_axis_system,
+    tensor_eigen_solver,
+)
 from .problems import DiscretizedProblem
 from .spatial import AXIS_X, AXIS_Y, assemble_full
 
@@ -124,8 +132,10 @@ class StepPlan:
 
     axis_facts is keyed by (pole name, axis, species) -- the two axis
     entries of a (pole, species) pair share one LU since the 1-D matrix is
-    identical; full_facts is keyed by pole name.  Plans are immutable and
-    safe to share across threads.
+    identical; full_facts is keyed by pole name and holds sparse LU factors
+    (etdrk4p22) or eigen-solvers sharing one 1-D eigenbasis (the presmoother
+    and SBDF schemes), both with a .solve(rhs) method.  Plans are immutable
+    and safe to share across threads.
     """
 
     scheme: str
@@ -138,8 +148,7 @@ class StepPlan:
 
 def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     """Factorize every shifted system the scheme's step sequence solves."""
-    if not k > 0:
-        raise ValidationError(f"need k > 0, got {k}")
+    _check_step(k)
     if scheme not in SCHEMES and scheme != SBDF1:
         raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
@@ -156,20 +165,21 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
         full_op = assemble_full(disc.grid, disc.spec.diffusion)
         full_facts["c1"] = factorize_full(full_op, k, PADE.c1)
         full_facts["c2"] = factorize_full(full_op, k, PADE.c2)
-    elif scheme == SMOOTHER_ONLY:
-        full_op = assemble_full(disc.grid, disc.spec.diffusion)
-        for pname, pole in (("f1", SMOOTHER.f1), ("f2", SMOOTHER.f2),
-                            ("e1", SMOOTHER.e1), ("e2", SMOOTHER.e2)):
-            full_facts[pname] = factorize_full(full_op, k, pole)
-    elif scheme == SBDF4:
-        full_op = assemble_full(disc.grid, disc.spec.diffusion)
-        k0 = k / SBDF_STARTUP_SUBSTEPS
-        # Main solve (25 I + 12 k A); startup solve (I + k0 A).
-        full_facts["sbdf4"] = factorize_full(full_op, 12.0 * k, -25.0)
-        full_facts["sbdf1"] = factorize_full(full_op, k0, -1.0)
-    else:  # SBDF1
-        full_op = assemble_full(disc.grid, disc.spec.diffusion)
-        full_facts["sbdf1"] = factorize_full(full_op, k, -1.0)
+    else:
+        # (pole name, step, shift) of each system (step*A - shift*I).
+        if scheme == SMOOTHER_ONLY:
+            systems = [(pname, k, pole) for pname, pole in (
+                ("f1", SMOOTHER.f1), ("f2", SMOOTHER.f2),
+                ("e1", SMOOTHER.e1), ("e2", SMOOTHER.e2))]
+        elif scheme == SBDF4:
+            k0 = k / SBDF_STARTUP_SUBSTEPS
+            # Main solve (25 I + 12 k A); startup solve (I + k0 A).
+            systems = [("sbdf4", 12.0 * k, -25.0), ("sbdf1", k0, -1.0)]
+        else:  # SBDF1
+            systems = [("sbdf1", k, -1.0)]
+        basis = axis_eigenbasis(disc.ops.axis_op)
+        for pname, k_sys, shift in systems:
+            full_facts[pname] = tensor_eigen_solver(basis, disc.ops.diffusion, k_sys, shift)
 
     return StepPlan(scheme=scheme, k=k, disc=disc,
                     axis_facts=axis_facts, full_facts=full_facts, k0=k0)
@@ -426,9 +436,15 @@ def exact_etdrk4_reference_step(a_dense: np.ndarray, u: np.ndarray, t: float,
     return em @ u + p1 @ fn + 2.0 * p2 @ (fa + fb) + p3 @ fc
 
 
+def _check_step(k: float) -> None:
+    if not (k > 0 and math.isfinite(k)):
+        raise ValidationError(f"need a finite k > 0, got {k}")
+
+
 def _step_count(k: float, T: float) -> int:
-    if not k > 0:
-        raise ValidationError(f"need k > 0, got {k}")
+    _check_step(k)
+    if not math.isfinite(T):
+        raise ValidationError(f"need a finite final time, got {T}")
     n = int(round(T / k))
     if n < 1 or abs(n * k - T) > 1e-9 * max(1.0, abs(T)):
         raise ValidationError(f"final time {T} is not an integer multiple of k = {k}")
@@ -446,8 +462,11 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     threads > 1 the independent solves inside each step run on a worker
     pool; results are bitwise identical to the sequential execution.
     """
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     u = disc.initial()
     if T == 0:
+        _check_step(k)
         return u
     n_steps = _step_count(k, T)
     if smoothing_steps < 0 or smoothing_steps > n_steps:
@@ -458,8 +477,6 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
             raise ValidationError("presmoothing applies to the one-step schemes only")
         plan = build_plan(SBDF4, disc, k)
         return sbdf4_integrate(plan, u, T)
-    if scheme not in (ETDRK4P22IF, ETDRK4P22, SMOOTHER_ONLY):
-        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
     plan = build_plan(scheme, disc, k)
     smooth_plan = None

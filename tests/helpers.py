@@ -1,17 +1,34 @@
 """Dense oracles shared across the test modules.
 
-Everything here is built independently of the package's solve paths: dense
-Kronecker assembly by explicit loops, dense rational matrix functions from
-their numerator/denominator forms, and dense-solver adapters that let the
-step kernels run against numpy.linalg.solve instead of the banded/sparse
-factorizations.
+Everything here is built independently of the package's solve paths: a
+size-capped dense solve, dense Kronecker assembly by explicit loops, dense
+rational matrix functions from their numerator/denominator forms, and
+dense-solver adapters that let the step kernels run against
+numpy.linalg.solve instead of the banded, sparse or eigenbasis solves.
 """
 
 import numpy as np
 
+from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
 from etdsplit.spatial import AXIS_X, SplitOperators
 from etdsplit.steppers import PADE, SMOOTHER
+
+
+_DENSE_CAP = 64 * 64
+
+
+def dense_reference_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Direct dense solve used as a test oracle (size-capped)."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ShapeError(f"matrix shape {mat.shape} is not square")
+    if mat.shape[0] > _DENSE_CAP:
+        raise ValidationError(f"dense reference solver capped at {_DENSE_CAP}")
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
 
 
 def dense_axis_operator(ops: SplitOperators, axis: str, species: int) -> np.ndarray:

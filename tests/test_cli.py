@@ -4,7 +4,8 @@ import math
 import pytest
 
 import etdsplit.cli as cli
-from etdsplit.errors import DivergenceError
+import etdsplit.steppers as steppers
+from etdsplit.errors import DivergenceError, SingularSystemError
 
 
 def test_converge_writes_csv_and_table(tmp_path, capsys):
@@ -74,6 +75,53 @@ def test_converge_numerical_failure_exit_two(monkeypatch, capsys):
                      "--m", "19"])
     assert code == 2
     assert "level 1" in capsys.readouterr().err
+
+
+def test_solve_singular_system_exit_two(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise SingularSystemError("1-D eigenvector matrix too ill-conditioned")
+    monkeypatch.setattr(steppers, "build_plan", singular)
+    code = cli.main(["solve", "--problem", "model_dirichlet", "--scheme", "sbdf4",
+                     "--m", "9", "--k", "0.25", "--T", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "ill-conditioned" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--T", "--k"])
+def test_solve_non_finite_time_exit_one(flag, value, capsys):
+    args = {"--T": "1", "--k": "0.25", flag: value}
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "9"]
+                    + [f"{name}={v}" for name, v in args.items()])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "enzyme", "--m", "9", "--k", "0.25", "--T", "1", "--out"],
+    ["converge", "--problem", "enzyme", "--scheme", "etdrk4p22if", "--k0", "0.1",
+     "--levels", "1", "--mode", "self", "--coupling", "fixed_h", "--m", "9",
+     "--plot-out"],
+])
+def test_unwritable_output_rejected_before_compute(argv, tmp_path, monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the output path was checked")
+    monkeypatch.setattr(cli, "integrate", no_compute)
+    monkeypatch.setattr(cli, "run_study", no_compute)
+    code = cli.main(argv + [str(tmp_path / "missing" / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "missing" in err
+
+
+def test_output_path_that_is_a_directory_rejected(tmp_path, capsys):
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "9", "--T", "0",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "directory" in capsys.readouterr().err
 
 
 def test_config_file_merging(tmp_path):

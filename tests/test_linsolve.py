@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
-    dense_reference_solve,
+    EIGEN_COND_MAX,
+    TensorEigenSolver,
+    axis_eigenbasis,
     factorize_axis,
     factorize_full,
     shifted_axis_matrix,
     solve_axis_system,
     solve_full,
+    tensor_eigen_solver,
 )
 from etdsplit.spatial import (
     AXIS_X,
@@ -23,7 +28,7 @@ from etdsplit.spatial import (
     assemble_split,
 )
 from etdsplit.steppers import PADE, SMOOTHER
-from helpers import dense_axis_operator
+from helpers import dense_axis_operator, dense_reference_solve
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
 
@@ -204,3 +209,90 @@ def test_full_solver_species_blocks():
         assert np.max(np.abs(x[s] - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
     with pytest.raises(ShapeError):
         fact.solve(rhs[:1])
+
+
+# ---- tensor-product eigen-solves of the full operator ----
+
+# (name, step multiple, shift) of every system the SBDF schemes and the
+# presmoother solve with an eigen-solver.
+EIGEN_SYSTEMS = (("sbdf4", 12.0, -25.0), ("sbdf1", 1.0, -1.0),
+                 ("f1", 1.0, SMOOTHER.f1), ("f2", 1.0, SMOOTHER.f2),
+                 ("e1", 1.0, SMOOTHER.e1), ("e2", 1.0, SMOOTHER.e2))
+
+grids = st.builds(lambda bc, m: Grid2D(a=0.0, b=1.0, m=m, bc=bc),
+                  st.sampled_from((DIRICHLET, NEUMANN)), st.integers(3, 8))
+diffusions = st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple)
+
+
+def _eigen_and_sparse(grid, diffusion, k, shift):
+    ops = assemble_split(grid, diffusion)
+    solver = tensor_eigen_solver(axis_eigenbasis(ops.axis_op), ops.diffusion, k, shift)
+    return solver, factorize_full(assemble_full(grid, diffusion), k, shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids, diffusion=diffusions, k=st.floats(1e-4, 0.5),
+       system=st.sampled_from(EIGEN_SYSTEMS), seed=st.integers(0, 2 ** 32 - 1))
+def test_eigen_solve_matches_sparse_lu(grid, diffusion, k, system, seed):
+    _, k_mult, shift = system
+    solver, oracle = _eigen_and_sparse(grid, diffusion, k_mult * k, shift)
+    p = grid.p1d
+    rng = np.random.default_rng(seed)
+    rhs = rng.normal(size=(len(diffusion), p, p))
+    if np.iscomplexobj(shift):
+        rhs = rhs + 1j * rng.normal(size=rhs.shape)
+    want = oracle.solve(rhs)
+    got = solver.solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(3, 8), diffusion=diffusions, k=st.floats(1e-4, 0.5),
+       system=st.sampled_from(EIGEN_SYSTEMS), value=st.floats(-10.0, 10.0))
+def test_eigen_solve_preserves_constants_on_neumann_grids(m, diffusion, k, system, value):
+    # A annihilates constants under zero-flux boundaries: (kA - shift) c = -shift c.
+    _, k_mult, shift = system
+    grid = Grid2D(a=0.0, b=1.0, m=m, bc=NEUMANN)
+    ops = assemble_split(grid, diffusion)
+    solver = tensor_eigen_solver(axis_eigenbasis(ops.axis_op), ops.diffusion,
+                                 k_mult * k, shift)
+    const = np.full((len(diffusion), grid.p1d, grid.p1d), value)
+    got = solver.solve(const)
+    assert np.max(np.abs(got - value / -shift)) <= 1e-12 * abs(value / shift)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_eigen_solve_real_shift_stays_real(bc):
+    grid = Grid2D(a=0.0, b=1.0, m=5, bc=bc)
+    solver, _ = _eigen_and_sparse(grid, (1.0,), 0.1, -1.0)
+    out = solver.solve(np.ones((1, grid.p1d, grid.p1d)))
+    assert out.dtype == np.dtype(float)
+
+
+def test_eigen_solver_shape_and_step_validation():
+    ops = _ops(m=4)
+    basis = axis_eigenbasis(ops.axis_op)
+    solver = tensor_eigen_solver(basis, ops.diffusion, 0.1, -1.0)
+    assert isinstance(solver, TensorEigenSolver) and solver.shape == (1, 4, 4)
+    with pytest.raises(ShapeError):
+        solver.solve(np.zeros((1, 5, 4)))
+    with pytest.raises(ValidationError):
+        tensor_eigen_solver(basis, ops.diffusion, 0.0, -1.0)
+    with pytest.raises(SingularSystemError):
+        zero = AxisOperator(mat=sparse.dia_matrix((4, 4)), h=ops.grid.h, bc=DIRICHLET)
+        tensor_eigen_solver(axis_eigenbasis(zero), (1.0,), 0.1, 0.0)
+
+
+def test_eigenbasis_rejects_complex_eigenvalues():
+    rotation = sparse.dia_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(SingularSystemError, match="complex"):
+        axis_eigenbasis(AxisOperator(mat=rotation, h=1.0, bc=DIRICHLET))
+
+
+def test_eigenbasis_rejects_ill_conditioned_eigenvectors():
+    # Two nearly equal eigenvalues on a Jordan-like block: almost parallel
+    # eigenvectors, cond(V) about 2e8.
+    near_jordan = sparse.dia_matrix(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]]))
+    assert np.linalg.cond(np.linalg.eig(near_jordan.toarray())[1]) > EIGEN_COND_MAX
+    with pytest.raises(SingularSystemError, match="ill-conditioned"):
+        axis_eigenbasis(AxisOperator(mat=near_jordan, h=1.0, bc=DIRICHLET))

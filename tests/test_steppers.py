@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from etdsplit.errors import DivergenceError, ValidationError
-from etdsplit.linsolve import factorize_full
+from etdsplit.linsolve import SparseFactorization, TensorEigenSolver, factorize_full
 from etdsplit.problems import ProblemSpec, discretize, make_problem
 from etdsplit.spatial import DIRICHLET, FullOperator, Grid2D
 from etdsplit.steppers import (
@@ -61,6 +61,21 @@ def test_plan_pole_sets_per_scheme():
     plan = build_plan(SBDF4, disc, 0.1)
     assert set(plan.full_facts) == {"sbdf4", "sbdf1"}
     assert plan.k0 == pytest.approx(0.1 / 2000.0)
+
+
+@pytest.mark.parametrize("scheme", [SMOOTHER_ONLY, SBDF4, "sbdf1"])
+def test_plan_full_operator_eigen_solvers_share_one_basis(scheme):
+    disc = discretize(make_problem("brusselator"), 4)
+    facts = build_plan(scheme, disc, 0.1).full_facts.values()
+    assert all(isinstance(f, TensorEigenSolver) for f in facts)
+    assert len({id(f.basis) for f in facts}) == 1
+    assert all(f.shape == (2, 6, 6) for f in facts)
+
+
+def test_unsplit_plan_keeps_sparse_lu():
+    disc = discretize(make_problem("enzyme"), 4)
+    facts = build_plan(ETDRK4P22, disc, 0.1).full_facts.values()
+    assert all(isinstance(f, SparseFactorization) for f in facts)
 
 
 def test_plan_rebuild_identical_pole_set():
@@ -376,6 +391,24 @@ def test_integrate_t_zero_returns_initial():
     disc = discretize(make_problem("brusselator"), 4)
     np.testing.assert_array_equal(integrate(disc, ETDRK4P22IF, 0.1, 0.0),
                                   disc.initial())
+
+
+def test_integrate_t_zero_still_validates_scheme_and_k():
+    disc = discretize(make_problem("enzyme"), 4)
+    with pytest.raises(ValidationError):
+        integrate(disc, "rk45", 0.1, 0.0)
+    for k in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            integrate(disc, ETDRK4P22IF, k, 0.0)
+
+
+@pytest.mark.parametrize("k,T", [(0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+                                 (math.nan, 1.0), (math.inf, 1.0)])
+def test_integrate_rejects_non_finite_k_and_T(k, T):
+    disc = discretize(make_problem("enzyme"), 4)
+    for scheme in (ETDRK4P22IF, SBDF4):
+        with pytest.raises(ValidationError):
+            integrate(disc, scheme, k, T)
 
 
 def test_integrate_threads_identical():
