@@ -36,7 +36,6 @@ from .steppers import (
     build_plan,
     etdrk4p22_step,
     etdrk4p22if_step,
-    exact_etdrk4_reference_step,
     integrate,
     sbdf1_step,
     sbdf4_integrate,

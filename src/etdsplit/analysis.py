@@ -161,7 +161,7 @@ def _grid_schedule(spec: ProblemSpec, coupling: str, levels: int, k0: float,
 def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
               mode: str, coupling: str, T: float, smoothing_steps: int = 0,
               h_target: Optional[float] = None, m: Optional[int] = None,
-              threads: int = 1, m_schedule: Optional[list] = None) -> ConvergenceReport:
+              m_schedule: Optional[list] = None) -> ConvergenceReport:
     """Run a refinement cascade k0, k0/2, ... and assemble the report.
 
     In self mode one extra integration at the next-finer step provides the
@@ -190,7 +190,7 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
         disc = discretize(spec, mi)
         try:
             u, secs = time_run(lambda: integrate(
-                disc, scheme, k, T, smoothing_steps=smoothing_steps, threads=threads))
+                disc, scheme, k, T, smoothing_steps=smoothing_steps))
         except DivergenceError as exc:
             err = DivergenceError(f"level {level} (k = {k:g}): {exc}",
                                   step=exc.step, t=exc.t)

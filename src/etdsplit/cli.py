@@ -21,11 +21,14 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .analysis import (
     COUPLING_FIXED_H,
     COUPLING_K_EQ_H,
     MODE_EXACT,
     MODE_SELF,
+    _fmt,
     run_study,
 )
 from .errors import DivergenceError, SingularSystemError, ValidationError
@@ -58,14 +61,13 @@ class RunConfig:
     out: Optional[str] = None
     plot_out: Optional[str] = None
     snapshot_every: Optional[int] = None
-    threads: int = 1
 
 
 _FIELD_TYPES = {
     "problem": str, "scheme": str, "k0": float, "k": float, "levels": int,
     "T": float, "m": int, "h": float, "coupling": str, "mode": str,
     "smoothing_steps": int, "out": str, "plot_out": str,
-    "snapshot_every": int, "threads": int,
+    "snapshot_every": int,
 }
 
 
@@ -119,10 +121,6 @@ def _check_writable(path: str) -> None:
         raise ValidationError(f"cannot write {path}: permission denied")
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
 def _pick_m(spec, cfg) -> Optional[int]:
     if cfg.m is not None and cfg.h is not None:
         raise ValidationError("give --m or --h, not both")
@@ -140,8 +138,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     T = cfg.T if cfg.T is not None else spec.default_T
     report = run_study(
         spec, cfg.scheme, cfg.k0, cfg.levels, cfg.mode, cfg.coupling, T,
-        smoothing_steps=cfg.smoothing_steps, h_target=cfg.h, m=cfg.m,
-        threads=cfg.threads)
+        smoothing_steps=cfg.smoothing_steps, h_target=cfg.h, m=cfg.m)
     print(report.format_table())
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -155,16 +152,27 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
+# Rows formatted by one %-operation in the field CSV writer.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_field_csv(fileobj, grid, u) -> None:
+    """Write an (x, y, species...) CSV row per node, y-major, x fastest.
+
+    Values carry 17 significant digits, the same text as _fmt.  Rows go out
+    in blocks, each formatted by a single %-operation.
+    """
     species = u.shape[0]
-    writer = csv.writer(fileobj, lineterminator="\n")
     names = ["u"] if species == 1 else [f"u{i + 1}" for i in range(species)]
-    writer.writerow(["x", "y"] + names)
-    nodes = grid.axis_nodes()
-    for iy in range(grid.p1d):
-        for ix in range(grid.p1d):
-            writer.writerow([_fmt(nodes[ix]), _fmt(nodes[iy])]
-                            + [_fmt(float(u[s, iy, ix])) for s in range(species)])
+    fileobj.write(",".join(["x", "y"] + names) + "\n")
+    x, y = grid.meshgrid()
+    table = np.column_stack([x.ravel(), y.ravel()] + [u[s].ravel() for s in range(species)])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    full_block = row * _CSV_BLOCK_ROWS
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        fmt = full_block if len(block) == _CSV_BLOCK_ROWS else row * len(block)
+        fileobj.write(fmt % tuple(block.ravel().tolist()))
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -193,7 +201,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             _write_field_csv(fh, disc.grid, field)
 
     u = integrate(disc, scheme, cfg.k if T != 0 else 1.0, T,
-                  smoothing_steps=cfg.smoothing_steps, threads=cfg.threads,
+                  smoothing_steps=cfg.smoothing_steps,
                   snapshot_every=cfg.snapshot_every,
                   snapshot_cb=snapshot if cfg.snapshot_every else None)
     if cfg.out:
@@ -339,9 +347,11 @@ _REF = {
 TABLE_IDS = tuple(_REF)
 
 
-def cmd_table(table_id: str, threads: int = 1, levels: Optional[int] = None) -> int:
+def cmd_table(table_id: str, levels: Optional[int] = None) -> int:
     if table_id not in _REF:
         raise ValidationError(f"unknown table id {table_id!r}; choose from {', '.join(TABLE_IDS)}")
+    if levels is not None and levels < 1:
+        raise ValidationError(f"need at least one level, got {levels}")
     preset = _REF[table_id]
     print(f"table {table_id}: {preset['title']}")
     for note in preset["notes"]:
@@ -355,7 +365,7 @@ def cmd_table(table_id: str, threads: int = 1, levels: Optional[int] = None) -> 
             spec, study["scheme"], study["k0"], n_levels, study["mode"],
             study["coupling"], study["T"],
             smoothing_steps=study.get("smoothing_steps", 0),
-            h_target=study.get("h"), m=study.get("m"), threads=threads,
+            h_target=study.get("h"), m=study.get("m"),
             m_schedule=m_schedule[:n_levels] if m_schedule else None)
         print(f"\n  {study['label']}  (problem={study['problem']}, mode={study['mode']})")
         print(f"  {'k':>10} {'error':>12} {'reference':>12} {'dev':>7} "
@@ -378,7 +388,6 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--h", type=float, help="target mesh width; realized h is (b-a)/(m+1)")
     p.add_argument("--smoothing-steps", dest="smoothing_steps", type=int)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", help="key=value config file; flags override")
 
 
@@ -405,7 +414,6 @@ def _build_parser() -> _Parser:
     pt.add_argument("table_id", choices=TABLE_IDS, metavar="TABLE",
                     help=f"one of: {', '.join(TABLE_IDS)}")
     pt.add_argument("--levels", type=int, help="run only the first N levels")
-    pt.add_argument("--threads", type=int)
     return parser
 
 
@@ -414,8 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
-            return cmd_table(args.table_id, threads=args.threads or 1,
-                             levels=args.levels)
+            return cmd_table(args.table_id, levels=args.levels)
         cfg = _merge_config(args)
         if args.command == "converge":
             return cmd_converge(cfg)

@@ -20,7 +20,7 @@ Three solve paths exist, matching the scheme families:
   is measured against.
 
 Factorizations are computed once per (step size, pole) and reused for every
-time step; all kinds are immutable and safe to share across workers.
+time step; all kinds are immutable.
 """
 
 from dataclasses import dataclass
@@ -97,11 +97,17 @@ class BandedFactorization:
         return self.lu.shape[1]
 
     def solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M X = RHS for a matrix of right-hand-side columns."""
+        """Solve M X = RHS for a matrix of right-hand-side columns.
+
+        RHS is copied exactly once and never modified: the solve overwrites
+        either the complex Fortran-ordered conversion of RHS or, when RHS
+        already is one, LAPACK's own copy of it.
+        """
         if rhs.shape[0] != self.n:
             raise ShapeError(f"rhs has {rhs.shape[0]} rows, expected {self.n}")
-        x, info = lapack.zgbtrs(self.lu, self.kl, self.ku,
-                                np.asarray(rhs, dtype=complex), self.ipiv)
+        b = np.asfortranarray(rhs, dtype=complex)
+        x, info = lapack.zgbtrs(self.lu, self.kl, self.ku, b, self.ipiv,
+                                overwrite_b=not np.may_share_memory(b, rhs))
         if info != 0:
             raise SingularSystemError(f"banded back-substitution failed (info={info})")
         return x
@@ -127,6 +133,8 @@ def solve_axis_system(fact: BandedFactorization, rhs: np.ndarray, axis: str) -> 
     rhs has shape (p, p) with axes (y, x).  The x axis solves each y-row,
     the y axis each x-column; both reduce to one banded solve with p
     right-hand sides and agree with the dense solve of the Kronecker system.
+    rhs is copied once, with no reordering when it is complex and in C order
+    (x axis) or Fortran order (y axis).
     """
     rhs = np.asarray(rhs)
     n = fact.n

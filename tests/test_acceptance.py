@@ -25,7 +25,6 @@ from etdsplit.steppers import (
     PADE,
     SBDF4,
     SMOOTHER_ONLY,
-    _etdrk4p22if_kernel,
     build_plan,
     etdrk4p22_step,
     etdrk4p22if_step,
@@ -34,7 +33,7 @@ from etdsplit.steppers import (
     sbdf4_integrate,
     smoother_step,
 )
-from helpers import dense_axis_solvers, zero_reaction_disc
+from helpers import dense_axis_solvers, etdrk4p22if_kernel, zero_reaction_disc
 
 
 def _gate(num, name, ok, detail=""):
@@ -160,7 +159,7 @@ def test_criterion_8_property_suite():
             u = disc.initial()
             got = etdrk4p22if_step(plan, u, 0.0)
             solve_x, solve_y = dense_axis_solvers(disc.ops, 0.1)
-            want = _etdrk4p22if_kernel(u, 0.0, 0.1, disc.reaction, solve_x, solve_y)
+            want = etdrk4p22if_kernel(u, 0.0, 0.1, disc.reaction, solve_x, solve_y)
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             if rel > 1e-10:
                 failures.append(f"oracle equality {name} m={m}: {rel:.1e}")

@@ -1,11 +1,17 @@
 import csv
+import io
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import etdsplit.cli as cli
 import etdsplit.steppers as steppers
+from etdsplit.analysis import _fmt
 from etdsplit.errors import DivergenceError, SingularSystemError
+from etdsplit.problems import discretize, make_problem
+from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D
 
 
 def test_converge_writes_csv_and_table(tmp_path, capsys):
@@ -236,3 +242,87 @@ def test_table_notes_mention_out_of_scope_columns(capsys):
     assert code == 0
     assert "ETDRDP-IF" in captured.out
     assert "out of scope" in captured.out
+
+
+def test_solve_divergence_reported_once_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--problem", "brusselator", "--m", "9", "--k", "5",
+                         "--T", "50", "--scheme", "sbdf4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "non-finite state" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_table_rejects_levels_before_printing(levels, capsys):
+    code = cli.main(["table", "1", "--levels", levels])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "level" in captured.err
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", "enzyme", "--m", "5", "--k", "0.5",
+                  "--T", "1", "--threads", "2"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("problem = enzyme\nm = 5\nk = 0.5\nT = 1\nthreads = 2\n")
+    assert cli.main(["solve", "--config", str(cfg)]) == 1
+    assert "threads" in capsys.readouterr().err
+
+
+# ---- field CSV: the block writer against the one-row-at-a-time form ----
+
+def _row_by_row_field_csv(grid, u) -> str:
+    """The field CSV as csv.writer writes it from _fmt-formatted cells."""
+    buf = io.StringIO()
+    species = u.shape[0]
+    writer = csv.writer(buf, lineterminator="\n")
+    names = ["u"] if species == 1 else [f"u{i + 1}" for i in range(species)]
+    writer.writerow(["x", "y"] + names)
+    nodes = grid.axis_nodes()
+    for iy in range(grid.p1d):
+        for ix in range(grid.p1d):
+            writer.writerow([_fmt(nodes[ix]), _fmt(nodes[iy])]
+                            + [_fmt(float(u[s, iy, ix])) for s in range(species)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("species", [1, 2])
+@pytest.mark.parametrize("grid", [Grid2D(a=-1.5, b=2.0, m=5, bc=DIRICHLET),
+                                  Grid2D(a=0.0, b=1.0, m=40, bc=NEUMANN)])
+def test_field_csv_matches_row_by_row_form(grid, species):
+    # m=40 Neumann spans one full row block and a partial one
+    p = grid.p1d
+    rng = np.random.default_rng(p + species)
+    u = rng.normal(size=(species, p, p)) * 10.0 ** rng.integers(-300, 300, size=(species, p, p))
+    u.flat[:6] = [0.0, -0.0, 1.0, -1e-320, 0.1, 2.0 ** 60]
+    got = io.StringIO()
+    cli._write_field_csv(got, grid, u)
+    assert got.getvalue() == _row_by_row_field_csv(grid, u)
+
+
+def test_field_csv_value_text_is_fmt():
+    grid = Grid2D(a=0.0, b=1.0, m=3, bc=DIRICHLET)
+    u = np.full((1, 3, 3), 0.1)
+    got = io.StringIO()
+    cli._write_field_csv(got, grid, u)
+    lines = got.getvalue().splitlines()
+    assert lines[0] == "x,y,u"
+    assert lines[1] == ",".join([_fmt(0.25), _fmt(0.25), _fmt(0.1)])
+    assert lines[1] == "0.25,0.25,0.10000000000000001"
+
+
+def test_snapshot_file_matches_row_by_row_form(tmp_path):
+    out = tmp_path / "run.csv"
+    code = cli.main(["solve", "--problem", "brusselator", "--m", "6", "--k", "0.05",
+                     "--T", "0.2", "--out", str(out), "--snapshot-every", "2"])
+    assert code == 0
+    disc = discretize(make_problem("brusselator"), 6)
+    at_step_2 = steppers.integrate(disc, steppers.ETDRK4P22IF, 0.05, 0.1)
+    snapshot = (tmp_path / "run_step000002.csv").read_bytes()
+    assert snapshot == _row_by_row_field_csv(disc.grid, at_step_2).encode("utf-8")

@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import etdsplit.steppers as steppers
 from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import SparseFactorization, TensorEigenSolver, factorize_full
 from etdsplit.problems import ProblemSpec, discretize, make_problem
-from etdsplit.spatial import DIRICHLET, FullOperator, Grid2D
+from etdsplit.spatial import DIRICHLET, NEUMANN, FullOperator, Grid2D
 from etdsplit.steppers import (
     ETDRK4P22,
     ETDRK4P22IF,
+    PADE,
     SBDF4,
     SMOOTHER_ONLY,
     StepPlan,
     _etdrk4p22_kernel,
-    _etdrk4p22if_kernel,
     _smoother_kernel,
     build_plan,
     etdrk4p22_step,
     etdrk4p22if_step,
-    exact_etdrk4_reference_step,
     integrate,
     sbdf1_step,
     sbdf4_integrate,
@@ -34,6 +36,9 @@ from helpers import (
     dense_axis_solvers,
     dense_full_operator,
     dense_full_solver,
+    etdrk4p22if_kernel,
+    exact_etdrk4_reference_step,
+    plan_axis_solvers,
     rational_r03,
     rational_r22,
     zero_reaction_disc,
@@ -125,8 +130,53 @@ def test_if_step_structured_equals_dense_22_steps(name, m):
     u = disc.initial()
     got = etdrk4p22if_step(plan, u, 0.0)
     solve_x, solve_y = dense_axis_solvers(disc.ops, k)
-    want = _etdrk4p22if_kernel(u, 0.0, k, disc.reaction, solve_x, solve_y)
+    want = etdrk4p22if_kernel(u, 0.0, k, disc.reaction, solve_x, solve_y)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _coupled_reaction(u, t):
+    # nonlinear in every species; the second species feeds back on the first
+    if u.shape[0] == 1:
+        return np.sin(u) - u ** 2 + np.cos(t)
+    return np.stack([u[0] * u[1] - u[0] + 0.5, u[0] ** 2 - u[1] * np.cos(u[0])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(3, 8), bc=st.sampled_from((DIRICHLET, NEUMANN)),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
+       k=st.floats(0.01, 1.0), t=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_if_step_equals_22_step_oracle(m, bc, diffusion, k, t, seed):
+    # the 13-solve real step against the published 22-entry sequence (14
+    # solves), run on the plan's own banded solves and on dense Kronecker solves
+    spec = ProblemSpec(name="coupled", a=0.0, b=1.0, bc=bc, species=len(diffusion),
+                       diffusion=diffusion, reaction=_coupled_reaction,
+                       initial=None, exact=None, default_T=1.0)
+    disc = discretize(spec, m)
+    plan = build_plan(ETDRK4P22IF, disc, k)
+    p = disc.grid.p1d
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(diffusion), p, p))
+    got = etdrk4p22if_step(plan, u, t)
+    assert got.dtype == np.dtype(float) and got.shape == u.shape
+    for solve_x, solve_y in (plan_axis_solvers(plan), dense_axis_solvers(disc.ops, k)):
+        want = etdrk4p22if_kernel(u, t, k, disc.reaction, solve_x, solve_y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_if_step_makes_13_axis_solves_per_species(monkeypatch):
+    disc = discretize(make_problem("brusselator"), 4)
+    plan = build_plan(ETDRK4P22IF, disc, 0.1)
+    calls = []
+    solve = steppers.solve_axis_system
+
+    def counting(fact, rhs, axis):
+        calls.append((fact.pole, axis))
+        return solve(fact, rhs, axis)
+
+    monkeypatch.setattr(steppers, "solve_axis_system", counting)
+    etdrk4p22if_step(plan, disc.initial(), 0.0)
+    per_species = {(pole, axis): calls.count((pole, axis)) / 2 for pole, axis in set(calls)}
+    assert per_species == {(PADE.c1, "x"): 3, (PADE.c1, "y"): 2,
+                           (PADE.c2, "x"): 4, (PADE.c2, "y"): 4}
 
 
 def test_if_integration_matches_benchmark_value():
@@ -409,16 +459,6 @@ def test_integrate_rejects_non_finite_k_and_T(k, T):
     for scheme in (ETDRK4P22IF, SBDF4):
         with pytest.raises(ValidationError):
             integrate(disc, scheme, k, T)
-
-
-def test_integrate_threads_identical():
-    disc = discretize(make_problem("brusselator"), 6)
-    u1 = integrate(disc, ETDRK4P22IF, 0.125, 0.5, threads=1)
-    u2 = integrate(disc, ETDRK4P22IF, 0.125, 0.5, threads=3)
-    assert np.array_equal(u1, u2)
-    s1 = integrate(disc, SMOOTHER_ONLY, 0.125, 0.5, threads=1)
-    s2 = integrate(disc, SMOOTHER_ONLY, 0.125, 0.5, threads=2)
-    assert np.array_equal(s1, s2)
 
 
 def test_integrate_validations():
