@@ -11,7 +11,8 @@ Three subcommands:
 
 Options may come from flags or from a ``--config`` file of ``key=value``
 lines (``#`` comments allowed); flags override the file.  Exit codes:
-0 success, 1 invalid configuration, 2 numerical failure.
+0 success, 1 invalid configuration (including a grid too large to allocate),
+2 numerical failure.
 """
 
 import argparse
@@ -188,6 +189,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     T = cfg.T if cfg.T is not None else spec.default_T
     if T != 0 and cfg.k is None:
         raise ValidationError("solve needs --k (unless --T 0)")
+    if cfg.snapshot_every is not None and cfg.snapshot_every < 1:
+        raise ValidationError(f"need --snapshot-every >= 1, got {cfg.snapshot_every}")
     if cfg.snapshot_every and not cfg.out:
         raise ValidationError("--snapshot-every needs --out to name the files")
     disc = discretize(spec, m)
@@ -432,6 +435,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"etdsplit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"etdsplit: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except (DivergenceError, SingularSystemError) as exc:
         print(f"etdsplit: numerical failure: {exc}", file=sys.stderr)

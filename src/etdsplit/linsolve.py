@@ -1,12 +1,18 @@
-"""Shifted-operator factorizations and solves.
+"""Shifted-operator solves.
 
 Three solve paths exist, matching the scheme families:
 
-* Axis-structured banded solves for the split scheme.  A 2-D system
+* Transform-space axis solves for the split scheme.  A 2-D system
   (k*A_axis - c*I) x = rhs with A_axis = -d (B kron I) or -d (I kron B)
-  decouples into p1d independent 1-D systems sharing the single banded
-  matrix M = -k*d*B - c*I, solved with one LU factorization (LAPACK
-  gbtrf/gbtrs with partial pivoting) and a matrix of right-hand sides.
+  decouples into independent 1-D systems sharing the matrix
+  M = -k*d*B - c*I.  B is the fourth-order stencil closed by reflection at
+  both walls, so the type-1 sine (Dirichlet) or cosine (Neumann) transform
+  diagonalizes it, apart from the two Dirichlet edge rows, which a rank-2
+  Woodbury term with a 2 x 2 capacitance matrix restores (Buzbee, Golub &
+  Nielson, SIAM J. Numer. Anal. 7 (1970); Buzbee, Dorr, George & Golub,
+  SIAM J. Numer. Anal. 8 (1971)).  A solve is then a real diagonal scaling
+  of the transformed field plus, for Dirichlet, a rank-4 real product; the
+  plan costs O(p) per pole and species.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -19,21 +25,32 @@ Three solve paths exist, matching the scheme families:
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
   is measured against.
 
-Factorizations are computed once per (step size, pole) and reused for every
-time step; all kinds are immutable.
+Solvers are built once per (step size, pole) and reused for every time
+step; all kinds are immutable.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import ShapeError, SingularSystemError, ValidationError
-from .spatial import AXIS_X, AXIS_Y, AxisOperator, FullOperator, SplitOperators
+from .spatial import (
+    AXIS_X,
+    AXIS_Y,
+    DIRICHLET,
+    INTERIOR_STENCIL,
+    AxisOperator,
+    FullOperator,
+)
 
-_BANDWIDTH = 3  # lower/upper bandwidth of the 1-D axis operator
+# Largest entry of B minus its reflected stencil, outside the edge rows the
+# boundary kind allows, relative to max |B|.  The assembled operator matches
+# to the last bit; anything larger means the transform does not diagonalize B.
+_REFLECTION_TOL = 1e-13
 
 # Eigenvalues of B with |imag| above this fraction of max |lam| are treated as
 # genuinely complex; the fourth-order operator's are real to the last bit.
@@ -46,105 +63,176 @@ EIGEN_COND_MAX = 1e3
 
 
 @dataclass(frozen=True)
-class ShiftedAxisMatrix:
-    """Banded storage of M = -k*d*B - c*I for one (pole, species) pair.
+class AxisTransformBasis:
+    """B = F^-1 diag(lam) F + U V^T, with F a type-1 trigonometric transform.
 
-    `bands` uses the LAPACK general-band layout with kl extra fill rows:
-    bands[kl + ku + i - j, j] = M[i, j].
+    The 1-D operator B is the interior stencil closed by reflection at both
+    walls, so the type-1 sine transform (odd reflection, Dirichlet) or cosine
+    transform (even reflection, Neumann) diagonalizes it, with symbol
+    lam_j = sum_o c_o cos(o theta_j) / (12 h^2) over the stencil c_o.  Even
+    reflection reproduces the Neumann B exactly.  Odd reflection misses the
+    Dirichlet edge rows: U = [e_0, e_(p-1)] and V^T holds their differences
+    from the reflected rows, (9, -10, 5, -1)/(12 h^2) for m >= 4.  The
+    low-rank term is kept transformed: u_hat = F U and v_hat = F^-T V.
     """
 
-    bands: np.ndarray
-    pole: complex
-    k: float
-    species: int
-    axis: str
+    bc: str
+    lam: np.ndarray                  # (p,)
+    u_hat: Optional[np.ndarray]      # (p, 2); None when B is exactly reflected
+    v_hat: Optional[np.ndarray]      # (p, 2)
 
-    @property
-    def n(self) -> int:
-        return self.bands.shape[1]
+    def forward(self, field: np.ndarray) -> np.ndarray:
+        """Transform a (species, p, p) field along both axes."""
+        if self.bc == DIRICHLET:
+            return scipy.fft.dstn(field, type=1, axes=(-2, -1))
+        return scipy.fft.dctn(field, type=1, axes=(-2, -1))
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of forward."""
+        if self.bc == DIRICHLET:
+            return scipy.fft.idstn(coeffs, type=1, axes=(-2, -1))
+        return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1))
 
 
-def shifted_axis_matrix(ops: SplitOperators, k: float, pole: complex,
-                        axis: str, species: int) -> ShiftedAxisMatrix:
-    """Build the 1-D block of (k*A_axis - pole*I) in LAPACK band storage."""
-    if not k > 0:
-        raise ValidationError(f"need k > 0, got {k}")
-    if axis not in (AXIS_X, AXIS_Y):
-        raise ValidationError(f"unknown axis {axis!r}")
-    d = ops.diffusion[species]
-    b = ops.axis_op.mat.tocoo()
-    n = b.shape[0]
-    kl = ku = _BANDWIDTH
-    bands = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
-    bands[kl + ku, :] = -pole
-    np.add.at(bands, (kl + ku + b.row - b.col, b.col), -k * d * b.data)
-    return ShiftedAxisMatrix(bands=bands, pole=pole, k=k, species=species, axis=axis)
+def _reflected_entries(p: int, bc: str):
+    """(rows, cols, coefficients) of the interior stencil closed by reflection.
+
+    Coefficients are in units of 1/(12 h^2).  Dirichlet unknowns are the
+    nodes between two zero walls (unknown indices -1 and p), reflected
+    oddly; Neumann unknowns include the walls (indices 0 and p-1), reflected
+    evenly.  A (row, col) pair may repeat; repeats add.
+    """
+    lo, hi, sign = (-1, p, -1.0) if bc == DIRICHLET else (0, p - 1, 1.0)
+    rows = np.tile(np.arange(p), len(INTERIOR_STENCIL))
+    cols = rows + np.repeat(np.arange(-2, 3), p)
+    coef = np.repeat(INTERIOR_STENCIL, p)
+    for beyond, wall in ((cols < lo, lo), (cols > hi, hi)):
+        cols[beyond] = 2 * wall - cols[beyond]
+        coef[beyond] *= sign
+    inside = (cols >= 0) & (cols < p)  # a Dirichlet wall column holds a zero
+    return rows[inside], cols[inside], coef[inside]
+
+
+def axis_transform_basis(axis_op: AxisOperator) -> AxisTransformBasis:
+    """Diagonalize B by its type-1 transform; every pole and species shares it.
+
+    Raises ValidationError when B differs from the reflected stencil outside
+    the rows the boundary kind allows (the two Dirichlet edge rows).  The
+    comparison runs over the stored diagonals only, in O(p).
+    """
+    p, h, bc = axis_op.p1d, axis_op.h, axis_op.bc
+    b = axis_op.mat.todia()
+    # Both operators in diagonal storage: diff[k, j] is entry (j - offsets[k], j).
+    offsets = np.union1d(b.offsets, np.arange(-2, 3))
+    rows, cols, coef = _reflected_entries(p, bc)
+    reflected = np.zeros((len(offsets), p))
+    np.add.at(reflected, (np.searchsorted(offsets, cols - rows), cols), coef)
+    diff = -reflected / (12.0 * h * h)
+    np.add.at(diff, np.searchsorted(offsets, b.offsets), b.data[:, :p])
+    diff_rows = np.arange(p) - offsets[:, np.newaxis]
+    diff[(diff_rows < 0) | (diff_rows >= p)] = 0.0  # slots outside the matrix
+    edges = [0, p - 1] if bc == DIRICHLET else []
+    scale = np.max(np.abs(b.data), initial=0.0)
+    off_pattern = np.abs(diff) > _REFLECTION_TOL * scale
+    if np.any(off_pattern & ~np.isin(diff_rows, edges)):
+        raise ValidationError(
+            f"1-D operator is not the reflection-closed {bc} stencil outside its edge rows")
+    if bc == DIRICHLET:
+        theta = np.pi * np.arange(1, p + 1) / (p + 1)
+    else:
+        theta = np.pi * np.arange(p) / (p - 1)
+    lam = sum(c * np.cos(off * theta) for off, c in zip(range(-2, 3), INTERIOR_STENCIL))
+    lam /= 12.0 * h * h
+    u_hat = v_hat = None
+    if edges:
+        unit = np.zeros((p, 2))
+        edge_rows = np.zeros((p, 2))  # V: B's edge rows minus the reflected ones
+        for k, row in enumerate(edges):
+            unit[row, k] = 1.0
+            on_row = diff_rows == row
+            edge_rows[np.nonzero(on_row)[1], k] = diff[on_row]
+        u_hat = scipy.fft.dst(unit, type=1, axis=0)
+        # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
+        v_hat = scipy.fft.idst(edge_rows, type=1, axis=0)
+    return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat)
 
 
 @dataclass(frozen=True)
-class BandedFactorization:
-    """Reusable LU factors (partial pivoting) of a ShiftedAxisMatrix."""
+class AxisTransformSolver:
+    """(k*A_axis - pole*I)^-1 along either axis, applied in transform space.
 
-    lu: np.ndarray
-    ipiv: np.ndarray
-    kl: int
-    ku: int
-    pole: complex
-    species: int
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[1]
-
-    def solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M X = RHS for a matrix of right-hand-side columns.
-
-        RHS is copied exactly once and never modified: the solve overwrites
-        either the complex Fortran-ordered conversion of RHS or, when RHS
-        already is one, LAPACK's own copy of it.
-        """
-        if rhs.shape[0] != self.n:
-            raise ShapeError(f"rhs has {rhs.shape[0]} rows, expected {self.n}")
-        b = np.asfortranarray(rhs, dtype=complex)
-        x, info = lapack.zgbtrs(self.lu, self.kl, self.ku, b, self.ipiv,
-                                overwrite_b=not np.may_share_memory(b, rhs))
-        if info != 0:
-            raise SingularSystemError(f"banded back-substitution failed (info={info})")
-        return x
-
-
-def factorize_axis(ops: SplitOperators, k: float, pole: complex,
-                   axis: str, species: int) -> BandedFactorization:
-    """LU-factorize -k*d*B - pole*I for one axis/species; reused every step."""
-    m = shifted_axis_matrix(ops, k, pole, axis, species)
-    kl = ku = _BANDWIDTH
-    lu, ipiv, info = lapack.zgbtrf(m.bands, kl, ku)
-    if info != 0:
-        raise SingularSystemError(
-            f"factorization of axis system is singular (pole={pole}, info={info})"
-        )
-    return BandedFactorization(lu=lu, ipiv=ipiv, kl=kl, ku=ku,
-                               pole=pole, species=species)
-
-
-def solve_axis_system(fact: BandedFactorization, rhs: np.ndarray, axis: str) -> np.ndarray:
-    """Solve (k*A_axis - pole*I) x = rhs for one species block.
-
-    rhs has shape (p, p) with axes (y, x).  The x axis solves each y-row,
-    the y axis each x-column; both reduce to one banded solve with p
-    right-hand sides and agree with the dense solve of the Kronecker system.
-    rhs is copied once, with no reordering when it is complex and in C order
-    (x axis) or Fortran order (y axis).
+    With mu = -k d lam - pole, the Woodbury identity gives, in transform
+    space, M^-1 = diag(1/mu) - a q^T, a = diag(1/mu) Uk G, q = diag(1/mu)
+    v_hat, where Uk = -k d u_hat and G = (I + v_hat^T diag(1/mu) Uk)^-1 is
+    the 2 x 2 capacitance inverse.  The rank-2 factors are stored as real
+    (p, 4) matrices: edge_in = [Re q, Im q] and edge_out = [2 Re a, -2 Im a],
+    so 2*Re(w a q^T f) = edge_out [Re z; Im z] with z = w q^T f.
     """
-    rhs = np.asarray(rhs)
-    n = fact.n
-    if rhs.shape != (n, n):
-        raise ShapeError(f"rhs shape {rhs.shape}, expected ({n}, {n})")
-    if axis == AXIS_X:
-        return fact.solve_columns(rhs.T).T
-    if axis == AXIS_Y:
-        return fact.solve_columns(rhs)
-    raise ValidationError(f"unknown axis {axis!r}")
+
+    inv_symbol: np.ndarray            # (species, p) complex, 1/mu
+    edge_in: Optional[np.ndarray]     # (species, p, 4)
+    edge_out: Optional[np.ndarray]    # (species, p, 4)
+
+    def terms(self, axis: str, *weighted) -> np.ndarray:
+        """sum_i 2*Re(w_i (k*A_axis - pole*I)^-1 f_i) for (w_i, f_i) pairs.
+
+        Each f_i is a real (species, p, p) field already transformed along
+        both axes; so is the result.  Fields along one axis share the edge
+        correction: their projections are combined before it is applied.
+        """
+        if axis == AXIS_X:
+            line = (slice(None), np.newaxis, slice(None))
+        elif axis == AXIS_Y:
+            line = (slice(None), slice(None), np.newaxis)
+        else:
+            raise ValidationError(f"unknown axis {axis!r}")
+        shape = (self.inv_symbol.shape[0],) + 2 * (self.inv_symbol.shape[1],)
+        out = None
+        coupled = 0.0
+        for w, f in weighted:
+            if f.shape != shape:
+                raise ShapeError(f"field shape {f.shape}, expected {shape}")
+            scaled = f * (2.0 * (w * self.inv_symbol).real)[line]
+            out = scaled if out is None else np.add(out, scaled, out=out)
+            if self.edge_in is not None:
+                if axis == AXIS_X:
+                    proj = f @ self.edge_in
+                else:
+                    proj = np.swapaxes(np.swapaxes(self.edge_in, 1, 2) @ f, 1, 2)
+                coupled = coupled + w * (proj[..., :2] + 1j * proj[..., 2:])
+        if self.edge_in is not None:
+            z = np.concatenate([coupled.real, coupled.imag], axis=-1)
+            if axis == AXIS_X:
+                out -= z @ np.swapaxes(self.edge_out, 1, 2)
+            else:
+                out -= self.edge_out @ np.swapaxes(z, 1, 2)
+        return out
+
+
+def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,
+                          pole) -> AxisTransformSolver:
+    """Transform-space inverse of (k*A_axis - pole*I), one symbol per species."""
+    if not k > 0:
+        raise ValidationError(f"need k > 0, got {k}")
+    kd = k * np.asarray(diffusion, dtype=float)[:, np.newaxis]
+    mu = (-kd * basis.lam - pole).astype(complex)
+    if np.any(mu == 0):
+        raise SingularSystemError(f"shifted axis operator is singular (pole={pole})")
+    inv_symbol = 1.0 / mu
+    if basis.u_hat is None:
+        return AxisTransformSolver(inv_symbol=inv_symbol, edge_in=None, edge_out=None)
+    a0 = -kd[:, :, np.newaxis] * basis.u_hat * inv_symbol[:, :, np.newaxis]
+    cap = np.eye(2) + basis.v_hat.T @ a0
+    try:
+        a = a0 @ np.linalg.inv(cap)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"edge-row capacitance matrix is singular (pole={pole})") from exc
+    q = basis.v_hat * inv_symbol[:, :, np.newaxis]
+    return AxisTransformSolver(
+        inv_symbol=inv_symbol,
+        edge_in=np.concatenate([q.real, q.imag], axis=-1),
+        edge_out=np.concatenate([2.0 * a.real, -2.0 * a.imag], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ AXIS_X = "x"
 AXIS_Y = "y"
 
 # 1-D stencil rows, in units of 1/(12 h^2).
-_INTERIOR = (-1.0, 16.0, -30.0, 16.0, -1.0)          # centered, offsets -2..2
+INTERIOR_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)   # centered, offsets -2..2
 _DIRICHLET_EDGE = (-20.0, 6.0, 4.0, -1.0)            # first unknown row, offsets 0..3
 _NEUMANN_CORNER = (-30.0, 32.0, -2.0)                # boundary node row, offsets 0..2
 _NEUMANN_EDGE = (16.0, -31.0, 16.0, -1.0)            # next-to-boundary row, offsets -1..2
+_BANDWIDTH = 3                                       # widest row reach, the Dirichlet edge
 
 
 @dataclass(frozen=True)
@@ -117,32 +118,45 @@ def build_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
     if bc not in BOUNDARY_KINDS:
         raise ValidationError(f"unknown boundary kind {bc!r}")
 
+    # Stencil coefficients in units of 1/(12 h^2); only the band is touched.
     if bc == DIRICHLET:
         # Coefficients that fall on boundary columns multiply known zeros
         # and are dropped, which truncates the edge rows when m is small.
         p = m
         dense = np.zeros((p, p))
-        for off, c in enumerate(_DIRICHLET_EDGE):
-            if off < p:
-                dense[0, off] = c
-                dense[p - 1, p - 1 - off] = c
-        for i in range(1, p - 1):
-            for off, c in zip(range(-2, 3), _INTERIOR):
-                j = i + off
-                if 0 <= j < p:
-                    dense[i, j] = c
+        _set_interior_rows(dense, np.arange(1, p - 1))
+        edge = _DIRICHLET_EDGE[:p]
+        dense[0, :len(edge)] = edge
+        dense[p - 1, p - len(edge):] = edge[::-1]
     else:
         p = m + 2
         dense = np.zeros((p, p))
+        _set_interior_rows(dense, np.arange(2, p - 2))
         dense[0, : len(_NEUMANN_CORNER)] = _NEUMANN_CORNER
         dense[p - 1, p - len(_NEUMANN_CORNER):] = _NEUMANN_CORNER[::-1]
         dense[1, 0:4] = _NEUMANN_EDGE
         dense[p - 2, p - 4: p] = _NEUMANN_EDGE[::-1]
-        for i in range(2, p - 2):
-            dense[i, i - 2: i + 3] = _INTERIOR
 
-    dense /= 12.0 * h * h
-    return AxisOperator(mat=sparse.dia_matrix(dense), h=h, bc=bc)
+    # Diagonal storage as dia_matrix(dense) lays it out: data[k, j] holds
+    # entry (j - offsets[k], j), and only offsets with a nonzero are kept.
+    offsets = np.arange(-_BANDWIDTH, _BANDWIDTH + 1)
+    cols = np.arange(p)
+    rows = cols - offsets[:, np.newaxis]
+    inside = (rows >= 0) & (rows < p)
+    data = np.zeros((len(offsets), p))
+    data[inside] = dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]]
+    keep = np.any(data != 0.0, axis=1)
+    data = data[keep] / (12.0 * h * h)
+    mat = sparse.dia_matrix((data, offsets[keep].astype(np.int32)), shape=(p, p))
+    return AxisOperator(mat=mat, h=h, bc=bc)
+
+
+def _set_interior_rows(dense, rows) -> None:
+    """dense[i, i-2:i+3] = INTERIOR_STENCIL for every i in rows, clipped to the matrix."""
+    rows, cols = np.broadcast_arrays(rows[:, np.newaxis], rows[:, np.newaxis] + np.arange(-2, 3))
+    coeffs = np.broadcast_to(INTERIOR_STENCIL, cols.shape)
+    inside = (cols >= 0) & (cols < dense.shape[1])
+    dense[rows[inside], cols[inside]] = coeffs[inside]
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,11 @@ Schemes:
 
 * ``etdrk4p22if`` -- fourth-order exponential Runge-Kutta step whose matrix
   exponentials are replaced by Pade(2,2) rationals, with dimensional
-  splitting so every linear solve is a family of 1-D banded systems.  The
-  published 22-entry pole/solve sequence needs 14 axis solves per species;
-  by linearity its first solve is the sum of two later ones, so a step
-  makes 13, in sequence on the calling thread.  Each solve's complex
-  right-hand side is built once in the column order LAPACK reads, and the
-  solution is folded straight back to a real field.
+  splitting so every linear solve is a family of 1-D systems along one
+  axis.  The step runs in sine/cosine-transform space, where each such
+  solve is a real diagonal scaling (plus a rank-2 edge correction for
+  Dirichlet boundaries): all species at once, five forward and four
+  inverse 2-D transforms per step.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order step built from the
@@ -24,8 +23,8 @@ All rational functions are applied through partial fractions: each becomes
 "solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
 step is a fixed sequence of factorized solves.  States stay real throughout.
 
-Every kernel runs on one thread: the banded back-substitutions hold the
-GIL, so worker threads measured slower than sequential solves.
+Every kernel runs on one thread; the only parallelism is whatever BLAS
+uses inside its matrix products.
 """
 
 import math
@@ -37,10 +36,11 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .linsolve import (
+    AxisTransformBasis,
     axis_eigenbasis,
-    factorize_axis,
+    axis_transform_basis,
+    axis_transform_solver,
     factorize_full,
-    solve_axis_system,
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
@@ -132,19 +132,21 @@ SMOOTHER = _smoother_constants()
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Cached factorizations for one (scheme, step size, discretization).
+    """Cached solvers for one (scheme, step size, discretization).
 
-    axis_facts is keyed by (pole name, axis, species) -- the two axis
-    entries of a (pole, species) pair share one LU since the 1-D matrix is
-    identical; full_facts is keyed by pole name and holds sparse LU factors
-    (etdrk4p22) or eigen-solvers sharing one 1-D eigenbasis (the presmoother
-    and SBDF schemes), both with a .solve(rhs) method.  Plans are immutable.
+    axis_basis and axis_solvers serve the split scheme: the transform that
+    diagonalizes the 1-D operator, and per pole name one transform-space
+    inverse that covers both axes and every species.  full_facts is keyed
+    by pole name and holds sparse LU factors (etdrk4p22) or eigen-solvers
+    sharing one 1-D eigenbasis (the presmoother and SBDF schemes), both with
+    a .solve(rhs) method.  Plans are immutable.
     """
 
     scheme: str
     k: float
     disc: DiscretizedProblem
-    axis_facts: dict = field(default_factory=dict)
+    axis_basis: Optional[AxisTransformBasis] = None
+    axis_solvers: dict = field(default_factory=dict)
     full_facts: dict = field(default_factory=dict)
     k0: Optional[float] = None  # SBDF startup substep
 
@@ -155,15 +157,14 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     if scheme not in SCHEMES and scheme != SBDF1:
         raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
-    axis_facts = {}
+    axis_basis = None
+    axis_solvers = {}
     full_facts = {}
     k0 = None
     if scheme == ETDRK4P22IF:
+        axis_basis = axis_transform_basis(disc.ops.axis_op)
         for pname, pole in (("c1", PADE.c1), ("c2", PADE.c2)):
-            for s in range(disc.ops.species):
-                fact = factorize_axis(disc.ops, k, pole, AXIS_X, s)
-                axis_facts[(pname, AXIS_X, s)] = fact
-                axis_facts[(pname, AXIS_Y, s)] = fact
+            axis_solvers[pname] = axis_transform_solver(axis_basis, disc.ops.diffusion, k, pole)
     elif scheme == ETDRK4P22:
         full_op = assemble_full(disc.grid, disc.spec.diffusion)
         full_facts["c1"] = factorize_full(full_op, k, PADE.c1)
@@ -184,8 +185,8 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
         for pname, k_sys, shift in systems:
             full_facts[pname] = tensor_eigen_solver(basis, disc.ops.diffusion, k_sys, shift)
 
-    return StepPlan(scheme=scheme, k=k, disc=disc,
-                    axis_facts=axis_facts, full_facts=full_facts, k0=k0)
+    return StepPlan(scheme=scheme, k=k, disc=disc, axis_basis=axis_basis,
+                    axis_solvers=axis_solvers, full_facts=full_facts, k0=k0)
 
 
 def _full_solver(plan: StepPlan):
@@ -241,74 +242,62 @@ def _smoother_kernel(u, t, k, reaction, solve, sm=SMOOTHER):
     return un1.real + 2.0 * un2.real
 
 
-def _axis_terms(plan: StepPlan, shape: tuple) -> Callable:
-    """term(pole, axis, (w1, f1), (w2, f2), ...) for one split step.
-
-    A term is 2*Re((k*A_axis - c*I)^-1 (w1*f1 + w2*f2 + ...)) for real
-    fields f.  Its complex right-hand side is written straight into the
-    column order the banded solve reads -- each species block in C order
-    for x (its transpose is Fortran order), transposed for y -- so the
-    solve copies it without reordering.  Every term of the step reuses that
-    one complex workspace; twice the real part of the solution comes back
-    as a C-ordered real field.
-    """
-    buf, tmp = np.empty((2,) + shape, dtype=complex)
-
-    def term(pole: str, axis: str, *weighted) -> np.ndarray:
-        def lay_out(f):
-            return f if axis == AXIS_X else f.transpose(0, 2, 1)
-
-        (w0, f0), *rest = weighted
-        np.multiply(lay_out(f0), w0, out=buf)
-        for w, f in rest:
-            np.add(buf, np.multiply(lay_out(f), w, out=tmp), out=buf)
-        rhs = lay_out(buf)
-        out = np.empty(shape)
-        for s in range(shape[0]):
-            x = solve_axis_system(plan.axis_facts[(pole, axis, s)], rhs[s], axis)
-            np.multiply(x.real, 2.0, out=out[s])
-        return out
-
-    return term
-
-
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """Advance one step of the split scheme using the plan's banded solves.
+    """Advance one step of the split scheme in transform space.
 
-    The published 22-entry sequence, with every solve folded to a real
-    2*Re(...) term as it returns.  Its first solve, on 2 w11 U + 24 k w51
-    F(U), is replaced by the sum of the two solves on 2 w11 U and
-    24 k w51 F(U) that stages b and c need anyway: 13 axis solves per
-    species instead of 14.
+    The published 22-entry sequence, with every solve a 2*Re(...) term of a
+    transform-space inverse (AxisTransformSolver.terms).  Every field is
+    transformed along both axes, so x and y terms apply to it alike and a
+    field goes back to grid values only where the reaction needs it: five
+    forward and four inverse 2-D transforms per step.  The first solve, on
+    2 w11 U + 24 k w51 F(U), is the sum of the two solves on 2 w11 U and
+    24 k w51 F(U) that stages b and c need anyway.
     """
     c = PADE
     k = plan.k
     reaction = plan.disc.reaction
-    term = _axis_terms(plan, u.shape)
-    w11, w11_2 = c.w11, 2.0 * c.w11
-    fn = reaction(u, t)
+    basis = plan.axis_basis
+    s1, s2 = plan.axis_solvers["c1"], plan.axis_solvers["c2"]
+    w11, w11_2, w51 = c.w11, 2.0 * c.w11, 24.0 * k * c.w51
+    fwd, inv = basis.forward, basis.inverse
+    # Each field is dropped once it is last read, to keep the peak footprint
+    # to a few fields.
+    u_hat = fwd(u)
+    fn_hat = fwd(reaction(u, t))
+    bn3 = u_hat + s2.terms(AXIS_X, (w11_2, u_hat))
+    cn2 = s2.terms(AXIS_X, (w51, fn_hat))
+    us1 = u_hat + s1.terms(AXIS_X, (w11, u_hat), (k * c.w21, fn_hat))
+    del u_hat, fn_hat
     # stage a
-    bn1 = term("c2", AXIS_X, (w11_2, u))
-    cn2 = term("c2", AXIS_X, (24.0 * k * c.w51, fn))
-    bn3 = u + bn1
-    an2 = bn3 + cn2
-    an = an2 + term("c2", AXIS_Y, (w11_2, an2))
-    fa = reaction(an, t + 0.5 * k)
+    an = bn3 + cn2
+    an += s2.terms(AXIS_Y, (w11_2, an))
+    fa = fwd(reaction(inv(an), t + 0.5 * k))
     # stage b
-    bn = (bn3 + term("c2", AXIS_Y, (w11_2, bn3))
-          + term("c2", AXIS_X, (24.0 * k * c.w51, fa)))
-    fb = reaction(bn, t + 0.5 * k)
+    bn = bn3 + s2.terms(AXIS_Y, (w11_2, bn3)) + s2.terms(AXIS_X, (w51, fa))
+    del bn3
+    fb = fwd(reaction(inv(bn), t + 0.5 * k))
+    del bn
     # stage c
-    cs1 = an + term("c2", AXIS_X, (w11_2, an), (48.0 * k * c.w51, fb))
-    cn = (cs1 + term("c2", AXIS_Y, (w11_2, cs1))
-          - (cn2 + term("c1", AXIS_Y, (w11, cn2))))
-    fc = reaction(cn, t + k)
+    cn = an + s2.terms(AXIS_X, (w11_2, an), (2.0 * w51, fb))
+    del an
+    cn += s2.terms(AXIS_Y, (w11_2, cn))
+    cn -= cn2
+    cn -= s1.terms(AXIS_Y, (w11, cn2))
+    del cn2
+    g = fa + fb
+    del fa, fb
+    fc = fwd(reaction(inv(cn), t + k))
+    del cn
     # update
-    us1 = u + term("c1", AXIS_X, (w11, u), (k * c.w21, fn))
-    us2 = term("c1", AXIS_X, (4.0 * k * c.w31, fa + fb))
-    us3 = term("c1", AXIS_X, (k * c.w41, fc))
-    return (us1 + us2 + us3 + term("c1", AXIS_Y, (w11, us1))
-            + term("c2", AXIS_Y, (w11_2, us2)))
+    us2 = s1.terms(AXIS_X, (4.0 * k * c.w31, g))
+    del g
+    out = s1.terms(AXIS_X, (k * c.w41, fc))
+    del fc
+    out += us1
+    out += us2
+    out += s1.terms(AXIS_Y, (w11, us1))
+    out += s2.terms(AXIS_Y, (w11_2, us2))
+    return inv(out)
 
 
 def etdrk4p22_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:

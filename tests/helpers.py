@@ -1,23 +1,23 @@
 """Dense oracles shared across the test modules.
 
 Everything here is built independently of the package's solve paths: a
-size-capped dense solve, dense Kronecker assembly by explicit loops, dense
-rational matrix functions from their numerator/denominator forms, a
-fourth-order exponential step with true matrix exponentials, the published
-22-entry split-step sequence, and solver adapters that let the step kernels
-run against numpy.linalg.solve instead of the banded, sparse or eigenbasis
-solves.
+size-capped dense solve, the 1-D operator and dense Kronecker assembly by
+explicit loops, dense rational matrix functions from their
+numerator/denominator forms, a fourth-order exponential step with true
+matrix exponentials, the published 22-entry split-step sequence, and solver
+adapters that let the step kernels run against numpy.linalg.solve instead
+of the transform, sparse or eigenbasis solves.
 """
 
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
-from etdsplit.linsolve import solve_axis_system
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
-from etdsplit.spatial import AXIS_X, AXIS_Y, SplitOperators
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, AxisOperator, SplitOperators
 from etdsplit.steppers import PADE, SMOOTHER
 
 
@@ -35,6 +35,42 @@ def dense_reference_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+def loop_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
+    """The 1-D operator assembled row by row with explicit loops.
+
+    Reference for spatial.build_axis_operator: the same stencils, written
+    one coefficient at a time into a dense matrix and stored as
+    dia_matrix(dense).
+    """
+    interior = (-1.0, 16.0, -30.0, 16.0, -1.0)
+    if bc == DIRICHLET:
+        p = m
+        dense = np.zeros((p, p))
+        for off, c in enumerate((-20.0, 6.0, 4.0, -1.0)):
+            if off < p:
+                dense[0, off] = c
+                dense[p - 1, p - 1 - off] = c
+        for i in range(1, p - 1):
+            for off, c in zip(range(-2, 3), interior):
+                j = i + off
+                if 0 <= j < p:
+                    dense[i, j] = c
+    else:
+        p = m + 2
+        dense = np.zeros((p, p))
+        for off, c in enumerate((-30.0, 32.0, -2.0)):
+            dense[0, off] = c
+            dense[p - 1, p - 1 - off] = c
+        for off, c in zip(range(-1, 3), (16.0, -31.0, 16.0, -1.0)):
+            dense[1, 1 + off] = c
+            dense[p - 2, p - 2 - off] = c
+        for i in range(2, p - 2):
+            for off, c in zip(range(-2, 3), interior):
+                dense[i, i + off] = c
+    dense /= 12.0 * h * h
+    return AxisOperator(mat=sparse.dia_matrix(dense), h=h, bc=bc)
 
 
 def dense_axis_operator(ops: SplitOperators, axis: str, species: int) -> np.ndarray:
@@ -97,20 +133,6 @@ def dense_full_solver(ops: SplitOperators, k: float, poles: dict):
         return out
 
     return solve
-
-
-def plan_axis_solvers(plan):
-    """(solve_x, solve_y) applying a split plan's banded factorizations."""
-    def make(axis):
-        def solve(pole, rhs):
-            out = np.empty_like(rhs, dtype=complex)
-            for s in range(rhs.shape[0]):
-                out[s] = solve_axis_system(plan.axis_facts[(pole, axis, s)], rhs[s], axis)
-            return out
-
-        return solve
-
-    return make(AXIS_X), make(AXIS_Y)
 
 
 def etdrk4p22if_kernel(u, t, k, reaction, solve_x, solve_y, pade=PADE):

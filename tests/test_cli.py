@@ -203,6 +203,34 @@ def test_solve_snapshots(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("every", ["0", "-2"])
+def test_solve_rejects_snapshot_cadence_below_one(every, tmp_path, monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("discretized before --snapshot-every was checked")
+    monkeypatch.setattr(cli, "discretize", no_compute)
+    out = tmp_path / "run.csv"
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "5", "--k", "0.25",
+                     "--T", "1", "--out", str(out), "--snapshot-every", every])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "snapshot-every" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 71.1 PiB for an array", ""])
+def test_out_of_memory_exits_one_with_one_line(message, monkeypatch, capsys):
+    def oversized(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "discretize", oversized)
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "100000000", "--k", "0.25",
+                     "--T", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "out of memory" in captured.err
+    assert (message or "allocation failed") in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_solve_smoothed_nonsmooth_bounds(tmp_path):
     out = tmp_path / "smooth.csv"
     code = cli.main(["solve", "--problem", "enzyme_nonsmooth", "--h", "0.05",

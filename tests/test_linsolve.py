@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,13 +11,13 @@ from etdsplit.linsolve import (
     EIGEN_COND_MAX,
     TensorEigenSolver,
     axis_eigenbasis,
-    factorize_axis,
+    axis_transform_basis,
+    axis_transform_solver,
     factorize_full,
-    shifted_axis_matrix,
-    solve_axis_system,
     solve_full,
     tensor_eigen_solver,
 )
+from etdsplit.problems import discretize, make_problem
 from etdsplit.spatial import (
     AXIS_X,
     AXIS_Y,
@@ -27,7 +29,7 @@ from etdsplit.spatial import (
     assemble_full,
     assemble_split,
 )
-from etdsplit.steppers import PADE, SMOOTHER
+from etdsplit.steppers import ETDRK4P22IF, PADE, SMOOTHER, build_plan
 from helpers import dense_axis_operator, dense_reference_solve
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
@@ -37,48 +39,54 @@ def _ops(bc=DIRICHLET, m=5, d=1.0, a=0.0, b=1.0):
     return assemble_split(Grid2D(a=a, b=b, m=m, bc=bc), (d,))
 
 
-def _bands_to_dense(bands, kl=3, ku=3):
-    n = bands.shape[1]
-    out = np.zeros((n, n), dtype=bands.dtype)
-    for j in range(n):
-        for i in range(max(0, j - ku), min(n, j + kl + 1)):
-            out[i, j] = bands[kl + ku + i - j, j]
+def _axis_solve(ops, k, pole, axis, rhs):
+    """(k*A_axis - pole*I)^-1 rhs for a complex (species, p, p) rhs.
+
+    Built from the solver's real 2*Re(w ...) terms: weights 1/2 and -i/2
+    recover the real and imaginary parts of the inverse applied to a real
+    field.
+    """
+    basis = axis_transform_basis(ops.axis_op)
+    solver = axis_transform_solver(basis, ops.diffusion, k, pole)
+    re, im = basis.forward(rhs.real), basis.forward(rhs.imag)
+    real = solver.terms(axis, (0.5, re), (0.5j, im))
+    imag = solver.terms(axis, (-0.5j, re), (0.5, im))
+    return basis.inverse(real) + 1j * basis.inverse(imag)
+
+
+def _dense_axis_solve(ops, k, pole, axis, rhs):
+    p = ops.grid.p1d
+    out = np.empty(rhs.shape, dtype=complex)
+    for s in range(ops.species):
+        mat = k * dense_axis_operator(ops, axis, s) - pole * np.eye(p * p)
+        out[s] = np.linalg.solve(mat, rhs[s].ravel()).reshape(p, p)
     return out
+
+
+def _complex_field(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def test_factorization_residual():
     ops = _ops(m=5)
     k = 0.1
-    fact = factorize_axis(ops, k, PADE.c1, AXIS_X, 0)
     rng = np.random.default_rng(7)
-    rhs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    x = solve_axis_system(fact, rhs, AXIS_X)
+    rhs = _complex_field(rng, (1, 5, 5))
+    x = _axis_solve(ops, k, PADE.c1, AXIS_X, rhs)
     m_dense = k * dense_axis_operator(ops, AXIS_X, 0) - PADE.c1 * np.eye(25)
-    resid = np.max(np.abs((m_dense @ x.ravel()).reshape(5, 5) - rhs))
+    resid = np.max(np.abs((m_dense @ x.ravel()).reshape(1, 5, 5) - rhs))
     assert resid <= 1e-12 * np.max(np.abs(rhs))
-
-
-def test_degenerate_zero_operator_is_identity():
-    grid = Grid2D(a=0.0, b=1.0, m=4, bc=DIRICHLET)
-    zero_op = AxisOperator(mat=sparse.dia_matrix((4, 4)), h=grid.h, bc=grid.bc)
-    ops_zero = assemble_split(grid, (1.0,))
-    ops_zero = type(ops_zero)(grid=grid, diffusion=(1.0,), axis_op=zero_op)
-    fact = factorize_axis(ops_zero, 0.5, -1.0 + 0.0j, AXIS_Y, 0)
-    rng = np.random.default_rng(0)
-    rhs = rng.normal(size=(4, 4))
-    x = solve_axis_system(fact, rhs, AXIS_Y)
-    np.testing.assert_allclose(x, rhs, rtol=0, atol=1e-14)
 
 
 def test_factorization_determinism():
     ops = _ops(m=6)
-    f1 = factorize_axis(ops, 0.2, PADE.c2, AXIS_X, 0)
-    f2 = factorize_axis(ops, 0.2, PADE.c2, AXIS_X, 0)
-    assert np.array_equal(f1.lu, f2.lu)
-    assert np.array_equal(f1.ipiv, f2.ipiv)
-    rhs = np.full((6, 6), 0.3) + 0.1j
-    assert np.array_equal(solve_axis_system(f1, rhs, AXIS_X),
-                          solve_axis_system(f2, rhs, AXIS_X))
+    basis = axis_transform_basis(ops.axis_op)
+    f1 = axis_transform_solver(basis, ops.diffusion, 0.2, PADE.c2)
+    f2 = axis_transform_solver(basis, ops.diffusion, 0.2, PADE.c2)
+    assert np.array_equal(f1.inv_symbol, f2.inv_symbol)
+    assert np.array_equal(f1.edge_in, f2.edge_in) and np.array_equal(f1.edge_out, f2.edge_out)
+    rhs = basis.forward(np.full((1, 6, 6), 0.3))
+    assert np.array_equal(f1.terms(AXIS_X, (PADE.w11, rhs)), f2.terms(AXIS_X, (PADE.w11, rhs)))
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
@@ -88,13 +96,10 @@ def test_axis_solve_matches_dense_kron(bc, m, pole):
     ops = _ops(bc=bc, m=m, d=0.7, a=-1.0, b=1.5)
     k = 0.25
     p = ops.grid.p1d
-    rng = np.random.default_rng(m)
-    rhs = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+    rhs = _complex_field(np.random.default_rng(m), (1, p, p))
     for axis in (AXIS_X, AXIS_Y):
-        fact = factorize_axis(ops, k, pole, axis, 0)
-        x = solve_axis_system(fact, rhs, axis)
-        m_dense = k * dense_axis_operator(ops, axis, 0) - pole * np.eye(p * p)
-        x_ref = np.linalg.solve(m_dense, rhs.ravel()).reshape(p, p)
+        x = _axis_solve(ops, k, pole, axis, rhs)
+        x_ref = _dense_axis_solve(ops, k, pole, axis, rhs)
         assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
 
 
@@ -102,38 +107,84 @@ def test_axis_solve_zero_rhs_and_inverse_composition():
     ops = _ops(bc=NEUMANN, m=4)
     k = 0.5
     p = ops.grid.p1d
-    fact = factorize_axis(ops, k, PADE.c2, AXIS_X, 0)
-    assert np.all(solve_axis_system(fact, np.zeros((p, p)), AXIS_X) == 0)
+    assert np.all(_axis_solve(ops, k, PADE.c2, AXIS_X, np.zeros((1, p, p))) == 0)
 
-    rng = np.random.default_rng(11)
-    y = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+    y = _complex_field(np.random.default_rng(11), (1, p, p))
     m_dense = k * dense_axis_operator(ops, AXIS_X, 0) - PADE.c2 * np.eye(p * p)
-    rhs = (m_dense @ y.ravel()).reshape(p, p)
-    x = solve_axis_system(fact, rhs, AXIS_X)
+    rhs = (m_dense @ y.ravel()).reshape(1, p, p)
+    x = _axis_solve(ops, k, PADE.c2, AXIS_X, rhs)
     assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_axis_solve_shape_mismatch():
     ops = _ops(m=4)
-    fact = factorize_axis(ops, 0.1, PADE.c1, AXIS_X, 0)
-    with pytest.raises(ShapeError):
-        solve_axis_system(fact, np.zeros((5, 4)), AXIS_X)
+    solver = axis_transform_solver(axis_transform_basis(ops.axis_op), ops.diffusion,
+                                   0.1, PADE.c1)
+    for shape in ((1, 5, 4), (1, 4, 5), (2, 4, 4), (4, 4)):
+        with pytest.raises(ShapeError):
+            solver.terms(AXIS_X, (1.0, np.zeros(shape)))
 
 
 def test_axis_validation():
     ops = _ops(m=4)
+    basis = axis_transform_basis(ops.axis_op)
     with pytest.raises(ValidationError):
-        factorize_axis(ops, 0.0, PADE.c1, AXIS_X, 0)
+        axis_transform_solver(basis, ops.diffusion, 0.0, PADE.c1)
+    solver = axis_transform_solver(basis, ops.diffusion, 0.1, PADE.c1)
     with pytest.raises(ValidationError):
-        factorize_axis(ops, 0.1, PADE.c1, "z", 0)
+        solver.terms("z", (1.0, np.zeros((1, 4, 4))))
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 def test_all_poles_nonsingular(k, bc):
     ops = _ops(bc=bc, m=5)
+    basis = axis_transform_basis(ops.axis_op)
     for pole in ALL_POLES:
-        factorize_axis(ops, k, pole, AXIS_X, 0)  # must not raise
+        axis_transform_solver(basis, ops.diffusion, k, pole)  # must not raise
+
+
+@settings(max_examples=80, deadline=None)
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 12),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2, unique=True).map(tuple),
+       pole=st.sampled_from((PADE.c1, PADE.c2)), axis=st.sampled_from((AXIS_X, AXIS_Y)),
+       k=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axis, k, seed):
+    ops = assemble_split(Grid2D(a=0.0, b=1.0, m=m, bc=bc), diffusion)
+    p = ops.grid.p1d
+    rhs = _complex_field(np.random.default_rng(seed), (len(diffusion), p, p))
+    got = _axis_solve(ops, k, pole, axis, rhs)
+    want = _dense_axis_solve(ops, k, pole, axis, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _perturbed(ops, row, col, delta):
+    b = ops.axis_op.toarray()
+    b[row, col] += delta * np.max(np.abs(b))
+    axis_op = AxisOperator(mat=sparse.dia_matrix(b), h=ops.axis_op.h, bc=ops.axis_op.bc)
+    return replace(ops, axis_op=axis_op)
+
+
+@pytest.mark.parametrize("bc,row", [(DIRICHLET, 1), (DIRICHLET, 3), (NEUMANN, 0),
+                                    (NEUMANN, 2), (NEUMANN, 7)])
+def test_build_plan_rejects_operator_off_the_reflection_pattern(bc, row):
+    disc = discretize(make_problem("model_dirichlet" if bc == DIRICHLET else "model_neumann"), 6)
+    col = min(row + 1, disc.grid.p1d - 1)
+    bad = replace(disc, ops=_perturbed(disc.ops, row, col, 1e-6))
+    with pytest.raises(ValidationError, match="reflection"):
+        build_plan(ETDRK4P22IF, bad, 0.1)
+    build_plan(ETDRK4P22IF, disc, 0.1)  # the assembled operator passes
+
+
+@pytest.mark.parametrize("row", [0, 4])
+def test_dirichlet_edge_rows_come_from_the_assembled_operator(row):
+    # any change to a Dirichlet edge row lands in the rank-2 correction
+    ops = _perturbed(_ops(bc=DIRICHLET, m=5, d=0.9), row, 2, 0.3)
+    rhs = _complex_field(np.random.default_rng(row), (1, 5, 5))
+    for axis in (AXIS_X, AXIS_Y):
+        got = _axis_solve(ops, 0.4, PADE.c2, axis, rhs)
+        want = _dense_axis_solve(ops, 0.4, PADE.c2, axis, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_full_solve_matches_dense():
@@ -180,20 +231,6 @@ def test_dense_reference_solve_basics():
         dense_reference_solve(np.eye(65 * 65), np.ones(65 * 65))
     with pytest.raises(ShapeError):
         dense_reference_solve(np.ones((2, 3)), np.ones(2))
-
-
-def test_dense_vs_banded_on_banded_input():
-    # the 8x8 shifted axis matrix exercised through both solve paths
-    ops = _ops(m=8, d=1.3)
-    k = 0.3
-    sam = shifted_axis_matrix(ops, k, PADE.c1, AXIS_X, 0)
-    m_dense = _bands_to_dense(sam.bands)
-    fact = factorize_axis(ops, k, PADE.c1, AXIS_X, 0)
-    rng = np.random.default_rng(2)
-    rhs = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    x_banded = fact.solve_columns(rhs)
-    x_dense = dense_reference_solve(m_dense, rhs)
-    assert np.max(np.abs(x_banded - x_dense)) <= 1e-12 * np.max(np.abs(x_dense))
 
 
 def test_full_solver_species_blocks():

@@ -13,7 +13,7 @@ from etdsplit.spatial import (
     assemble_split,
     build_axis_operator,
 )
-from helpers import dense_axis_operator, dense_full_operator
+from helpers import dense_axis_operator, dense_full_operator, loop_axis_operator
 
 
 def test_grid_properties():
@@ -90,6 +90,18 @@ def test_bandwidth_at_most_three(bc, m):
     coo = op.mat.tocoo()
     mask = coo.data != 0
     assert np.max(np.abs(coo.row[mask] - coo.col[mask])) <= 3
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("m", range(3, 41))
+def test_build_axis_operator_bitwise_equals_loop_assembly(bc, m):
+    h = 2.7 / (m + 1)
+    got = build_axis_operator(m, h, bc).mat
+    want = loop_axis_operator(m, h, bc).mat
+    assert got.shape == want.shape
+    assert np.array_equal(got.offsets, want.offsets) and got.offsets.dtype == want.offsets.dtype
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_build_validation():

@@ -7,7 +7,6 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import etdsplit.steppers as steppers
 from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import SparseFactorization, TensorEigenSolver, factorize_full
 from etdsplit.problems import ProblemSpec, discretize, make_problem
@@ -38,7 +37,6 @@ from helpers import (
     dense_full_solver,
     etdrk4p22if_kernel,
     exact_etdrk4_reference_step,
-    plan_axis_solvers,
     rational_r03,
     rational_r22,
     zero_reaction_disc,
@@ -48,15 +46,12 @@ from helpers import (
 # ---- plan construction ----
 
 def test_plan_axis_factorization_keys():
+    # one transform-space inverse per pole, covering both axes and species
     disc = discretize(make_problem("brusselator"), 4)
     plan = build_plan(ETDRK4P22IF, disc, 0.1)
-    keys = set(plan.axis_facts)
-    assert keys == {(pole, axis, s)
-                    for pole in ("c1", "c2") for axis in ("x", "y") for s in (0, 1)}
-    assert len(keys) == 8
-    # the two axis entries of a (pole, species) pair reuse one factorization
-    assert plan.axis_facts[("c1", "x", 0)] is plan.axis_facts[("c1", "y", 0)]
-    assert not plan.full_facts
+    assert set(plan.axis_solvers) == {"c1", "c2"}
+    assert all(f.inv_symbol.shape == (2, 6) for f in plan.axis_solvers.values())
+    assert plan.axis_basis is not None and not plan.full_facts
 
 
 def test_plan_pole_sets_per_scheme():
@@ -87,7 +82,7 @@ def test_plan_rebuild_identical_pole_set():
     disc = discretize(make_problem("enzyme"), 4)
     p1 = build_plan(ETDRK4P22IF, disc, 0.05)
     p2 = build_plan(ETDRK4P22IF, disc, 0.05)
-    assert set(p1.axis_facts) == set(p2.axis_facts)
+    assert set(p1.axis_solvers) == set(p2.axis_solvers)
     with pytest.raises(ValidationError):
         build_plan("leapfrog", disc, 0.05)
     with pytest.raises(ValidationError):
@@ -146,8 +141,8 @@ def _coupled_reaction(u, t):
        diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
        k=st.floats(0.01, 1.0), t=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_if_step_equals_22_step_oracle(m, bc, diffusion, k, t, seed):
-    # the 13-solve real step against the published 22-entry sequence (14
-    # solves), run on the plan's own banded solves and on dense Kronecker solves
+    # the transform-space step against the published 22-entry sequence run
+    # on dense Kronecker solves
     spec = ProblemSpec(name="coupled", a=0.0, b=1.0, bc=bc, species=len(diffusion),
                        diffusion=diffusion, reaction=_coupled_reaction,
                        initial=None, exact=None, default_T=1.0)
@@ -157,26 +152,9 @@ def test_if_step_equals_22_step_oracle(m, bc, diffusion, k, t, seed):
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(diffusion), p, p))
     got = etdrk4p22if_step(plan, u, t)
     assert got.dtype == np.dtype(float) and got.shape == u.shape
-    for solve_x, solve_y in (plan_axis_solvers(plan), dense_axis_solvers(disc.ops, k)):
-        want = etdrk4p22if_kernel(u, t, k, disc.reaction, solve_x, solve_y)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_if_step_makes_13_axis_solves_per_species(monkeypatch):
-    disc = discretize(make_problem("brusselator"), 4)
-    plan = build_plan(ETDRK4P22IF, disc, 0.1)
-    calls = []
-    solve = steppers.solve_axis_system
-
-    def counting(fact, rhs, axis):
-        calls.append((fact.pole, axis))
-        return solve(fact, rhs, axis)
-
-    monkeypatch.setattr(steppers, "solve_axis_system", counting)
-    etdrk4p22if_step(plan, disc.initial(), 0.0)
-    per_species = {(pole, axis): calls.count((pole, axis)) / 2 for pole, axis in set(calls)}
-    assert per_species == {(PADE.c1, "x"): 3, (PADE.c1, "y"): 2,
-                           (PADE.c2, "x"): 4, (PADE.c2, "y"): 4}
+    solve_x, solve_y = dense_axis_solvers(disc.ops, k)
+    want = etdrk4p22if_kernel(u, t, k, disc.reaction, solve_x, solve_y)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_if_integration_matches_benchmark_value():
