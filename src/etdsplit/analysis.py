@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError, ValidationError
 from .problems import ProblemSpec, discretize, interior_count_for_h
-from .steppers import SCHEMES, integrate
+from .steppers import integrate, scheme_entry
 
 MODE_EXACT = "exact"
 MODE_SELF = "self"
@@ -167,8 +167,7 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
     In self mode one extra integration at the next-finer step provides the
     final reference, so `levels` error rows cost levels+1 runs.
     """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    scheme_entry(scheme)
     if levels < 1:
         raise ValidationError(f"need at least one level, got {levels}")
     if mode not in (MODE_EXACT, MODE_SELF):

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .errors import DivergenceError, SingularSystemError, ValidationError
 from .problems import PROBLEM_NAMES, discretize, interior_count_for_h, make_problem
-from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, integrate
+from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, integrate, scheme_entry
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,11 +135,14 @@ def _pick_m(spec, cfg) -> Optional[int]:
 def cmd_converge(cfg: RunConfig) -> int:
     if cfg.problem is None or cfg.scheme is None or cfg.k0 is None:
         raise ValidationError("converge needs --problem, --scheme and --k0")
+    if cfg.coupling == COUPLING_K_EQ_H and cfg.m is not None:
+        raise ValidationError("--m needs --coupling fixed_h; k_eq_h grids follow --h or --k0")
     spec = make_problem(cfg.problem)
+    m = _pick_m(spec, cfg) if cfg.coupling == COUPLING_FIXED_H else None
     T = cfg.T if cfg.T is not None else spec.default_T
     report = run_study(
         spec, cfg.scheme, cfg.k0, cfg.levels, cfg.mode, cfg.coupling, T,
-        smoothing_steps=cfg.smoothing_steps, h_target=cfg.h, m=cfg.m)
+        smoothing_steps=cfg.smoothing_steps, h_target=cfg.h, m=m)
     print(report.format_table())
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -181,8 +184,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ValidationError("solve needs --problem")
     spec = make_problem(cfg.problem)
     scheme = cfg.scheme if cfg.scheme is not None else ETDRK4P22IF
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    scheme_entry(scheme)
     m = _pick_m(spec, cfg)
     if m is None:
         raise ValidationError("solve needs a grid: give --m or --h")
@@ -203,7 +205,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_field_csv(fh, disc.grid, field)
 
-    u = integrate(disc, scheme, cfg.k if T != 0 else 1.0, T,
+    u = integrate(disc, scheme, cfg.k if cfg.k is not None else 1.0, T,
                   smoothing_steps=cfg.smoothing_steps,
                   snapshot_every=cfg.snapshot_every,
                   snapshot_cb=snapshot if cfg.snapshot_every else None)

@@ -273,11 +273,6 @@ def factorize_full(op: FullOperator, k: float, shift) -> SparseFactorization:
                                shape=(op.species, p, p), dtype=dtype)
 
 
-def solve_full(fact: SparseFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factorized full system for a field-shaped right-hand side."""
-    return fact.solve(rhs)
-
-
 @dataclass(frozen=True)
 class AxisEigenbasis:
     """Real eigendecomposition B = V diag(lam) V^-1 of the 1-D operator.

@@ -22,6 +22,8 @@ Schemes:
 All rational functions are applied through partial fractions: each becomes
 "solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
 step is a fixed sequence of factorized solves.  States stay real throughout.
+One table, scheme_entry, maps each scheme name to its solver family, its
+shifted systems and its one-step function; build_plan and integrate read it.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
 uses inside its matrix products.
@@ -30,6 +32,7 @@ uses inside its matrix products.
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,42 +154,49 @@ class StepPlan:
     k0: Optional[float] = None  # SBDF startup substep
 
 
+def scheme_entry(scheme: str, k: float = 1.0, choices: tuple = SCHEMES) -> tuple:
+    """Look a scheme up in the scheme table; the one unknown-scheme check.
+
+    Returns (family, systems, step).  family is the solver of every system:
+    "transform" (split, 1-D transforms), "sparse" (SuperLU) or "eigen" (1-D
+    eigenbasis).  systems maps each pole name to the (step, shift) of its
+    system (step*A - shift*I) at step size k.  step(plan, u, t) is the
+    one-step function, None for the multistep sbdf4.  Only plans accept
+    sbdf1, the sbdf4 startup step.  The table is built per call, so it holds
+    the functions the module's names are bound to at that moment.
+    """
+    if scheme not in choices:
+        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    c, sm = PADE, SMOOTHER
+    return {
+        ETDRK4P22IF: ("transform", {"c1": (k, c.c1), "c2": (k, c.c2)}, etdrk4p22if_step),
+        ETDRK4P22: ("sparse", {"c1": (k, c.c1), "c2": (k, c.c2)}, etdrk4p22_step),
+        SMOOTHER_ONLY: ("eigen", {"f1": (k, sm.f1), "f2": (k, sm.f2),
+                                  "e1": (k, sm.e1), "e2": (k, sm.e2)}, smoother_step),
+        # Main solve (25 I + 12 k A); startup solve (I + k0 A).
+        SBDF4: ("eigen", {"sbdf4": (12.0 * k, -25.0),
+                          "sbdf1": (k / SBDF_STARTUP_SUBSTEPS, -1.0)}, None),
+        SBDF1: ("eigen", {"sbdf1": (k, -1.0)}, sbdf1_step),
+    }[scheme]
+
+
 def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     """Factorize every shifted system the scheme's step sequence solves."""
     _check_step(k)
-    if scheme not in SCHEMES and scheme != SBDF1:
-        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-
-    axis_basis = None
-    axis_solvers = {}
-    full_facts = {}
-    k0 = None
-    if scheme == ETDRK4P22IF:
-        axis_basis = axis_transform_basis(disc.ops.axis_op)
-        for pname, pole in (("c1", PADE.c1), ("c2", PADE.c2)):
-            axis_solvers[pname] = axis_transform_solver(axis_basis, disc.ops.diffusion, k, pole)
-    elif scheme == ETDRK4P22:
-        full_op = assemble_full(disc.grid, disc.spec.diffusion)
-        full_facts["c1"] = factorize_full(full_op, k, PADE.c1)
-        full_facts["c2"] = factorize_full(full_op, k, PADE.c2)
+    family, systems, step = scheme_entry(scheme, k, SCHEMES + (SBDF1,))
+    split = family == "transform"
+    axis_basis = axis_transform_basis(disc.ops.axis_op) if split else None
+    if split:
+        solver = partial(axis_transform_solver, axis_basis, disc.ops.diffusion)
+    elif family == "sparse":
+        solver = partial(factorize_full, assemble_full(disc.grid, disc.spec.diffusion))
     else:
-        # (pole name, step, shift) of each system (step*A - shift*I).
-        if scheme == SMOOTHER_ONLY:
-            systems = [(pname, k, pole) for pname, pole in (
-                ("f1", SMOOTHER.f1), ("f2", SMOOTHER.f2),
-                ("e1", SMOOTHER.e1), ("e2", SMOOTHER.e2))]
-        elif scheme == SBDF4:
-            k0 = k / SBDF_STARTUP_SUBSTEPS
-            # Main solve (25 I + 12 k A); startup solve (I + k0 A).
-            systems = [("sbdf4", 12.0 * k, -25.0), ("sbdf1", k0, -1.0)]
-        else:  # SBDF1
-            systems = [("sbdf1", k, -1.0)]
         basis = axis_eigenbasis(disc.ops.axis_op)
-        for pname, k_sys, shift in systems:
-            full_facts[pname] = tensor_eigen_solver(basis, disc.ops.diffusion, k_sys, shift)
-
+        solver = partial(tensor_eigen_solver, basis, disc.ops.diffusion)
+    solvers = {pname: solver(k_sys, shift) for pname, (k_sys, shift) in systems.items()}
     return StepPlan(scheme=scheme, k=k, disc=disc, axis_basis=axis_basis,
-                    axis_solvers=axis_solvers, full_facts=full_facts, k0=k0)
+                    axis_solvers=solvers if split else {}, full_facts={} if split else solvers,
+                    k0=None if step else systems["sbdf1"][0])  # multistep: startup substep
 
 
 def _full_solver(plan: StepPlan):
@@ -349,7 +359,6 @@ def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[di
 
     reaction = plan.disc.reaction
     main = plan.full_facts["sbdf4"]
-    startup = plan.full_facts["sbdf1"]
     k0 = plan.k0
 
     t_start = time.perf_counter()
@@ -360,7 +369,7 @@ def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[di
         for interval in range(3):
             u = hist_u[-1]
             for _ in range(SBDF_STARTUP_SUBSTEPS):
-                u = startup.solve(u + k0 * reaction(u, t))
+                u = sbdf1_step(plan, u, t)
                 t += k0
             t = (interval + 1) * k  # avoid substep rounding drift
             _check_finite(u, interval + 1, t)
@@ -409,8 +418,7 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     The first `smoothing_steps` steps use the third-order presmoother at the
     same step size k and count toward T/k; the rest use `scheme`.
     """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    _, _, one_step = scheme_entry(scheme)
     u = disc.initial()
     if T == 0:
         _check_step(k)
@@ -419,27 +427,22 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     if smoothing_steps < 0 or smoothing_steps > n_steps:
         raise ValidationError(
             f"smoothing_steps must lie in [0, T/k] = [0, {n_steps}], got {smoothing_steps}")
-    if scheme == SBDF4:
+    if one_step is None:
         if smoothing_steps:
             raise ValidationError("presmoothing applies to the one-step schemes only")
-        plan = build_plan(SBDF4, disc, k)
-        return sbdf4_integrate(plan, u, T)
+        return sbdf4_integrate(build_plan(scheme, disc, k), u, T)
 
-    plan = build_plan(scheme, disc, k)
-    smooth_plan = None
-    if smoothing_steps and scheme != SMOOTHER_ONLY:
-        smooth_plan = build_plan(SMOOTHER_ONLY, disc, k)
+    plans = {scheme: build_plan(scheme, disc, k)}
+    if smoothing_steps and SMOOTHER_ONLY not in plans:
+        plans[SMOOTHER_ONLY] = build_plan(SMOOTHER_ONLY, disc, k)
 
     t = 0.0
     with _quiet_divergence():
         for step in range(n_steps):
-            if scheme == SMOOTHER_ONLY or step < smoothing_steps:
-                cur = smooth_plan if smooth_plan is not None else plan
-                u = smoother_step(cur, u, t)
-            elif scheme == ETDRK4P22IF:
-                u = etdrk4p22if_step(plan, u, t)
+            if step < smoothing_steps:
+                u = smoother_step(plans[SMOOTHER_ONLY], u, t)
             else:
-                u = etdrk4p22_step(plan, u, t)
+                u = one_step(plans[scheme], u, t)
             t = (step + 1) * k
             _check_finite(u, step + 1, t)
             if snapshot_every and snapshot_cb and (step + 1) % snapshot_every == 0:

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import io
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etdsplit.cli as cli
 import etdsplit.steppers as steppers
 from etdsplit.analysis import _fmt
 from etdsplit.errors import DivergenceError, SingularSystemError
-from etdsplit.problems import discretize, make_problem
+from etdsplit.problems import PROBLEM_NAMES, discretize, make_problem
 from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D
 
 
@@ -354,3 +359,101 @@ def test_snapshot_file_matches_row_by_row_form(tmp_path):
     at_step_2 = steppers.integrate(disc, steppers.ETDRK4P22IF, 0.05, 0.1)
     snapshot = (tmp_path / "run_step000002.csv").read_bytes()
     assert snapshot == _row_by_row_field_csv(disc.grid, at_step_2).encode("utf-8")
+
+
+# ---- input contract: misplaced grid flags, a given --k, and a fuzz ----
+
+@pytest.mark.parametrize("grid_flags", [
+    ["--h", "0.0785", "--m", "5"],                               # k_eq_h, default coupling
+    ["--coupling", "fixed_h", "--mode", "self", "--h", "0.3", "--m", "5"],
+])
+def test_converge_rejects_conflicting_grid_flags(grid_flags, monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the grid flags were checked")
+    monkeypatch.setattr(cli, "run_study", no_compute)
+    code = cli.main(["converge", "--problem", "model_dirichlet", "--scheme", "etdrk4p22if",
+                     "--k0", "0.1", "--levels", "1"] + grid_flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "--m" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_validates_given_k_at_t_zero(capsys):
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "5", "--k", "-1", "--T", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "k" in captured.err
+    assert captured.out == ""
+
+
+_NUMBERS = ("0", "-1", "0.25", "0.5", "1", "nan", "inf")
+
+
+def _flag(values):
+    return st.none() | st.sampled_from(values)
+
+
+# The flags each command requires are always given, so most draws get past
+# the missing-flag checks (tested above) to the values.
+_COMMON_FLAGS = {
+    "--problem": st.sampled_from(PROBLEM_NAMES),
+    "--m": _flag(("-1", "0", "2", "3", "5", "9")),
+    "--h": _flag(("0.25", "-1", "nan")),
+    "--T": _flag(_NUMBERS),
+    "--smoothing-steps": _flag(("-1", "0", "1", "3")),
+}
+_COMMAND_FLAGS = {
+    "solve": {"--k": st.sampled_from(_NUMBERS),
+              "--snapshot-every": _flag(("-1", "0", "2"))},
+    "converge": {"--k0": st.sampled_from(_NUMBERS),
+                 "--levels": _flag(("-1", "0", "1", "2", "3")),
+                 "--mode": _flag(("exact", "self")),
+                 "--coupling": _flag(("k_eq_h", "fixed_h"))},
+}
+
+
+@st.composite
+def _cli_inputs(draw):
+    """argv for solve or converge; the scheme goes by flag or config file."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for name, values in {**_COMMON_FLAGS, **_COMMAND_FLAGS[command]}.items():
+        value = draw(values)
+        if value is not None:
+            argv += [name, value]
+    scheme = draw(st.sampled_from(steppers.SCHEMES + ("rk45",)))
+    in_config = draw(st.booleans())
+    with_out = draw(st.booleans())
+    return argv, scheme, in_config, with_out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cli_inputs())
+def test_cli_fuzz_exit_code_and_one_line(inputs):
+    argv, scheme, in_config, with_out = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        if in_config:
+            config = os.path.join(tmp, "run.cfg")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(f"scheme = {scheme}\n")
+            argv += ["--config", config]
+        else:
+            argv += ["--scheme", scheme]
+        if with_out:
+            argv += ["--out", os.path.join(tmp, "out.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    text = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert text.count("\n") + len(caught) <= 1, (argv, text, [str(w.message) for w in caught])
+    assert "Traceback" not in text
+    if code != 0:
+        assert text.count("\n") == 1, (argv, text)

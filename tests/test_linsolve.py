@@ -14,7 +14,6 @@ from etdsplit.linsolve import (
     axis_transform_basis,
     axis_transform_solver,
     factorize_full,
-    solve_full,
     tensor_eigen_solver,
 )
 from etdsplit.problems import discretize, make_problem
@@ -194,7 +193,7 @@ def test_full_solve_matches_dense():
     fact = factorize_full(full, k, PADE.c1)
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(1, 6, 6))
-    x = solve_full(fact, rhs)
+    x = fact.solve(rhs)
     m_dense = k * full.blocks[0].toarray() - PADE.c1 * np.eye(36)
     x_ref = np.linalg.solve(m_dense, rhs.ravel()).reshape(1, 6, 6)
     assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))

@@ -11,11 +11,14 @@ from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import SparseFactorization, TensorEigenSolver, factorize_full
 from etdsplit.problems import ProblemSpec, discretize, make_problem
 from etdsplit.spatial import DIRICHLET, NEUMANN, FullOperator, Grid2D
+import etdsplit.steppers as steppers
 from etdsplit.steppers import (
     ETDRK4P22,
     ETDRK4P22IF,
     PADE,
+    SBDF1,
     SBDF4,
+    SCHEMES,
     SMOOTHER_ONLY,
     StepPlan,
     _etdrk4p22_kernel,
@@ -26,6 +29,7 @@ from etdsplit.steppers import (
     integrate,
     sbdf1_step,
     sbdf4_integrate,
+    scheme_entry,
     smoother_step,
 )
 from helpers import (
@@ -405,14 +409,63 @@ def test_pade_step_reference_gap_preasymptotic_regime():
 # ---- integration driver ----
 
 def test_integrate_equals_manual_steps():
+    # every one-step scheme, alone and after presmoothing steps, bit for bit
     disc = discretize(make_problem("enzyme"), 5)
     k = 0.25
-    got = integrate(disc, ETDRK4P22IF, k, 1.0)
-    plan = build_plan(ETDRK4P22IF, disc, k)
-    u = disc.initial()
-    for step in range(4):
-        u = etdrk4p22if_step(plan, u, step * k)
-    assert np.array_equal(got, u)
+    smooth_plan = build_plan(SMOOTHER_ONLY, disc, k)
+    for scheme, step_fn, smoothing in ((ETDRK4P22IF, etdrk4p22if_step, 0),
+                                       (ETDRK4P22, etdrk4p22_step, 0),
+                                       (SMOOTHER_ONLY, smoother_step, 0),
+                                       (ETDRK4P22IF, etdrk4p22if_step, 2),
+                                       (SMOOTHER_ONLY, smoother_step, 2)):
+        got = integrate(disc, scheme, k, 1.0, smoothing_steps=smoothing)
+        plan = build_plan(scheme, disc, k)
+        u = disc.initial()
+        for step in range(4):
+            if step < smoothing:
+                u = smoother_step(smooth_plan, u, step * k)
+            else:
+                u = step_fn(plan, u, step * k)
+        assert np.array_equal(got, u), (scheme, smoothing)
+
+
+def test_scheme_table_resolves_functions_per_call(monkeypatch):
+    # integrate reaches plans and steps through the module's names at call
+    # time, so a wrapper installed on them (as a tracer does) sees every call
+    calls = []
+
+    def counting(name):
+        original = getattr(steppers, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(steppers, name, wrapper)
+
+    for name in ("build_plan", "etdrk4p22if_step", "smoother_step", "sbdf1_step"):
+        counting(name)
+    disc = discretize(make_problem("enzyme"), 4)
+    integrate(disc, ETDRK4P22IF, 0.25, 1.0, smoothing_steps=1)
+    assert calls == ["build_plan", "build_plan", "smoother_step"] + ["etdrk4p22if_step"] * 3
+    calls.clear()
+    integrate(disc, SBDF4, 0.25, 1.0)
+    assert calls == ["build_plan"] + ["sbdf1_step"] * (3 * steppers.SBDF_STARTUP_SUBSTEPS)
+
+
+def test_scheme_entry_is_the_one_name_check():
+    disc = discretize(make_problem("enzyme"), 4)
+    for scheme in SCHEMES:
+        _, systems, step = scheme_entry(scheme)
+        plan = build_plan(scheme, disc, 0.1)
+        assert set(systems) == set(plan.full_facts) | set(plan.axis_solvers)
+        assert (step is None) == (scheme == SBDF4)
+    assert scheme_entry(SBDF1, 0.1, SCHEMES + (SBDF1,))[2] is sbdf1_step
+    for call in (lambda: scheme_entry(SBDF1), lambda: scheme_entry("rk45"),
+                 lambda: build_plan("rk45", disc, 0.1),
+                 lambda: integrate(disc, SBDF1, 0.25, 1.0)):
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            call()
 
 
 def test_integrate_t_zero_returns_initial():
