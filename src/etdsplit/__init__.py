@@ -3,6 +3,7 @@ for 2-D reaction-diffusion systems, plus a convergence benchmark harness."""
 
 from .analysis import ConvergenceReport, linf_error, observed_order, run_study
 from .errors import DivergenceError, ShapeError, SingularSystemError, ValidationError
+from .linsolve import FullOperator, assemble_full
 from .problems import (
     PROBLEM_NAMES,
     DiscretizedProblem,
@@ -16,11 +17,8 @@ from .spatial import (
     DIRICHLET,
     NEUMANN,
     AxisOperator,
-    FullOperator,
     Grid2D,
     SplitOperators,
-    apply_axis,
-    assemble_full,
     assemble_split,
     build_axis_operator,
 )

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .errors import DivergenceError, SingularSystemError, ValidationError
 from .problems import PROBLEM_NAMES, discretize, interior_count_for_h, make_problem
-from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, integrate, scheme_entry
+from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, _step_count, integrate, scheme_entry
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,8 +189,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     if m is None:
         raise ValidationError("solve needs a grid: give --m or --h")
     T = cfg.T if cfg.T is not None else spec.default_T
-    if T != 0 and cfg.k is None:
-        raise ValidationError("solve needs --k (unless --T 0)")
+    if T != 0:
+        if cfg.k is None:
+            raise ValidationError("solve needs --k (unless --T 0)")
+        _step_count(cfg.k, T)  # T a multiple of k, before the grid is built
     if cfg.snapshot_every is not None and cfg.snapshot_every < 1:
         raise ValidationError(f"need --snapshot-every >= 1, got {cfg.snapshot_every}")
     if cfg.snapshot_every and not cfg.out:

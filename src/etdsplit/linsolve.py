@@ -23,7 +23,9 @@ Three solve paths exist, matching the scheme families:
 
 * Sparse LU of the full 2-D operator, block-diagonal over species, for the
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
-  is measured against.
+  is measured against.  Only this family uses scipy.sparse: assemble_full
+  and factorize_full import it when first called, so a run of any other
+  scheme never loads it.
 
 Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.
@@ -34,8 +36,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.fft
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .errors import ShapeError, SingularSystemError, ValidationError
 from .spatial import (
@@ -44,7 +44,8 @@ from .spatial import (
     DIRICHLET,
     INTERIOR_STENCIL,
     AxisOperator,
-    FullOperator,
+    Grid2D,
+    assemble_split,
 )
 
 # Largest entry of B minus its reflected stencil, outside the edge rows the
@@ -121,18 +122,17 @@ def axis_transform_basis(axis_op: AxisOperator) -> AxisTransformBasis:
     comparison runs over the stored diagonals only, in O(p).
     """
     p, h, bc = axis_op.p1d, axis_op.h, axis_op.bc
-    b = axis_op.mat.todia()
     # Both operators in diagonal storage: diff[k, j] is entry (j - offsets[k], j).
-    offsets = np.union1d(b.offsets, np.arange(-2, 3))
+    offsets = np.union1d(axis_op.offsets, np.arange(-2, 3))
     rows, cols, coef = _reflected_entries(p, bc)
     reflected = np.zeros((len(offsets), p))
     np.add.at(reflected, (np.searchsorted(offsets, cols - rows), cols), coef)
     diff = -reflected / (12.0 * h * h)
-    np.add.at(diff, np.searchsorted(offsets, b.offsets), b.data[:, :p])
+    np.add.at(diff, np.searchsorted(offsets, axis_op.offsets), axis_op.data)
     diff_rows = np.arange(p) - offsets[:, np.newaxis]
     diff[(diff_rows < 0) | (diff_rows >= p)] = 0.0  # slots outside the matrix
     edges = [0, p - 1] if bc == DIRICHLET else []
-    scale = np.max(np.abs(b.data), initial=0.0)
+    scale = np.max(np.abs(axis_op.data), initial=0.0)
     off_pattern = np.abs(diff) > _REFLECTION_TOL * scale
     if np.any(off_pattern & ~np.isin(diff_rows, edges)):
         raise ValidationError(
@@ -166,12 +166,14 @@ class AxisTransformSolver:
     v_hat, where Uk = -k d u_hat and G = (I + v_hat^T diag(1/mu) Uk)^-1 is
     the 2 x 2 capacitance inverse.  The rank-2 factors are stored as real
     (p, 4) matrices: edge_in = [Re q, Im q] and edge_out = [2 Re a, -2 Im a],
-    so 2*Re(w a q^T f) = edge_out [Re z; Im z] with z = w q^T f.
+    so 2*Re(w a q^T f) = edge_out [Re z; Im z] with z = w q^T f.  basis
+    carries the transform that fields must be in.
     """
 
+    basis: AxisTransformBasis
     inv_symbol: np.ndarray            # (species, p) complex, 1/mu
-    edge_in: Optional[np.ndarray]     # (species, p, 4)
-    edge_out: Optional[np.ndarray]    # (species, p, 4)
+    edge_in: Optional[np.ndarray] = None    # (species, p, 4)
+    edge_out: Optional[np.ndarray] = None   # (species, p, 4)
 
     def terms(self, axis: str, *weighted) -> np.ndarray:
         """sum_i 2*Re(w_i (k*A_axis - pole*I)^-1 f_i) for (w_i, f_i) pairs.
@@ -220,7 +222,7 @@ def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,
         raise SingularSystemError(f"shifted axis operator is singular (pole={pole})")
     inv_symbol = 1.0 / mu
     if basis.u_hat is None:
-        return AxisTransformSolver(inv_symbol=inv_symbol, edge_in=None, edge_out=None)
+        return AxisTransformSolver(basis=basis, inv_symbol=inv_symbol)
     a0 = -kd[:, :, np.newaxis] * basis.u_hat * inv_symbol[:, :, np.newaxis]
     cap = np.eye(2) + basis.v_hat.T @ a0
     try:
@@ -230,9 +232,35 @@ def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,
             f"edge-row capacitance matrix is singular (pole={pole})") from exc
     q = basis.v_hat * inv_symbol[:, :, np.newaxis]
     return AxisTransformSolver(
-        inv_symbol=inv_symbol,
+        basis=basis, inv_symbol=inv_symbol,
         edge_in=np.concatenate([q.real, q.imag], axis=-1),
         edge_out=np.concatenate([2.0 * a.real, -2.0 * a.imag], axis=-1))
+
+
+@dataclass(frozen=True)
+class FullOperator:
+    """Unsplit 2-D operator A = A1 + A2, block-diagonal over species."""
+
+    grid: Grid2D
+    diffusion: tuple
+    blocks: tuple  # csr matrices, one per species, each p1d^2 x p1d^2
+
+    @property
+    def species(self) -> int:
+        return len(self.diffusion)
+
+
+def assemble_full(grid: Grid2D, diffusion) -> FullOperator:
+    """Assemble sparse A = A1 + A2 per species for the unsplit schemes."""
+    import scipy.sparse as sparse
+
+    split = assemble_split(grid, diffusion)
+    b_op = split.axis_op
+    b = sparse.dia_matrix((b_op.data, b_op.offsets), shape=(b_op.p1d, b_op.p1d)).tocsr()
+    eye = sparse.identity(grid.p1d, format="csr")
+    lap = sparse.kron(b, eye, format="csr") + sparse.kron(eye, b, format="csr")
+    blocks = tuple((-d) * lap for d in split.diffusion)
+    return FullOperator(grid=grid, diffusion=split.diffusion, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -255,6 +283,9 @@ class SparseFactorization:
 
 def factorize_full(op: FullOperator, k: float, shift) -> SparseFactorization:
     """Sparse LU of (k*A - shift*I), one factor per species block."""
+    import scipy.sparse as sparse
+    import scipy.sparse.linalg as spla
+
     if not k > 0:
         raise ValidationError(f"need k > 0, got {k}")
     dtype = np.dtype(complex) if np.iscomplexobj(np.asarray(shift)) else np.dtype(float)

@@ -17,14 +17,16 @@ m+2 for homogeneous Neumann boundaries (all nodes are unknowns).
 
 Under this ordering, (B kron I) applies B along y (stride p) and (I kron B)
 applies B along x (contiguous runs).
+
+B is held as numpy arrays in diagonal storage; the sparse 2-D operator of
+the unsplit scheme is assembled in linsolve, next to its factorization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -85,20 +87,27 @@ class Grid2D:
 class AxisOperator:
     """Banded 1-D matrix B ~ d^2/dx^2 over the unknowns of one axis.
 
-    Stored as a scipy dia_matrix; lower/upper bandwidth <= 3.  For Neumann
-    boundaries every row sums to zero exactly, so constants lie in the kernel.
+    Diagonal storage, laid out as scipy's dia_matrix lays it out: data[k, j]
+    holds entry (j - offsets[k], j) of the p x p matrix; lower/upper
+    bandwidth <= 3.  For Neumann boundaries every row sums to zero exactly,
+    so constants lie in the kernel.
     """
 
-    mat: sparse.dia_matrix
+    data: np.ndarray     # (diagonals, p)
+    offsets: np.ndarray  # (diagonals,) int32
     h: float
     bc: str
 
     @property
     def p1d(self) -> int:
-        return self.mat.shape[0]
+        return self.data.shape[1]
 
     def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
+        p = self.p1d
+        dense = np.zeros((p, p))
+        for off, diag in zip(self.offsets, self.data):
+            dense += np.diag(diag[max(off, 0):p + min(off, 0)], off)
+        return dense
 
 
 def build_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
@@ -137,18 +146,17 @@ def build_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
         dense[1, 0:4] = _NEUMANN_EDGE
         dense[p - 2, p - 4: p] = _NEUMANN_EDGE[::-1]
 
-    # Diagonal storage as dia_matrix(dense) lays it out: data[k, j] holds
-    # entry (j - offsets[k], j), and only offsets with a nonzero are kept.
+    # Diagonal storage as dia_matrix(dense) lays it out; only offsets with a
+    # nonzero are kept.
     offsets = np.arange(-_BANDWIDTH, _BANDWIDTH + 1)
-    cols = np.arange(p)
+    cols = np.broadcast_to(np.arange(p), (len(offsets), p))
     rows = cols - offsets[:, np.newaxis]
     inside = (rows >= 0) & (rows < p)
     data = np.zeros((len(offsets), p))
-    data[inside] = dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]]
+    data[inside] = dense[rows[inside], cols[inside]]
     keep = np.any(data != 0.0, axis=1)
-    data = data[keep] / (12.0 * h * h)
-    mat = sparse.dia_matrix((data, offsets[keep].astype(np.int32)), shape=(p, p))
-    return AxisOperator(mat=mat, h=h, bc=bc)
+    return AxisOperator(data=data[keep] / (12.0 * h * h),
+                        offsets=offsets[keep].astype(np.int32), h=h, bc=bc)
 
 
 def _set_interior_rows(dense, rows) -> None:
@@ -183,63 +191,3 @@ def assemble_split(grid: Grid2D, diffusion) -> SplitOperators:
         raise ValidationError(f"diffusion coefficients must be positive, got {diffusion}")
     b_op = build_axis_operator(grid.m, grid.h, grid.bc)
     return SplitOperators(grid=grid, diffusion=diffusion, axis_op=b_op)
-
-
-def _check_field(ops: SplitOperators, u: np.ndarray) -> np.ndarray:
-    p = ops.grid.p1d
-    u = np.asarray(u)
-    if u.shape != (ops.species, p, p):
-        raise ShapeError(
-            f"field shape {u.shape} does not match (species, p, p) = "
-            f"({ops.species}, {p}, {p})"
-        )
-    return u
-
-
-def apply_axis(ops: SplitOperators, u: np.ndarray, axis: str, species: int) -> np.ndarray:
-    """Apply one split operator to a species block: returns -d * (B along axis).
-
-    The x axis acts on contiguous x-runs, the y axis with stride p1d; the
-    result is the (p, p) block for the requested species.
-    """
-    u = _check_field(ops, u)
-    d = ops.diffusion[species]
-    block = u[species]
-    bmat = ops.axis_op.mat
-    if axis == AXIS_Y:
-        out = bmat @ block
-    elif axis == AXIS_X:
-        out = (bmat @ block.T).T
-    else:
-        raise ValidationError(f"axis must be {AXIS_X!r} or {AXIS_Y!r}, got {axis!r}")
-    return -d * out
-
-
-@dataclass(frozen=True)
-class FullOperator:
-    """Unsplit 2-D operator A = A1 + A2, block-diagonal over species."""
-
-    grid: Grid2D
-    diffusion: tuple
-    blocks: tuple  # csr matrices, one per species, each p1d^2 x p1d^2
-
-    @property
-    def species(self) -> int:
-        return len(self.diffusion)
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        p = self.grid.p1d
-        out = np.empty_like(u)
-        for i, block in enumerate(self.blocks):
-            out[i] = (block @ u[i].ravel()).reshape(p, p)
-        return out
-
-
-def assemble_full(grid: Grid2D, diffusion) -> FullOperator:
-    """Assemble sparse A = A1 + A2 per species for the unsplit schemes."""
-    split = assemble_split(grid, diffusion)
-    b = split.axis_op.mat.tocsr()
-    eye = sparse.identity(grid.p1d, format="csr")
-    lap = sparse.kron(b, eye, format="csr") + sparse.kron(eye, b, format="csr")
-    blocks = tuple((-d) * lap for d in split.diffusion)
-    return FullOperator(grid=grid, diffusion=split.diffusion, blocks=blocks)

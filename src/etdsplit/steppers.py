@@ -24,6 +24,7 @@ All rational functions are applied through partial fractions: each becomes
 step is a fixed sequence of factorized solves.  States stay real throughout.
 One table, scheme_entry, maps each scheme name to its solver family, its
 shifted systems and its one-step function; build_plan and integrate read it.
+A plan holds one solver per pole in StepPlan.solvers.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
 uses inside its matrix products.
@@ -31,7 +32,7 @@ uses inside its matrix products.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .linsolve import (
-    AxisTransformBasis,
+    assemble_full,
     axis_eigenbasis,
     axis_transform_basis,
     axis_transform_solver,
@@ -47,7 +48,7 @@ from .linsolve import (
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
-from .spatial import AXIS_X, AXIS_Y, assemble_full
+from .spatial import AXIS_X, AXIS_Y
 
 ETDRK4P22IF = "etdrk4p22if"
 ETDRK4P22 = "etdrk4p22"
@@ -137,21 +138,20 @@ SMOOTHER = _smoother_constants()
 class StepPlan:
     """Cached solvers for one (scheme, step size, discretization).
 
-    axis_basis and axis_solvers serve the split scheme: the transform that
-    diagonalizes the 1-D operator, and per pole name one transform-space
-    inverse that covers both axes and every species.  full_facts is keyed
-    by pole name and holds sparse LU factors (etdrk4p22) or eigen-solvers
-    sharing one 1-D eigenbasis (the presmoother and SBDF schemes), both with
-    a .solve(rhs) method.  Plans are immutable.
+    solvers maps each pole name of the scheme's table row to one solver of
+    the row's family: a transform-space inverse covering both axes and every
+    species (split scheme; each carries the shared transform as .basis), a
+    sparse LU factorization (etdrk4p22) or an eigen-solver sharing one 1-D
+    eigenbasis (presmoother and SBDF schemes).  The last two solve with
+    .solve(rhs).  k0 is the step of the sbdf1 system, for rows that have
+    one.  Plans are immutable.
     """
 
     scheme: str
     k: float
     disc: DiscretizedProblem
-    axis_basis: Optional[AxisTransformBasis] = None
-    axis_solvers: dict = field(default_factory=dict)
-    full_facts: dict = field(default_factory=dict)
-    k0: Optional[float] = None  # SBDF startup substep
+    solvers: dict
+    k0: Optional[float] = None
 
 
 def scheme_entry(scheme: str, k: float = 1.0, choices: tuple = SCHEMES) -> tuple:
@@ -183,73 +183,18 @@ def scheme_entry(scheme: str, k: float = 1.0, choices: tuple = SCHEMES) -> tuple
 def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     """Factorize every shifted system the scheme's step sequence solves."""
     _check_step(k)
-    family, systems, step = scheme_entry(scheme, k, SCHEMES + (SBDF1,))
-    split = family == "transform"
-    axis_basis = axis_transform_basis(disc.ops.axis_op) if split else None
-    if split:
-        solver = partial(axis_transform_solver, axis_basis, disc.ops.diffusion)
+    family, systems, _ = scheme_entry(scheme, k, SCHEMES + (SBDF1,))
+    if family == "transform":
+        basis = axis_transform_basis(disc.ops.axis_op)
+        solver = partial(axis_transform_solver, basis, disc.ops.diffusion)
     elif family == "sparse":
         solver = partial(factorize_full, assemble_full(disc.grid, disc.spec.diffusion))
     else:
         basis = axis_eigenbasis(disc.ops.axis_op)
         solver = partial(tensor_eigen_solver, basis, disc.ops.diffusion)
     solvers = {pname: solver(k_sys, shift) for pname, (k_sys, shift) in systems.items()}
-    return StepPlan(scheme=scheme, k=k, disc=disc, axis_basis=axis_basis,
-                    axis_solvers=solvers if split else {}, full_facts={} if split else solvers,
-                    k0=None if step else systems["sbdf1"][0])  # multistep: startup substep
-
-
-def _full_solver(plan: StepPlan):
-    facts = plan.full_facts
-
-    def solve(pole: str, rhs: np.ndarray) -> np.ndarray:
-        return facts[pole].solve(rhs)
-
-    return solve
-
-
-def _etdrk4p22_kernel(u, t, k, reaction, solve, pade=PADE):
-    """One unsplit fourth-order step: the 8-entry solve/set sequence."""
-    c = pade
-    fn = reaction(u, t)
-    an1 = solve("c2", 2.0 * c.w11 * u + 24.0 * c.w51 * k * fn)
-    an = u + 2.0 * an1.real
-    fa = reaction(an, t + 0.5 * k)
-    bn1 = solve("c2", 2.0 * c.w11 * u + 24.0 * c.w51 * k * fa)
-    bn = u + 2.0 * bn1.real
-    fb = reaction(bn, t + 0.5 * k)
-    cn1 = solve("c2", 2.0 * c.w11 * an + 24.0 * c.w51 * k * (2.0 * fb - fn))
-    cn = an + 2.0 * cn1.real
-    fc = reaction(cn, t + k)
-    g = fa + fb
-    un1 = solve("c1", c.w11 * u + c.w21 * k * fn + 4.0 * c.w31 * k * g + c.w41 * k * fc)
-    return u + 2.0 * un1.real
-
-
-def _smoother_kernel(u, t, k, reaction, solve, sm=SMOOTHER):
-    """One third-order presmoothing step: the 12-entry solve/set sequence.
-
-    The f1/e1 solves are real (real pole, real weights); the f2/e2 solves
-    are complex and folded back through 2*Re.
-    """
-    fn = reaction(u, t)
-    an1 = solve("f1", 2.0 * sm.s11 * u + k * sm.s51 * fn)
-    an2 = solve("f2", 2.0 * sm.s12 * u + k * sm.s52 * fn)
-    an = an1.real + 2.0 * an2.real
-    fa = reaction(an, t + 0.5 * k)
-    bn1 = solve("f1", 2.0 * sm.s11 * u + k * sm.s51 * fa)
-    bn2 = solve("f2", 2.0 * sm.s12 * u + k * sm.s52 * fa)
-    bn = bn1.real + 2.0 * bn2.real
-    fb = reaction(bn, t + 0.5 * k)
-    gn = 2.0 * fb - fn
-    cn1 = solve("f1", 2.0 * sm.s11 * an + k * sm.s51 * gn)
-    cn2 = solve("f2", 2.0 * sm.s12 * an + k * sm.s52 * gn)
-    cn = cn1.real + 2.0 * cn2.real
-    fc = reaction(cn, t + k)
-    g = fa + fb
-    un1 = solve("e1", sm.s11 * u + k * sm.s21 * fn + 2.0 * k * sm.s31 * g + k * sm.s41 * fc)
-    un2 = solve("e2", sm.s12 * u + k * sm.s22 * fn + 2.0 * k * sm.s32 * g + k * sm.s42 * fc)
-    return un1.real + 2.0 * un2.real
+    k0 = systems["sbdf1"][0] if "sbdf1" in systems else None
+    return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers, k0=k0)
 
 
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
@@ -266,10 +211,9 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
     c = PADE
     k = plan.k
     reaction = plan.disc.reaction
-    basis = plan.axis_basis
-    s1, s2 = plan.axis_solvers["c1"], plan.axis_solvers["c2"]
+    s1, s2 = plan.solvers["c1"], plan.solvers["c2"]
     w11, w11_2, w51 = c.w11, 2.0 * c.w11, 24.0 * k * c.w51
-    fwd, inv = basis.forward, basis.inverse
+    fwd, inv = s1.basis.forward, s1.basis.inverse
     # Each field is dropped once it is last read, to keep the peak footprint
     # to a few fields.
     u_hat = fwd(u)
@@ -311,20 +255,55 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
 
 
 def etdrk4p22_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """Advance one step of the unsplit scheme using sparse 2-D solves."""
-    return _etdrk4p22_kernel(u, t, plan.k, plan.disc.reaction, _full_solver(plan))
+    """Advance one step of the unsplit scheme: the 8-entry solve/set sequence."""
+    c, k, reaction = PADE, plan.k, plan.disc.reaction
+    solve1, solve2 = plan.solvers["c1"].solve, plan.solvers["c2"].solve
+    fn = reaction(u, t)
+    an1 = solve2(2.0 * c.w11 * u + 24.0 * c.w51 * k * fn)
+    an = u + 2.0 * an1.real
+    fa = reaction(an, t + 0.5 * k)
+    bn1 = solve2(2.0 * c.w11 * u + 24.0 * c.w51 * k * fa)
+    bn = u + 2.0 * bn1.real
+    fb = reaction(bn, t + 0.5 * k)
+    cn1 = solve2(2.0 * c.w11 * an + 24.0 * c.w51 * k * (2.0 * fb - fn))
+    cn = an + 2.0 * cn1.real
+    fc = reaction(cn, t + k)
+    g = fa + fb
+    un1 = solve1(c.w11 * u + c.w21 * k * fn + 4.0 * c.w31 * k * g + c.w41 * k * fc)
+    return u + 2.0 * un1.real
 
 
 def smoother_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """Advance one third-order presmoothing step (full-operator solves)."""
-    return _smoother_kernel(u, t, plan.k, plan.disc.reaction, _full_solver(plan))
+    """Advance one third-order presmoothing step: the 12-entry solve/set sequence.
+
+    The f1/e1 solves are real (real pole, real weights); the f2/e2 solves
+    are complex and folded back through 2*Re.
+    """
+    sm, k, reaction = SMOOTHER, plan.k, plan.disc.reaction
+    f1, f2, e1, e2 = (plan.solvers[pole].solve for pole in ("f1", "f2", "e1", "e2"))
+    fn = reaction(u, t)
+    an1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fn)
+    an2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fn)
+    an = an1.real + 2.0 * an2.real
+    fa = reaction(an, t + 0.5 * k)
+    bn1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fa)
+    bn2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fa)
+    bn = bn1.real + 2.0 * bn2.real
+    fb = reaction(bn, t + 0.5 * k)
+    gn = 2.0 * fb - fn
+    cn1 = f1(2.0 * sm.s11 * an + k * sm.s51 * gn)
+    cn2 = f2(2.0 * sm.s12 * an + k * sm.s52 * gn)
+    cn = cn1.real + 2.0 * cn2.real
+    fc = reaction(cn, t + k)
+    g = fa + fb
+    un1 = e1(sm.s11 * u + k * sm.s21 * fn + 2.0 * k * sm.s31 * g + k * sm.s41 * fc)
+    un2 = e2(sm.s12 * u + k * sm.s22 * fn + 2.0 * k * sm.s32 * g + k * sm.s42 * fc)
+    return un1.real + 2.0 * un2.real
 
 
 def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
     """One first-order semi-implicit step: (I + k0 A) U' = U + k0 F(U, t)."""
-    k0 = plan.k if plan.k0 is None else plan.k0
-    fact = plan.full_facts["sbdf1"]
-    return fact.solve(u + k0 * plan.disc.reaction(u, t))
+    return plan.solvers["sbdf1"].solve(u + plan.k0 * plan.disc.reaction(u, t))
 
 
 def _quiet_divergence():
@@ -358,7 +337,7 @@ def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[di
         raise ValidationError(f"need T/k >= 4 for the multistep scheme, got {n_steps}")
 
     reaction = plan.disc.reaction
-    main = plan.full_facts["sbdf4"]
+    main = plan.solvers["sbdf4"]
     k0 = plan.k0
 
     t_start = time.perf_counter()

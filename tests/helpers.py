@@ -2,13 +2,15 @@
 
 Everything here is built independently of the package's solve paths: a
 size-capped dense solve, the 1-D operator and dense Kronecker assembly by
-explicit loops, dense rational matrix functions from their
-numerator/denominator forms, a fourth-order exponential step with true
-matrix exponentials, the published 22-entry split-step sequence, and solver
-adapters that let the step kernels run against numpy.linalg.solve instead
-of the transform, sparse or eigenbasis solves.
+explicit loops, the axis and full operators applied as sparse products,
+dense rational matrix functions from their numerator/denominator forms, a
+fourth-order exponential step with true matrix exponentials, the published
+22-entry split-step sequence, and dense-solve stand-ins for a plan's
+solvers, so the step functions run against numpy.linalg.solve instead of
+the transform, sparse or eigenbasis solves.
 """
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,6 +18,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
+from etdsplit.linsolve import FullOperator
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, AxisOperator, SplitOperators
 from etdsplit.steppers import PADE, SMOOTHER
@@ -35,6 +38,15 @@ def dense_reference_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+def band_operator(dense: np.ndarray, h: float = 1.0, bc: str = DIRICHLET) -> AxisOperator:
+    """An AxisOperator holding the nonzero diagonals of a dense matrix.
+
+    The diagonal storage is scipy's dia_matrix(dense) layout.
+    """
+    dia = sparse.dia_matrix(dense)
+    return AxisOperator(data=dia.data, offsets=dia.offsets, h=h, bc=bc)
 
 
 def loop_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
@@ -70,7 +82,47 @@ def loop_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
             for off, c in zip(range(-2, 3), interior):
                 dense[i, i + off] = c
     dense /= 12.0 * h * h
-    return AxisOperator(mat=sparse.dia_matrix(dense), h=h, bc=bc)
+    return band_operator(dense, h, bc)
+
+
+def _check_field(ops: SplitOperators, u: np.ndarray) -> np.ndarray:
+    p = ops.grid.p1d
+    u = np.asarray(u)
+    if u.shape != (ops.species, p, p):
+        raise ShapeError(
+            f"field shape {u.shape} does not match (species, p, p) = "
+            f"({ops.species}, {p}, {p})"
+        )
+    return u
+
+
+def apply_axis(ops: SplitOperators, u: np.ndarray, axis: str, species: int) -> np.ndarray:
+    """Apply one split operator to a species block: returns -d * (B along axis).
+
+    The x axis acts on contiguous x-runs, the y axis with stride p1d; the
+    result is the (p, p) block for the requested species.
+    """
+    u = _check_field(ops, u)
+    d = ops.diffusion[species]
+    block = u[species]
+    b = ops.axis_op
+    bmat = sparse.dia_matrix((b.data, b.offsets), shape=(b.p1d, b.p1d))
+    if axis == AXIS_Y:
+        out = bmat @ block
+    elif axis == AXIS_X:
+        out = (bmat @ block.T).T
+    else:
+        raise ValidationError(f"axis must be {AXIS_X!r} or {AXIS_Y!r}, got {axis!r}")
+    return -d * out
+
+
+def full_matvec(op: FullOperator, u: np.ndarray) -> np.ndarray:
+    """A u for the sparse full operator, species block by species block."""
+    p = op.grid.p1d
+    out = np.empty_like(u)
+    for i, block in enumerate(op.blocks):
+        out[i] = (block @ u[i].ravel()).reshape(p, p)
+    return out
 
 
 def dense_axis_operator(ops: SplitOperators, axis: str, species: int) -> np.ndarray:
@@ -118,21 +170,25 @@ def dense_axis_solvers(ops: SplitOperators, k: float):
     return make("x"), make("y")
 
 
-def dense_full_solver(ops: SplitOperators, k: float, poles: dict):
-    """Full-operator solver (pole name, field) -> field via dense solves."""
-    p2 = ops.grid.p1d ** 2
-    mats = {
-        (name, s): k * dense_full_operator(ops, s) - pole * np.eye(p2)
-        for name, pole in poles.items() for s in range(ops.species)
-    }
+@dataclass(frozen=True)
+class DenseSolver:
+    """(k*A - pole*I)^-1 per species by numpy.linalg.solve: a plan-solver stand-in."""
 
-    def solve(pole, rhs):
+    mats: tuple  # one dense p^2 x p^2 matrix per species
+
+    def solve(self, rhs):
         out = np.empty(rhs.shape, dtype=complex)
-        for s in range(ops.species):
-            out[s] = np.linalg.solve(mats[(pole, s)], rhs[s].ravel()).reshape(rhs[s].shape)
+        for s, mat in enumerate(self.mats):
+            out[s] = np.linalg.solve(mat, rhs[s].ravel()).reshape(rhs[s].shape)
         return out
 
-    return solve
+
+def dense_full_solvers(ops: SplitOperators, k: float, poles: dict) -> dict:
+    """Plan solvers {pole name: DenseSolver} of the full operator at step k."""
+    eye = np.eye(ops.grid.p1d ** 2)
+    return {name: DenseSolver(tuple(k * dense_full_operator(ops, s) - pole * eye
+                                    for s in range(ops.species)))
+            for name, pole in poles.items()}
 
 
 def etdrk4p22if_kernel(u, t, k, reaction, solve_x, solve_y, pade=PADE):

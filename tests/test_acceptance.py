@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import etdsplit.cli as cli
 from etdsplit.analysis import (
     COUPLING_FIXED_H,
     COUPLING_K_EQ_H,
@@ -18,7 +19,7 @@ from etdsplit.analysis import (
     run_study,
 )
 from etdsplit.problems import discretize, make_problem
-from etdsplit.spatial import AXIS_X, AXIS_Y, apply_axis
+from etdsplit.spatial import AXIS_X, AXIS_Y
 from etdsplit.steppers import (
     ETDRK4P22,
     ETDRK4P22IF,
@@ -33,7 +34,20 @@ from etdsplit.steppers import (
     sbdf4_integrate,
     smoother_step,
 )
-from helpers import dense_axis_solvers, etdrk4p22if_kernel, zero_reaction_disc
+from helpers import apply_axis, dense_axis_solvers, etdrk4p22if_kernel, zero_reaction_disc
+
+
+# Published reference values the gates compare against (tables 1 and 2,
+# and the order columns of tables 4, 5 and A1).  These are the contract;
+# cli._REF must hold the same numbers (test_cli_reference_table_matches).
+TABLE1_SPLIT_ERRORS = (1.639e-7, 1.0805e-8, 6.958e-10, 4.456e-11)
+TABLE1_SPLIT_ORDERS = (3.92, 3.96, 3.96)
+TABLE1_UNSPLIT_ERRORS = (9.069e-7, 5.6131e-8, 3.496e-9, 2.1391e-10)
+TABLE2_SPLIT_ERRORS = (1.0836e-5, 6.8127e-7, 4.2638e-8, 2.6657e-9)
+TABLE2_SPLIT_ORDERS = (3.99, 4.00, 4.00)
+TABLE4_SMOOTHED_ORDERS = (3.46, 3.54, 3.77)
+TABLE5_SPLIT_ORDERS = (4.18, 4.00, 3.99)
+TABLEA1_SBDF4_ORDERS = (4.16, 4.00, 3.65)
 
 
 def _gate(num, name, ok, detail=""):
@@ -62,23 +76,34 @@ def table1_unsplit():
 
 
 def test_criterion_1_dirichlet_model_tables(table1_if, table1_unsplit):
-    want_if = (1.639e-7, 1.0805e-8, 6.958e-10, 4.456e-11)
-    want_un = (9.069e-7, 5.6131e-8, 3.496e-9, 2.1391e-10)
-    ok = (_within(table1_if.errors(), want_if, 0.10)
-          and _orders_within(table1_if.orders(), (3.92, 3.96, 3.96), 0.15)
-          and _within(table1_unsplit.errors(), want_un, 0.10))
+    ok = (_within(table1_if.errors(), TABLE1_SPLIT_ERRORS, 0.10)
+          and _orders_within(table1_if.orders(), TABLE1_SPLIT_ORDERS, 0.15)
+          and _within(table1_unsplit.errors(), TABLE1_UNSPLIT_ERRORS, 0.10))
     detail = (f"split errors {['%.3e' % e for e in table1_if.errors()]} "
               f"orders {['%.2f' % o for o in table1_if.orders()]}; "
               f"unsplit errors {['%.3e' % e for e in table1_unsplit.errors()]}")
     _gate(1, "Dirichlet model problem reproduction", ok, detail)
 
 
+def test_cli_reference_table_matches():
+    # the CLI's preset tables print the same published numbers the gates use
+    studies = {(table, study["label"]): study
+               for table, preset in cli._REF.items() for study in preset["studies"]}
+    assert studies["1", ETDRK4P22IF]["errors"] == TABLE1_SPLIT_ERRORS
+    assert studies["1", ETDRK4P22IF]["orders"] == TABLE1_SPLIT_ORDERS
+    assert studies["1", ETDRK4P22]["errors"] == TABLE1_UNSPLIT_ERRORS
+    assert studies["2", ETDRK4P22IF]["errors"] == TABLE2_SPLIT_ERRORS
+    assert studies["2", ETDRK4P22IF]["orders"] == TABLE2_SPLIT_ORDERS
+    assert studies["4", "etdrk4p22if (3 smoothing steps)"]["orders"] == TABLE4_SMOOTHED_ORDERS
+    assert studies["5", ETDRK4P22IF]["orders"] == TABLE5_SPLIT_ORDERS
+    assert studies["A1", SBDF4]["orders"] == TABLEA1_SBDF4_ORDERS
+
+
 def test_criterion_2_neumann_model_table():
     report = run_study(make_problem("model_neumann"), ETDRK4P22IF, 0.1, 4,
                        MODE_EXACT, COUPLING_K_EQ_H, 1.0, h_target=0.31416)
-    want = (1.0836e-5, 6.8127e-7, 4.2638e-8, 2.6657e-9)
-    ok = (_within(report.errors(), want, 0.15)
-          and _orders_within(report.orders(), (3.99, 4.00, 4.00), 0.15))
+    ok = (_within(report.errors(), TABLE2_SPLIT_ERRORS, 0.15)
+          and _orders_within(report.orders(), TABLE2_SPLIT_ORDERS, 0.15))
     _gate(2, "Neumann model problem reproduction", ok,
           f"errors {['%.3e' % e for e in report.errors()]} "
           f"orders {['%.2f' % o for o in report.orders()]}")
@@ -106,7 +131,7 @@ def test_criterion_4_presmoothing():
     field = integrate(disc, ETDRK4P22IF, 0.1, 1.0, smoothing_steps=3)
     in_bounds = field.min() >= -1e-6 and field.max() <= 1.0 + 1e-6
     ratio = raw.errors()[0] / smoothed.errors()[0]
-    ok = (_orders_within(smoothed.orders(), (3.46, 3.54, 3.77), 0.3)
+    ok = (_orders_within(smoothed.orders(), TABLE4_SMOOTHED_ORDERS, 0.3)
           and in_bounds and ratio >= 1e5)
     _gate(4, "presmoothing of non-smooth data", ok,
           f"smoothed orders {['%.2f' % o for o in smoothed.orders()]}, "
@@ -117,7 +142,7 @@ def test_criterion_4_presmoothing():
 def test_criterion_5_brusselator_pattern():
     report = run_study(make_problem("brusselator"), ETDRK4P22IF, 0.05, 4,
                        MODE_SELF, COUPLING_FIXED_H, 2.0, h_target=0.0125)
-    ok = _orders_within(report.orders(), (4.18, 4.00, 3.99), 0.3)
+    ok = _orders_within(report.orders(), TABLE5_SPLIT_ORDERS, 0.3)
     _gate(5, "Brusselator convergence pattern", ok,
           f"orders {['%.2f' % o for o in report.orders()]}")
 
@@ -130,7 +155,7 @@ def test_criterion_6_sbdf4_baseline():
     disc = discretize(make_problem("model_dirichlet"), 39)
     plan = build_plan(SBDF4, disc, 0.1)
     sbdf4_integrate(plan, disc.initial(), 1.0, stats=stats)
-    ok = (_orders_within(report.orders(), (4.16, 4.00, 3.65), 0.3)
+    ok = (_orders_within(report.orders(), TABLEA1_SBDF4_ORDERS, 0.3)
           and all(errors[i] > errors[i + 1] for i in range(3))
           and stats["startup_seconds"] > stats["main_seconds"])
     _gate(6, "semi-implicit BDF4 baseline", ok,

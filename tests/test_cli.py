@@ -3,6 +3,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -220,6 +222,40 @@ def test_solve_rejects_snapshot_cadence_below_one(every, tmp_path, monkeypatch, 
     assert code == 1
     assert captured.err.count("\n") == 1 and "snapshot-every" in captured.err
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k,T", [("0.3", "1"), ("0.25", "-1")])
+def test_solve_rejects_t_not_a_multiple_of_k_before_discretize(k, T, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "discretize", lambda *args, **kwargs: calls.append(args))
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "4000", "--k", k, "--T", T])
+    captured = capsys.readouterr()
+    assert code == 1 and calls == []
+    assert captured.err.count("\n") == 1 and "multiple of k" in captured.err
+    assert captured.out == ""
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("scheme,loads_sparse", [("etdrk4p22if", False), ("sbdf4", False),
+                                                 ("etdrk4p22", True)])
+def test_only_the_sparse_baseline_imports_scipy_sparse(scheme, loads_sparse, tmp_path):
+    # a fresh interpreter runs one solve, then lists the scipy.sparse modules it holds
+    argv = ["solve", "--problem", "enzyme", "--scheme", scheme, "--m", "5",
+            "--k", "0.25", "--T", "1", "--out", str(tmp_path / "u.csv")]
+    script = ("import sys\n"
+              "from etdsplit.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.split(" ", 1)
+    assert code == "0"
+    assert (modules.strip() != "[]") == loads_sparse, modules
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 71.1 PiB for an array", ""])

@@ -13,7 +13,8 @@ from etdsplit.problems import (
     interior_count_for_h,
     make_problem,
 )
-from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, apply_axis
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D
+from helpers import apply_axis
 
 
 def test_registry_contents():

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from etdsplit.errors import ShapeError, ValidationError
+from etdsplit.linsolve import assemble_full
 from etdsplit.spatial import (
     AXIS_X,
     AXIS_Y,
     DIRICHLET,
     NEUMANN,
     Grid2D,
-    apply_axis,
-    assemble_full,
     assemble_split,
     build_axis_operator,
 )
-from helpers import dense_axis_operator, dense_full_operator, loop_axis_operator
+from helpers import (
+    apply_axis,
+    dense_axis_operator,
+    dense_full_operator,
+    full_matvec,
+    loop_axis_operator,
+)
 
 
 def test_grid_properties():
@@ -80,28 +86,29 @@ def test_neumann_rows_and_row_sums():
 def test_neumann_constant_in_kernel(m):
     op = build_axis_operator(m, 0.125, NEUMANN)
     ones = np.ones(op.p1d)
-    assert np.max(np.abs(op.mat @ ones)) <= 1e-12 / (12 * 0.125 ** 2) * 30
+    assert np.max(np.abs(op.toarray() @ ones)) <= 1e-12 / (12 * 0.125 ** 2) * 30
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_bandwidth_at_most_three(bc, m):
     op = build_axis_operator(m, 0.1, bc)
-    coo = op.mat.tocoo()
-    mask = coo.data != 0
-    assert np.max(np.abs(coo.row[mask] - coo.col[mask])) <= 3
+    row, col = np.nonzero(op.toarray())
+    assert np.max(np.abs(row - col)) <= 3
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("m", range(3, 41))
 def test_build_axis_operator_bitwise_equals_loop_assembly(bc, m):
     h = 2.7 / (m + 1)
-    got = build_axis_operator(m, h, bc).mat
-    want = loop_axis_operator(m, h, bc).mat
-    assert got.shape == want.shape
+    got = build_axis_operator(m, h, bc)
+    want = loop_axis_operator(m, h, bc)
+    assert got.p1d == want.p1d
     assert np.array_equal(got.offsets, want.offsets) and got.offsets.dtype == want.offsets.dtype
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(got.toarray(), want.toarray())
+    dia = sparse.dia_matrix((want.data, want.offsets), shape=(want.p1d, want.p1d))
+    assert np.array_equal(got.toarray(), dia.toarray())
 
 
 def test_build_validation():
@@ -207,7 +214,7 @@ def test_full_neumann_annihilates_constants():
     grid = Grid2D(a=0.0, b=1.0, m=3, bc=NEUMANN)
     full = assemble_full(grid, (2.0,))
     const = np.full((1, grid.p1d, grid.p1d), 7.0)
-    out = full.matvec(const)
+    out = full_matvec(full, const)
     assert np.max(np.abs(out)) <= 1e-10
 
 
@@ -229,7 +236,7 @@ def test_full_matvec_matches_apply_axis():
         apply_axis(ops, u, AXIS_X, s) + apply_axis(ops, u, AXIS_Y, s)
         for s in range(2)
     ])
-    np.testing.assert_allclose(full.matvec(u), via_axis, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(full_matvec(full, u), via_axis, rtol=1e-13, atol=1e-13)
 
 
 def test_operators_match_dense_helper():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdsplit.errors import DivergenceError, ValidationError
-from etdsplit.linsolve import SparseFactorization, TensorEigenSolver, factorize_full
+from etdsplit.linsolve import (
+    AxisTransformSolver,
+    FullOperator,
+    SparseFactorization,
+    TensorEigenSolver,
+    factorize_full,
+)
 from etdsplit.problems import ProblemSpec, discretize, make_problem
-from etdsplit.spatial import DIRICHLET, NEUMANN, FullOperator, Grid2D
+from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D
 import etdsplit.steppers as steppers
 from etdsplit.steppers import (
     ETDRK4P22,
@@ -21,8 +28,6 @@ from etdsplit.steppers import (
     SCHEMES,
     SMOOTHER_ONLY,
     StepPlan,
-    _etdrk4p22_kernel,
-    _smoother_kernel,
     build_plan,
     etdrk4p22_step,
     etdrk4p22if_step,
@@ -38,7 +43,7 @@ from helpers import (
     dense_axis_operator,
     dense_axis_solvers,
     dense_full_operator,
-    dense_full_solver,
+    dense_full_solvers,
     etdrk4p22if_kernel,
     exact_etdrk4_reference_step,
     rational_r03,
@@ -53,24 +58,27 @@ def test_plan_axis_factorization_keys():
     # one transform-space inverse per pole, covering both axes and species
     disc = discretize(make_problem("brusselator"), 4)
     plan = build_plan(ETDRK4P22IF, disc, 0.1)
-    assert set(plan.axis_solvers) == {"c1", "c2"}
-    assert all(f.inv_symbol.shape == (2, 6) for f in plan.axis_solvers.values())
-    assert plan.axis_basis is not None and not plan.full_facts
+    assert set(plan.solvers) == {"c1", "c2"}
+    assert all(isinstance(f, AxisTransformSolver) for f in plan.solvers.values())
+    assert all(f.inv_symbol.shape == (2, 6) for f in plan.solvers.values())
+    assert len({id(f.basis) for f in plan.solvers.values()}) == 1
 
 
 def test_plan_pole_sets_per_scheme():
     disc = discretize(make_problem("enzyme"), 4)
-    assert set(build_plan(ETDRK4P22, disc, 0.1).full_facts) == {"c1", "c2"}
-    assert set(build_plan(SMOOTHER_ONLY, disc, 0.1).full_facts) == {"f1", "f2", "e1", "e2"}
+    assert set(build_plan(ETDRK4P22, disc, 0.1).solvers) == {"c1", "c2"}
+    assert set(build_plan(SMOOTHER_ONLY, disc, 0.1).solvers) == {"f1", "f2", "e1", "e2"}
     plan = build_plan(SBDF4, disc, 0.1)
-    assert set(plan.full_facts) == {"sbdf4", "sbdf1"}
+    assert set(plan.solvers) == {"sbdf4", "sbdf1"}
     assert plan.k0 == pytest.approx(0.1 / 2000.0)
+    assert build_plan(SBDF1, disc, 0.1).k0 == 0.1
+    assert build_plan(ETDRK4P22IF, disc, 0.1).k0 is None
 
 
 @pytest.mark.parametrize("scheme", [SMOOTHER_ONLY, SBDF4, "sbdf1"])
 def test_plan_full_operator_eigen_solvers_share_one_basis(scheme):
     disc = discretize(make_problem("brusselator"), 4)
-    facts = build_plan(scheme, disc, 0.1).full_facts.values()
+    facts = build_plan(scheme, disc, 0.1).solvers.values()
     assert all(isinstance(f, TensorEigenSolver) for f in facts)
     assert len({id(f.basis) for f in facts}) == 1
     assert all(f.shape == (2, 6, 6) for f in facts)
@@ -78,7 +86,7 @@ def test_plan_full_operator_eigen_solvers_share_one_basis(scheme):
 
 def test_unsplit_plan_keeps_sparse_lu():
     disc = discretize(make_problem("enzyme"), 4)
-    facts = build_plan(ETDRK4P22, disc, 0.1).full_facts.values()
+    facts = build_plan(ETDRK4P22, disc, 0.1).solvers.values()
     assert all(isinstance(f, SparseFactorization) for f in facts)
 
 
@@ -86,7 +94,7 @@ def test_plan_rebuild_identical_pole_set():
     disc = discretize(make_problem("enzyme"), 4)
     p1 = build_plan(ETDRK4P22IF, disc, 0.05)
     p2 = build_plan(ETDRK4P22IF, disc, 0.05)
-    assert set(p1.axis_solvers) == set(p2.axis_solvers)
+    assert set(p1.solvers) == set(p2.solvers)
     with pytest.raises(ValidationError):
         build_plan("leapfrog", disc, 0.05)
     with pytest.raises(ValidationError):
@@ -190,8 +198,8 @@ def test_unsplit_step_matches_dense_8_steps():
     plan = build_plan(ETDRK4P22, disc, k)
     u = disc.initial()
     got = etdrk4p22_step(plan, u, 0.0)
-    want = _etdrk4p22_kernel(u, 0.0, k, disc.reaction,
-                             dense_full_solver(disc.ops, k, ETD_POLES))
+    oracle = replace(plan, solvers=dense_full_solvers(disc.ops, k, ETD_POLES))
+    want = etdrk4p22_step(oracle, u, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -226,8 +234,8 @@ def test_smoother_matches_dense_12_steps():
     plan = build_plan(SMOOTHER_ONLY, disc, k)
     u = disc.initial()
     got = smoother_step(plan, u, 0.0)
-    want = _smoother_kernel(u, 0.0, k, disc.reaction,
-                            dense_full_solver(disc.ops, k, SMOOTHER_POLES))
+    oracle = replace(plan, solvers=dense_full_solvers(disc.ops, k, SMOOTHER_POLES))
+    want = smoother_step(oracle, u, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -255,9 +263,9 @@ def _artificial_plan(scheme, k, a_coef=1.0):
     if scheme == SBDF4:
         facts = {"sbdf4": factorize_full(op, 12.0 * k, -25.0),
                  "sbdf1": factorize_full(op, k / 2000.0, -1.0)}
-        return StepPlan(scheme=SBDF4, k=k, disc=disc, full_facts=facts, k0=k / 2000.0)
+        return StepPlan(scheme=SBDF4, k=k, disc=disc, solvers=facts, k0=k / 2000.0)
     facts = {"sbdf1": factorize_full(op, k, -1.0)}
-    return StepPlan(scheme="sbdf1", k=k, disc=disc, full_facts=facts)
+    return StepPlan(scheme="sbdf1", k=k, disc=disc, solvers=facts, k0=k)
 
 
 def test_sbdf1_identity_and_scalar_decay():
@@ -458,7 +466,7 @@ def test_scheme_entry_is_the_one_name_check():
     for scheme in SCHEMES:
         _, systems, step = scheme_entry(scheme)
         plan = build_plan(scheme, disc, 0.1)
-        assert set(systems) == set(plan.full_facts) | set(plan.axis_solvers)
+        assert set(systems) == set(plan.solvers)
         assert (step is None) == (scheme == SBDF4)
     assert scheme_entry(SBDF1, 0.1, SCHEMES + (SBDF1,))[2] is sbdf1_step
     for call in (lambda: scheme_entry(SBDF1), lambda: scheme_entry("rk45"),
