@@ -20,7 +20,6 @@ Two mesh couplings:
 """
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError, ValidationError
 from .problems import ProblemSpec, discretize, interior_count_for_h
-from .steppers import integrate, scheme_entry
+from .steppers import check_run, integrate
 
 MODE_EXACT = "exact"
 MODE_SELF = "self"
@@ -98,26 +97,6 @@ class ConvergenceReport:
                 _fmt(r.error), _fmt(r.order), _fmt(r.seconds),
             ])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
-    @staticmethod
-    def parse_csv(text: str):
-        """Rows back as dicts with floats restored (None for blank orders)."""
-        reader = csv.DictReader(io.StringIO(text))
-        out = []
-        for rec in reader:
-            out.append({
-                "scheme": rec["scheme"], "problem": rec["problem"],
-                "k": float(rec["k"]), "h": float(rec["h"]), "m": int(rec["m"]),
-                "error": float(rec["error"]) if rec["error"] else None,
-                "order": float(rec["order"]) if rec["order"] else None,
-                "seconds": float(rec["seconds"]),
-            })
-        return out
-
     def format_table(self) -> str:
         head = (f"{'k':>12} {'h':>12} {'m':>6} {'error':>14} "
                 f"{'order':>7} {'seconds':>10}")
@@ -167,7 +146,6 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
     In self mode one extra integration at the next-finer step provides the
     final reference, so `levels` error rows cost levels+1 runs.
     """
-    scheme_entry(scheme)
     if levels < 1:
         raise ValidationError(f"need at least one level, got {levels}")
     if mode not in (MODE_EXACT, MODE_SELF):
@@ -176,14 +154,15 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
         raise ValidationError(f"problem {spec.name!r} has no exact solution; use self mode")
     if mode == MODE_SELF and coupling != COUPLING_FIXED_H:
         raise ValidationError("self-reference mode requires the fixed_h coupling")
+    ks = [k0 / (2 ** j) for j in range(levels)]
+    run_ks = ks + [ks[-1] / 2] if mode == MODE_SELF else ks
+    for k in run_ks:
+        check_run(scheme, k, T, smoothing_steps)
 
     ms = _grid_schedule(spec, coupling, levels, k0, h_target, m, m_schedule)
-    ks = [k0 / (2 ** j) for j in range(levels)]
-
     solutions = []
     seconds = []
     discs = []
-    run_ks = ks + [ks[-1] / 2] if mode == MODE_SELF else ks
     run_ms = ms + [ms[-1]] if mode == MODE_SELF else ms
     for level, (k, mi) in enumerate(zip(run_ks, run_ms)):
         disc = discretize(spec, mi)

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .errors import DivergenceError, SingularSystemError, ValidationError
 from .problems import PROBLEM_NAMES, discretize, interior_count_for_h, make_problem
-from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, _step_count, integrate, scheme_entry
+from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, check_run, integrate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,15 +184,14 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ValidationError("solve needs --problem")
     spec = make_problem(cfg.problem)
     scheme = cfg.scheme if cfg.scheme is not None else ETDRK4P22IF
-    scheme_entry(scheme)
+    T = cfg.T if cfg.T is not None else spec.default_T
+    if T != 0 and cfg.k is None:
+        raise ValidationError("solve needs --k (unless --T 0)")
+    k = cfg.k if cfg.k is not None else 1.0
+    check_run(scheme, k, T, cfg.smoothing_steps)
     m = _pick_m(spec, cfg)
     if m is None:
         raise ValidationError("solve needs a grid: give --m or --h")
-    T = cfg.T if cfg.T is not None else spec.default_T
-    if T != 0:
-        if cfg.k is None:
-            raise ValidationError("solve needs --k (unless --T 0)")
-        _step_count(cfg.k, T)  # T a multiple of k, before the grid is built
     if cfg.snapshot_every is not None and cfg.snapshot_every < 1:
         raise ValidationError(f"need --snapshot-every >= 1, got {cfg.snapshot_every}")
     if cfg.snapshot_every and not cfg.out:
@@ -207,8 +206,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_field_csv(fh, disc.grid, field)
 
-    u = integrate(disc, scheme, cfg.k if cfg.k is not None else 1.0, T,
-                  smoothing_steps=cfg.smoothing_steps,
+    u = integrate(disc, scheme, k, T, smoothing_steps=cfg.smoothing_steps,
                   snapshot_every=cfg.snapshot_every,
                   snapshot_cb=snapshot if cfg.snapshot_every else None)
     if cfg.out:

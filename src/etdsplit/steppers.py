@@ -24,7 +24,10 @@ All rational functions are applied through partial fractions: each becomes
 step is a fixed sequence of factorized solves.  States stay real throughout.
 One table, scheme_entry, maps each scheme name to its solver family, its
 shifted systems and its one-step function; build_plan and integrate read it.
-A plan holds one solver per pole in StepPlan.solvers.
+A plan holds one solver per pole in StepPlan.solvers.  check_run alone
+decides whether a run is valid and gives its step count.  Every scheme
+steps through one loop, _march; sbdf4 enters it through a step function
+that keeps its own history.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
 uses inside its matrix products.
@@ -34,6 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -315,77 +319,95 @@ def _quiet_divergence():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _check_finite(u, step, t):
-    if not np.all(np.isfinite(u)):
-        raise DivergenceError(
-            f"non-finite state after step {step} (t = {t:.6g})", step=step, t=t)
-
-
-def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[dict] = None) -> np.ndarray:
-    """Integrate to T with the fourth-order semi-implicit BDF scheme.
-
-    The first three coarse states come from sub-integrating each interval
-    with 2000 first-order semi-implicit substeps; thereafter each step is
-    one factorized solve.  The history keeps the last four states and their
-    reaction evaluations.
-    """
-    k = plan.k
-    if plan.scheme != SBDF4:
-        raise ValidationError(f"plan was built for {plan.scheme!r}, not {SBDF4!r}")
-    n_steps = _step_count(k, T)
-    if n_steps < 4:
-        raise ValidationError(f"need T/k >= 4 for the multistep scheme, got {n_steps}")
-
-    reaction = plan.disc.reaction
-    main = plan.solvers["sbdf4"]
-    k0 = plan.k0
-
-    t_start = time.perf_counter()
-    hist_u = [u0]
-    hist_f = [reaction(u0, 0.0)]
-    t = 0.0
-    with _quiet_divergence():
-        for interval in range(3):
-            u = hist_u[-1]
-            for _ in range(SBDF_STARTUP_SUBSTEPS):
-                u = sbdf1_step(plan, u, t)
-                t += k0
-            t = (interval + 1) * k  # avoid substep rounding drift
-            _check_finite(u, interval + 1, t)
-            hist_u.append(u)
-            hist_f.append(reaction(u, t))
-        startup_seconds = time.perf_counter() - t_start
-
-        t_main = time.perf_counter()
-        for step in range(3, n_steps):
-            rhs = (48.0 * hist_u[3] - 36.0 * hist_u[2] + 16.0 * hist_u[1] - 3.0 * hist_u[0]
-                   + k * (48.0 * hist_f[3] - 72.0 * hist_f[2] + 48.0 * hist_f[1]
-                          - 12.0 * hist_f[0]))
-            u = main.solve(rhs)
-            t = (step + 1) * k
-            _check_finite(u, step + 1, t)
-            hist_u = hist_u[1:] + [u]
-            hist_f = hist_f[1:] + [reaction(u, t)]
-    if stats is not None:
-        stats["startup_seconds"] = startup_seconds
-        stats["main_seconds"] = time.perf_counter() - t_main
-        stats["steps"] = n_steps
-    return hist_u[-1]
-
-
 def _check_step(k: float) -> None:
     if not (k > 0 and math.isfinite(k)):
         raise ValidationError(f"need a finite k > 0, got {k}")
 
 
-def _step_count(k: float, T: float) -> int:
+def check_run(scheme: str, k: float, T: float, smoothing_steps: int = 0) -> int:
+    """The one validity check of a run; returns its step count T/k.
+
+    Needs finite k > 0, T a multiple of k with T/k < 2**63, 0 <= smoothing_steps
+    <= T/k (any count >= 0 at T = 0) and, for sbdf4, no presmoothing and T/k >= 4.
+    """
+    scheme_entry(scheme)
     _check_step(k)
-    if not math.isfinite(T):
-        raise ValidationError(f"need a finite final time, got {T}")
-    n = int(round(T / k))
-    if n < 1 or abs(n * k - T) > 1e-9 * max(1.0, abs(T)):
+    if not abs(T / k) < 2 ** 63:  # rejects a non-finite T too; repeat() counts in int64
+        raise ValidationError(f"need a finite T and T/k < 2**63, got T = {T} and k = {k}")
+    n = round(T / k)
+    if (n < 1 and T != 0) or abs(n * k - T) > 1e-9 * max(1.0, abs(T)):
         raise ValidationError(f"final time {T} is not an integer multiple of k = {k}")
+    if smoothing_steps < 0 or (n and smoothing_steps > n):
+        raise ValidationError(
+            f"smoothing_steps must lie in [0, T/k] = [0, {n}], got {smoothing_steps}")
+    if scheme == SBDF4 and n and smoothing_steps:
+        raise ValidationError("presmoothing applies to the one-step schemes only")
+    if scheme == SBDF4 and 0 < n < 4:
+        raise ValidationError(f"need T/k >= 4 for the multistep scheme, got {n}")
     return n
+
+
+def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None) -> np.ndarray:
+    """The one step loop of every scheme.
+
+    The i-th of the steps, step(u, t), starts at t = i*k.  Each new state
+    must be finite, and every snapshot_every-th goes to snapshot_cb(step, t, u).
+    """
+    t = 0.0
+    with _quiet_divergence():
+        for step, advance in enumerate(steps):
+            u = advance(u, t)
+            t = (step + 1) * k
+            if not np.all(np.isfinite(u)):
+                raise DivergenceError(
+                    f"non-finite state after step {step + 1} (t = {t:.6g})", step=step + 1, t=t)
+            if snapshot_every and snapshot_cb and (step + 1) % snapshot_every == 0:
+                snapshot_cb(step + 1, t, u)
+    return u
+
+
+def _sbdf4_step(marks: dict) -> Callable:
+    """A step(plan, u, t) of sbdf4; it keeps the last four states and reaction values.
+
+    The first three steps each cross one interval in SBDF_STARTUP_SUBSTEPS
+    sbdf1 substeps; every later step is one BDF4 solve.  marks["main"] is
+    the clock at the first BDF4 step.
+    """
+    hist_u, hist_f = [], []
+
+    def step(plan, u, t):
+        hist_u.append(u)
+        hist_f.append(plan.disc.reaction(u, t))
+        if len(hist_u) < 4:
+            for _ in range(SBDF_STARTUP_SUBSTEPS):
+                u = sbdf1_step(plan, u, t)
+                t += plan.k0
+            return u
+        marks.setdefault("main", time.perf_counter())
+        rhs = (48.0 * hist_u[3] - 36.0 * hist_u[2] + 16.0 * hist_u[1] - 3.0 * hist_u[0]
+               + plan.k * (48.0 * hist_f[3] - 72.0 * hist_f[2] + 48.0 * hist_f[1]
+                           - 12.0 * hist_f[0]))
+        del hist_u[0], hist_f[0]
+        return plan.solvers["sbdf4"].solve(rhs)
+    return step
+
+
+def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[dict] = None) -> np.ndarray:
+    """Integrate to T with the fourth-order semi-implicit BDF scheme.
+
+    stats, if given, gets the startup and main seconds and the step count.
+    """
+    if plan.scheme != SBDF4:
+        raise ValidationError(f"plan was built for {plan.scheme!r}, not {SBDF4!r}")
+    n_steps = check_run(SBDF4, plan.k, T)
+    marks = {"start": time.perf_counter()}
+    u = _march(u0, plan.k, repeat(partial(_sbdf4_step(marks), plan), n_steps))
+    t_main = marks.get("main", marks["start"])  # no main step when T = 0
+    if stats is not None:
+        stats["startup_seconds"] = t_main - marks["start"]
+        stats["main_seconds"] = time.perf_counter() - t_main
+        stats["steps"] = n_steps
+    return u
 
 
 def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
@@ -397,33 +419,13 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     The first `smoothing_steps` steps use the third-order presmoother at the
     same step size k and count toward T/k; the rest use `scheme`.
     """
-    _, _, one_step = scheme_entry(scheme)
-    u = disc.initial()
-    if T == 0:
-        _check_step(k)
-        return u
-    n_steps = _step_count(k, T)
-    if smoothing_steps < 0 or smoothing_steps > n_steps:
-        raise ValidationError(
-            f"smoothing_steps must lie in [0, T/k] = [0, {n_steps}], got {smoothing_steps}")
-    if one_step is None:
-        if smoothing_steps:
-            raise ValidationError("presmoothing applies to the one-step schemes only")
-        return sbdf4_integrate(build_plan(scheme, disc, k), u, T)
-
-    plans = {scheme: build_plan(scheme, disc, k)}
-    if smoothing_steps and SMOOTHER_ONLY not in plans:
-        plans[SMOOTHER_ONLY] = build_plan(SMOOTHER_ONLY, disc, k)
-
-    t = 0.0
-    with _quiet_divergence():
-        for step in range(n_steps):
-            if step < smoothing_steps:
-                u = smoother_step(plans[SMOOTHER_ONLY], u, t)
-            else:
-                u = one_step(plans[scheme], u, t)
-            t = (step + 1) * k
-            _check_finite(u, step + 1, t)
-            if snapshot_every and snapshot_cb and (step + 1) % snapshot_every == 0:
-                snapshot_cb(step + 1, t, u)
-    return u
+    n_steps = check_run(scheme, k, T, smoothing_steps)
+    if n_steps == 0:
+        return disc.initial()
+    plan = build_plan(scheme, disc, k)
+    one_step = scheme_entry(scheme)[2] or _sbdf4_step({})
+    steps = repeat(partial(one_step, plan), n_steps - smoothing_steps)
+    if smoothing_steps:
+        smoother = plan if scheme == SMOOTHER_ONLY else build_plan(SMOOTHER_ONLY, disc, k)
+        steps = chain(repeat(partial(smoother_step, smoother), smoothing_steps), steps)
+    return _march(disc.initial(), k, steps, snapshot_every, snapshot_cb)

@@ -7,9 +7,12 @@ dense rational matrix functions from their numerator/denominator forms, a
 fourth-order exponential step with true matrix exponentials, the published
 22-entry split-step sequence, and dense-solve stand-ins for a plan's
 solvers, so the step functions run against numpy.linalg.solve instead of
-the transform, sparse or eigenbasis solves.
+the transform, sparse or eigenbasis solves.  Also a convergence report's CSV
+text and its parse back to rows.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -323,3 +326,24 @@ def zero_reaction_problem(base: str = "model_dirichlet") -> ProblemSpec:
 
 def zero_reaction_disc(base: str, m: int) -> DiscretizedProblem:
     return discretize(zero_reaction_problem(base), m)
+
+
+def report_csv(report) -> str:
+    """A ConvergenceReport's CSV text, as write_csv writes it."""
+    buf = io.StringIO()
+    report.write_csv(buf)
+    return buf.getvalue()
+
+
+def parse_report_csv(text: str) -> list:
+    """Report CSV rows back as dicts with floats restored (None for blank orders)."""
+    out = []
+    for rec in csv.DictReader(io.StringIO(text)):
+        out.append({
+            "scheme": rec["scheme"], "problem": rec["problem"],
+            "k": float(rec["k"]), "h": float(rec["h"]), "m": int(rec["m"]),
+            "error": float(rec["error"]) if rec["error"] else None,
+            "order": float(rec["order"]) if rec["order"] else None,
+            "seconds": float(rec["seconds"]),
+        })
+    return out

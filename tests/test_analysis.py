@@ -6,7 +6,6 @@ from etdsplit.analysis import (
     COUPLING_K_EQ_H,
     MODE_EXACT,
     MODE_SELF,
-    ConvergenceReport,
     linf_error,
     observed_order,
     run_study,
@@ -15,6 +14,7 @@ from etdsplit.analysis import (
 from etdsplit.errors import ShapeError, ValidationError
 from etdsplit.problems import make_problem
 from etdsplit.steppers import ETDRK4P22IF
+from helpers import parse_report_csv, report_csv
 
 
 def test_linf_error_basics():
@@ -108,10 +108,10 @@ def test_study_validations():
 
 
 def test_csv_round_trip(enzyme_study):
-    text = enzyme_study.to_csv()
+    text = report_csv(enzyme_study)
     assert text.startswith("scheme,problem,k,h,m,error,order,seconds\n")
     assert "\r" not in text
-    parsed = ConvergenceReport.parse_csv(text)
+    parsed = parse_report_csv(text)
     for row, rec in zip(enzyme_study.rows, parsed):
         assert rec["scheme"] == enzyme_study.scheme
         assert rec["problem"] == enzyme_study.problem

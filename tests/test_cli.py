@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etdsplit.analysis as analysis
 import etdsplit.cli as cli
 import etdsplit.steppers as steppers
 from etdsplit.analysis import _fmt
@@ -201,13 +202,15 @@ def test_solve_brusselator_two_species_columns(tmp_path):
 
 
 def test_solve_snapshots(tmp_path):
-    out = tmp_path / "run.csv"
-    code = cli.main(["solve", "--problem", "enzyme", "--m", "9", "--k", "0.25",
-                     "--T", "1", "--out", str(out), "--snapshot-every", "2"])
-    assert code == 0
-    assert (tmp_path / "run_step000002.csv").exists()
-    assert (tmp_path / "run_step000004.csv").exists()
-    assert out.exists()
+    # sbdf4 steps through the same loop as the one-step schemes, snapshots included
+    for scheme, m, T, last in (("etdrk4p22if", "9", "1", 4), ("sbdf4", "5", "2", 8)):
+        out = tmp_path / f"{scheme}.csv"
+        code = cli.main(["solve", "--problem", "enzyme", "--scheme", scheme, "--m", m,
+                         "--k", "0.25", "--T", T, "--out", str(out), "--snapshot-every", "2"])
+        assert code == 0
+        names = sorted(path.name for path in tmp_path.glob(f"{scheme}_step*.csv"))
+        assert names == [f"{scheme}_step{step:06d}.csv" for step in range(2, last + 1, 2)]
+        assert (tmp_path / names[-1]).read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("every", ["0", "-2"])
@@ -224,14 +227,40 @@ def test_solve_rejects_snapshot_cadence_below_one(every, tmp_path, monkeypatch, 
     assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("k,T", [("0.3", "1"), ("0.25", "-1")])
-def test_solve_rejects_t_not_a_multiple_of_k_before_discretize(k, T, monkeypatch, capsys):
+def _solve_argv(k, T, *extra):
+    return ["solve", "--problem", "enzyme", "--m", "4000", "--k", k, "--T", T, *extra]
+
+
+def _converge_argv(k0, *extra):
+    return ["converge", "--problem", "enzyme", "--k0", k0, "--levels", "2", "--mode", "self",
+            "--coupling", "fixed_h", "--m", "1000", "--T", "1", *extra]
+
+
+@pytest.mark.parametrize("argv,words", [
+    pytest.param(_solve_argv("0.3", "1"), "multiple of k", id="0.3-1"),
+    pytest.param(_solve_argv("0.25", "-1"), "multiple of k", id="0.25--1"),
+    pytest.param(_solve_argv("1e-310", "1"), "T/k", id="tiny-k"),
+    pytest.param(_solve_argv("1e-300", "1"), "T/k", id="step-count-beyond-int64"),
+    pytest.param(_solve_argv("0.5", "1", "--scheme", "sbdf4"), "T/k >= 4", id="sbdf4-short"),
+    pytest.param(_solve_argv("0.25", "1", "--scheme", "sbdf4", "--smoothing-steps", "1"),
+                 "presmoothing", id="sbdf4-presmoothed"),
+    pytest.param(_solve_argv("0.25", "1", "--smoothing-steps", "9"),
+                 "smoothing_steps must lie", id="smoothing-above-step-count"),
+    pytest.param(_solve_argv("0.5", "0", "--smoothing-steps", "-1"),
+                 "smoothing_steps must lie", id="smoothing-negative-at-T-0"),
+    pytest.param(_converge_argv("0.5", "--scheme", "sbdf4"), "T/k >= 4", id="converge-sbdf4-short"),
+    pytest.param(_converge_argv("1e-310", "--scheme", "etdrk4p22if"), "T/k",
+                 id="converge-tiny-k0"),
+])
+def test_solve_rejects_t_not_a_multiple_of_k_before_discretize(argv, words, monkeypatch, capsys):
+    # every invalid run is rejected before either command builds a grid
     calls = []
     monkeypatch.setattr(cli, "discretize", lambda *args, **kwargs: calls.append(args))
-    code = cli.main(["solve", "--problem", "enzyme", "--m", "4000", "--k", k, "--T", T])
+    monkeypatch.setattr(analysis, "discretize", lambda *args, **kwargs: calls.append(args))
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1 and calls == []
-    assert captured.err.count("\n") == 1 and "multiple of k" in captured.err
+    assert captured.err.count("\n") == 1 and words in captured.err
     assert captured.out == ""
 
 
@@ -424,6 +453,7 @@ def test_solve_validates_given_k_at_t_zero(capsys):
 
 
 _NUMBERS = ("0", "-1", "0.25", "0.5", "1", "nan", "inf")
+_STEPS = _NUMBERS + ("1e-310",)  # 1e-310 makes T/k overflow to inf
 
 
 def _flag(values):
@@ -440,9 +470,9 @@ _COMMON_FLAGS = {
     "--smoothing-steps": _flag(("-1", "0", "1", "3")),
 }
 _COMMAND_FLAGS = {
-    "solve": {"--k": st.sampled_from(_NUMBERS),
+    "solve": {"--k": st.sampled_from(_STEPS),
               "--snapshot-every": _flag(("-1", "0", "2"))},
-    "converge": {"--k0": st.sampled_from(_NUMBERS),
+    "converge": {"--k0": st.sampled_from(_STEPS),
                  "--levels": _flag(("-1", "0", "1", "2", "3")),
                  "--mode": _flag(("exact", "self")),
                  "--coupling": _flag(("k_eq_h", "fixed_h"))},
