@@ -36,7 +36,6 @@ from .steppers import (
     etdrk4p22if_step,
     integrate,
     sbdf1_step,
-    sbdf4_integrate,
     smoother_step,
 )
 

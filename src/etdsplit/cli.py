@@ -9,17 +9,19 @@ Three subcommands:
 * ``table``    -- preset studies reproducing the stored reference results,
   printed side by side with relative deviations.
 
-Options may come from flags or from a ``--config`` file of ``key=value``
-lines (``#`` comments allowed); flags override the file.  Exit codes:
-0 success, 1 invalid configuration (including a grid too large to allocate),
-2 numerical failure.
+argparse is the one table of options and their defaults.  Options may also
+come from a ``--config`` file of ``key=value`` lines (``#`` comments
+allowed): each key must name one of the command's options exactly, and each
+line is parsed as a ``--key=value`` flag placed before the command-line
+flags, so a file value gets the flag's type and choices and a flag overrides
+it.  Exit codes: 0 success, 1 invalid configuration (including a grid too
+large to allocate), 2 numerical failure.
 """
 
 import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,36 +46,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Validated options for one command; fully deterministic (no seeds)."""
+def _config_tokens(path: str, command: argparse.ArgumentParser) -> list:
+    """The key = value lines of a config file as --key=value tokens of one command.
 
-    problem: Optional[str] = None
-    scheme: Optional[str] = None
-    k0: Optional[float] = None
-    k: Optional[float] = None
-    levels: int = 4
-    T: Optional[float] = None
-    m: Optional[int] = None
-    h: Optional[float] = None
-    coupling: str = COUPLING_K_EQ_H
-    mode: str = MODE_EXACT
-    smoothing_steps: int = 0
-    out: Optional[str] = None
-    plot_out: Optional[str] = None
-    snapshot_every: Optional[int] = None
-
-
-_FIELD_TYPES = {
-    "problem": str, "scheme": str, "k0": float, "k": float, "levels": int,
-    "T": float, "m": int, "h": float, "coupling": str, "mode": str,
-    "smoothing_steps": int, "out": str, "plot_out": str,
-    "snapshot_every": int,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
+    A key must name one of the command's options exactly (with - or _), so
+    argparse never prefix-matches it; --config itself is not one.
+    """
+    options = {action.dest: action.option_strings[-1] for action in command._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -83,31 +64,14 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ValidationError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = value
+                flag = options.get(key.replace("-", "_"))
+                if flag is None:
+                    raise ValidationError(f"{path}:{lineno}: {command.prog} takes no "
+                                          f"config key {key!r}")
+                tokens.append(f"{flag}={value}")
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
-    for name, conv in _FIELD_TYPES.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-        elif name in file_values:
-            try:
-                setattr(cfg, name, conv(file_values[name]))
-            except ValueError as exc:
-                raise ValidationError(f"config key {name}: {exc}") from exc
-    unknown = set(file_values) - set(_FIELD_TYPES)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for path in (cfg.out, cfg.plot_out):
-        if path:
-            _check_writable(path)
-    return cfg
+    return tokens
 
 
 def _check_writable(path: str) -> None:
@@ -132,7 +96,7 @@ def _pick_m(spec, cfg) -> Optional[int]:
     return None
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: argparse.Namespace) -> int:
     if cfg.problem is None or cfg.scheme is None or cfg.k0 is None:
         raise ValidationError("converge needs --problem, --scheme and --k0")
     if cfg.coupling == COUPLING_K_EQ_H and cfg.m is not None:
@@ -179,16 +143,15 @@ def _write_field_csv(fileobj, grid, u) -> None:
         fileobj.write(fmt % tuple(block.ravel().tolist()))
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.problem is None:
         raise ValidationError("solve needs --problem")
     spec = make_problem(cfg.problem)
-    scheme = cfg.scheme if cfg.scheme is not None else ETDRK4P22IF
     T = cfg.T if cfg.T is not None else spec.default_T
     if T != 0 and cfg.k is None:
         raise ValidationError("solve needs --k (unless --T 0)")
     k = cfg.k if cfg.k is not None else 1.0
-    check_run(scheme, k, T, cfg.smoothing_steps)
+    check_run(cfg.scheme, k, T, cfg.smoothing_steps)
     m = _pick_m(spec, cfg)
     if m is None:
         raise ValidationError("solve needs a grid: give --m or --h")
@@ -206,7 +169,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_field_csv(fh, disc.grid, field)
 
-    u = integrate(disc, scheme, k, T, smoothing_steps=cfg.smoothing_steps,
+    u = integrate(disc, cfg.scheme, k, T, smoothing_steps=cfg.smoothing_steps,
                   snapshot_every=cfg.snapshot_every,
                   snapshot_cb=snapshot if cfg.snapshot_every else None)
     if cfg.out:
@@ -391,26 +354,29 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--T", type=float)
     p.add_argument("--m", type=int, help="interior nodes per axis")
     p.add_argument("--h", type=float, help="target mesh width; realized h is (b-a)/(m+1)")
-    p.add_argument("--smoothing-steps", dest="smoothing_steps", type=int)
+    p.add_argument("--smoothing-steps", dest="smoothing_steps", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--config", help="key=value config file; flags override")
+    p.add_argument("--config", help="key=value file of this command's options; flags override")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="etdsplit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("converge", help="run a refinement study")
     _add_common(pc)
     pc.add_argument("--k0", type=float, help="coarsest time step of the cascade")
-    pc.add_argument("--levels", type=int)
-    pc.add_argument("--coupling", choices=(COUPLING_K_EQ_H, COUPLING_FIXED_H))
-    pc.add_argument("--mode", choices=(MODE_EXACT, MODE_SELF))
+    pc.add_argument("--levels", type=int, default=4)
+    pc.add_argument("--coupling", choices=(COUPLING_K_EQ_H, COUPLING_FIXED_H),
+                    default=COUPLING_K_EQ_H)
+    pc.add_argument("--mode", choices=(MODE_EXACT, MODE_SELF), default=MODE_EXACT)
     pc.add_argument("--plot-out", dest="plot_out",
                     help="write two-column k,error data for log-log plotting")
 
     ps = sub.add_parser("solve", help="run a single integration")
     _add_common(ps)
+    ps.set_defaults(scheme=ETDRK4P22IF)
     ps.add_argument("--k", type=float, help="time step")
     ps.add_argument("--snapshot-every", dest="snapshot_every", type=int,
                     help="also write the field every N steps (needs --out)")
@@ -419,19 +385,26 @@ def _build_parser() -> _Parser:
     pt.add_argument("table_id", choices=TABLE_IDS, metavar="TABLE",
                     help=f"one of: {', '.join(TABLE_IDS)}")
     pt.add_argument("--levels", type=int, help="run only the first N levels")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
             return cmd_table(args.table_id, levels=args.levels)
-        cfg = _merge_config(args)
+        if args.config:
+            # argv[0] is the command; file tokens go before the flags, so flags win.
+            args = parser.parse_args(
+                argv[:1] + _config_tokens(args.config, commands[args.command]) + argv[1:])
+        for path in (args.out, getattr(args, "plot_out", None)):
+            if path:
+                _check_writable(path)
         if args.command == "converge":
-            return cmd_converge(cfg)
-        return cmd_solve(cfg)
+            return cmd_converge(args)
+        return cmd_solve(args)
     except ValidationError as exc:
         print(f"etdsplit: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ Registry:
   alpha = 1, beta = 3.4, u0 = 1/2 + y, v0 = 1 + 5x.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -166,8 +167,8 @@ def discretize(spec: ProblemSpec, m: int) -> DiscretizedProblem:
 
 def interior_count_for_h(spec: ProblemSpec, h_target: float) -> int:
     """Pick m so the realized mesh width (b-a)/(m+1) is closest to h_target."""
-    if not h_target > 0:
-        raise ValidationError(f"need target h > 0, got {h_target}")
+    if not (h_target > 0 and math.isfinite((spec.b - spec.a) / h_target)):
+        raise ValidationError(f"need target h > 0 with (b-a)/h finite, got {h_target}")
     m = int(round((spec.b - spec.a) / h_target)) - 1
     if m < 3:
         raise ValidationError(f"target h {h_target} gives m = {m} < 3")

@@ -59,6 +59,9 @@ class Grid2D:
             raise ValidationError(f"need m >= 3 interior nodes per axis, got {self.m}")
         if not self.b > self.a:
             raise ValidationError(f"empty domain [{self.a}, {self.b}]")
+        if self.p1d * self.p1d * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(f"m = {self.m} is too large: a {self.p1d} x {self.p1d} "
+                                  "float64 field exceeds numpy's index range")
 
     @property
     def h(self) -> float:

@@ -16,17 +16,18 @@ Schemes:
   oscillations from non-smooth initial data.  Always unsplit; its 2-D
   solves run in the eigenbasis of the 1-D operator.
 * ``sbdf4``       -- fourth-order semi-implicit BDF baseline with a
-  first-order semi-implicit startup run at a 2000x finer substep; its 2-D
-  solves also run in the 1-D eigenbasis.
+  first-order semi-implicit startup (sbdf1_step) run at a 2000x finer
+  substep; its 2-D solves also run in the 1-D eigenbasis.
 
 All rational functions are applied through partial fractions: each becomes
 "solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
 step is a fixed sequence of factorized solves.  States stay real throughout.
-One table, scheme_entry, maps each scheme name to its solver family, its
-shifted systems and its one-step function; build_plan and integrate read it.
-A plan holds one solver per pole in StepPlan.solvers.  check_run alone
-decides whether a run is valid and gives its step count.  Every scheme
-steps through one loop, _march; sbdf4 enters it through a step function
+One table, scheme_entry, maps each of the four scheme names to its solver
+family, its shifted systems and its one-step function; build_plan and
+integrate read it.  A plan holds one solver per pole in StepPlan.solvers.
+check_run alone decides whether a run is valid and gives its step count.
+integrate is the one function that runs a scheme: every scheme steps
+through its one loop, _march, and sbdf4 enters it through a step function
 that keeps its own history.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
@@ -34,7 +35,6 @@ uses inside its matrix products.
 """
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -58,10 +58,9 @@ ETDRK4P22IF = "etdrk4p22if"
 ETDRK4P22 = "etdrk4p22"
 SBDF4 = "sbdf4"
 SMOOTHER_ONLY = "smoother-only"
-SBDF1 = "sbdf1"
 SCHEMES = (ETDRK4P22IF, ETDRK4P22, SBDF4, SMOOTHER_ONLY)
 
-SBDF_STARTUP_SUBSTEPS = 2000  # SBDF1 substeps per coarse interval
+SBDF_STARTUP_SUBSTEPS = 2000  # sbdf1 startup substeps per coarse interval
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -147,29 +146,27 @@ class StepPlan:
     species (split scheme; each carries the shared transform as .basis), a
     sparse LU factorization (etdrk4p22) or an eigen-solver sharing one 1-D
     eigenbasis (presmoother and SBDF schemes).  The last two solve with
-    .solve(rhs).  k0 is the step of the sbdf1 system, for rows that have
-    one.  Plans are immutable.
+    .solve(rhs).  Plans are immutable.
     """
 
     scheme: str
     k: float
     disc: DiscretizedProblem
     solvers: dict
-    k0: Optional[float] = None
 
 
-def scheme_entry(scheme: str, k: float = 1.0, choices: tuple = SCHEMES) -> tuple:
+def scheme_entry(scheme: str, k: float = 1.0) -> tuple:
     """Look a scheme up in the scheme table; the one unknown-scheme check.
 
     Returns (family, systems, step).  family is the solver of every system:
     "transform" (split, 1-D transforms), "sparse" (SuperLU) or "eigen" (1-D
     eigenbasis).  systems maps each pole name to the (step, shift) of its
     system (step*A - shift*I) at step size k.  step(plan, u, t) is the
-    one-step function, None for the multistep sbdf4.  Only plans accept
-    sbdf1, the sbdf4 startup step.  The table is built per call, so it holds
-    the functions the module's names are bound to at that moment.
+    one-step function, None for the multistep sbdf4.  The table is built per
+    call, so it holds the functions the module's names are bound to at that
+    moment.
     """
-    if scheme not in choices:
+    if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     c, sm = PADE, SMOOTHER
     return {
@@ -177,17 +174,16 @@ def scheme_entry(scheme: str, k: float = 1.0, choices: tuple = SCHEMES) -> tuple
         ETDRK4P22: ("sparse", {"c1": (k, c.c1), "c2": (k, c.c2)}, etdrk4p22_step),
         SMOOTHER_ONLY: ("eigen", {"f1": (k, sm.f1), "f2": (k, sm.f2),
                                   "e1": (k, sm.e1), "e2": (k, sm.e2)}, smoother_step),
-        # Main solve (25 I + 12 k A); startup solve (I + k0 A).
+        # Main solve (25 I + 12 k A); startup substep solve (I + k/2000 A).
         SBDF4: ("eigen", {"sbdf4": (12.0 * k, -25.0),
                           "sbdf1": (k / SBDF_STARTUP_SUBSTEPS, -1.0)}, None),
-        SBDF1: ("eigen", {"sbdf1": (k, -1.0)}, sbdf1_step),
     }[scheme]
 
 
 def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     """Factorize every shifted system the scheme's step sequence solves."""
     _check_step(k)
-    family, systems, _ = scheme_entry(scheme, k, SCHEMES + (SBDF1,))
+    family, systems, _ = scheme_entry(scheme, k)
     if family == "transform":
         basis = axis_transform_basis(disc.ops.axis_op)
         solver = partial(axis_transform_solver, basis, disc.ops.diffusion)
@@ -197,8 +193,7 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
         basis = axis_eigenbasis(disc.ops.axis_op)
         solver = partial(tensor_eigen_solver, basis, disc.ops.diffusion)
     solvers = {pname: solver(k_sys, shift) for pname, (k_sys, shift) in systems.items()}
-    k0 = systems["sbdf1"][0] if "sbdf1" in systems else None
-    return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers, k0=k0)
+    return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers)
 
 
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
@@ -306,8 +301,9 @@ def smoother_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
 
 
 def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """One first-order semi-implicit step: (I + k0 A) U' = U + k0 F(U, t)."""
-    return plan.solvers["sbdf1"].solve(u + plan.k0 * plan.disc.reaction(u, t))
+    """One sbdf4 startup substep: (I + k0 A) U' = U + k0 F(U, t), k0 = k/2000."""
+    k0 = plan.k / SBDF_STARTUP_SUBSTEPS
+    return plan.solvers["sbdf1"].solve(u + k0 * plan.disc.reaction(u, t))
 
 
 def _quiet_divergence():
@@ -366,12 +362,11 @@ def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None
     return u
 
 
-def _sbdf4_step(marks: dict) -> Callable:
+def _sbdf4_step() -> Callable:
     """A step(plan, u, t) of sbdf4; it keeps the last four states and reaction values.
 
     The first three steps each cross one interval in SBDF_STARTUP_SUBSTEPS
-    sbdf1 substeps; every later step is one BDF4 solve.  marks["main"] is
-    the clock at the first BDF4 step.
+    sbdf1 substeps; every later step is one BDF4 solve.
     """
     hist_u, hist_f = [], []
 
@@ -379,35 +374,17 @@ def _sbdf4_step(marks: dict) -> Callable:
         hist_u.append(u)
         hist_f.append(plan.disc.reaction(u, t))
         if len(hist_u) < 4:
+            k0 = plan.k / SBDF_STARTUP_SUBSTEPS
             for _ in range(SBDF_STARTUP_SUBSTEPS):
                 u = sbdf1_step(plan, u, t)
-                t += plan.k0
+                t += k0
             return u
-        marks.setdefault("main", time.perf_counter())
         rhs = (48.0 * hist_u[3] - 36.0 * hist_u[2] + 16.0 * hist_u[1] - 3.0 * hist_u[0]
                + plan.k * (48.0 * hist_f[3] - 72.0 * hist_f[2] + 48.0 * hist_f[1]
                            - 12.0 * hist_f[0]))
         del hist_u[0], hist_f[0]
         return plan.solvers["sbdf4"].solve(rhs)
     return step
-
-
-def sbdf4_integrate(plan: StepPlan, u0: np.ndarray, T: float, stats: Optional[dict] = None) -> np.ndarray:
-    """Integrate to T with the fourth-order semi-implicit BDF scheme.
-
-    stats, if given, gets the startup and main seconds and the step count.
-    """
-    if plan.scheme != SBDF4:
-        raise ValidationError(f"plan was built for {plan.scheme!r}, not {SBDF4!r}")
-    n_steps = check_run(SBDF4, plan.k, T)
-    marks = {"start": time.perf_counter()}
-    u = _march(u0, plan.k, repeat(partial(_sbdf4_step(marks), plan), n_steps))
-    t_main = marks.get("main", marks["start"])  # no main step when T = 0
-    if stats is not None:
-        stats["startup_seconds"] = t_main - marks["start"]
-        stats["main_seconds"] = time.perf_counter() - t_main
-        stats["steps"] = n_steps
-    return u
 
 
 def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
@@ -423,7 +400,7 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     if n_steps == 0:
         return disc.initial()
     plan = build_plan(scheme, disc, k)
-    one_step = scheme_entry(scheme)[2] or _sbdf4_step({})
+    one_step = scheme_entry(scheme)[2] or _sbdf4_step()
     steps = repeat(partial(one_step, plan), n_steps - smoothing_steps)
     if smoothing_steps:
         smoother = plan if scheme == SMOOTHER_ONLY else build_plan(SMOOTHER_ONLY, disc, k)

@@ -6,6 +6,8 @@ the full module takes a few minutes (the semi-implicit baseline's startup
 substeps and the finest unsplit solve dominate).
 """
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -25,13 +27,13 @@ from etdsplit.steppers import (
     ETDRK4P22IF,
     PADE,
     SBDF4,
+    SBDF_STARTUP_SUBSTEPS,
     SMOOTHER_ONLY,
     build_plan,
     etdrk4p22_step,
     etdrk4p22if_step,
     integrate,
     sbdf1_step,
-    sbdf4_integrate,
     smoother_step,
 )
 from helpers import apply_axis, dense_axis_solvers, etdrk4p22if_kernel, zero_reaction_disc
@@ -151,16 +153,19 @@ def test_criterion_6_sbdf4_baseline():
     report = run_study(make_problem("model_dirichlet"), SBDF4, 0.1, 4,
                        MODE_EXACT, COUPLING_K_EQ_H, 1.0, h_target=0.0785)
     errors = report.errors()
-    stats = {}
+    # The clock at each step's snapshot: startup runs from step 1 to step 3
+    # (two of the three startup intervals), main from step 3 to step 10.
+    clock = []
     disc = discretize(make_problem("model_dirichlet"), 39)
-    plan = build_plan(SBDF4, disc, 0.1)
-    sbdf4_integrate(plan, disc.initial(), 1.0, stats=stats)
+    integrate(disc, SBDF4, 0.1, 1.0, snapshot_every=1,
+              snapshot_cb=lambda step, t, u: clock.append(time.perf_counter()))
+    startup_s, main_s = clock[2] - clock[0], clock[9] - clock[2]
     ok = (_orders_within(report.orders(), TABLEA1_SBDF4_ORDERS, 0.3)
           and all(errors[i] > errors[i + 1] for i in range(3))
-          and stats["startup_seconds"] > stats["main_seconds"])
+          and len(clock) == 10 and startup_s > main_s)
     _gate(6, "semi-implicit BDF4 baseline", ok,
           f"orders {['%.2f' % o for o in report.orders()]}, startup "
-          f"{stats['startup_seconds']:.2f}s vs main {stats['main_seconds']:.2f}s")
+          f"{startup_s:.2f}s vs main {main_s:.2f}s")
 
 
 def test_criterion_7_splitting_speedup(table1_if, table1_unsplit):
@@ -242,7 +247,7 @@ def test_criterion_8_property_suite():
         "split": etdrk4p22if_step(build_plan(ETDRK4P22IF, disc, 0.2), const, 0.0),
         "unsplit": etdrk4p22_step(build_plan(ETDRK4P22, disc, 0.2), const, 0.0),
         "smoother": smoother_step(build_plan(SMOOTHER_ONLY, disc, 0.2), const, 0.0),
-        "sbdf1": sbdf1_step(build_plan("sbdf1", disc, 0.2), const, 0.0),
+        "sbdf1": sbdf1_step(build_plan(SBDF4, disc, 0.2 * SBDF_STARTUP_SUBSTEPS), const, 0.0),
     }
     for label, out in steps.items():
         if np.max(np.abs(out - 5.0)) > 1e-12 * 5.0:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import etdsplit.analysis as analysis
 import etdsplit.cli as cli
+import etdsplit.problems as problems
 import etdsplit.steppers as steppers
 from etdsplit.analysis import _fmt
 from etdsplit.errors import DivergenceError, SingularSystemError
@@ -166,6 +167,58 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.main(["converge", "--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+def _exit_code(argv):
+    """cli.main's exit code, also when argparse rejects the input by SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command,line,words", [
+    pytest.param("solve", "k0 = 0.1", "'k0'", id="solve-k0"),
+    pytest.param("converge", "k = 0.1", "'k'", id="converge-k"),
+    pytest.param("converge", "snapshot_every = 2", "'snapshot_every'",
+                 id="converge-snapshot_every"),
+    pytest.param("converge", "lev = 1", "'lev'", id="prefix-lev"),
+    pytest.param("solve", "config = other.cfg", "'config'", id="config"),
+    pytest.param("solve", "m = x", "invalid int value", id="m-not-int"),
+    pytest.param("converge", "scheme = rk45", "invalid choice", id="scheme-rk45"),
+])
+def test_config_key_contract(command, line, words, tmp_path, monkeypatch, capsys):
+    # a key the command does not take, or a value its flag would reject, exits 1
+    # with one line before any compute
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the config file was checked")
+    monkeypatch.setattr(cli, "discretize", no_compute)
+    monkeypatch.setattr(cli, "run_study", no_compute)
+    valid = {"solve": "k = 0.25\n",
+             "converge": "k0 = 0.25\nlevels = 1\nmode = self\ncoupling = fixed_h\n"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = enzyme\nscheme = etdrk4p22if\nm = 5\nT = 1\n"
+                   + valid[command] + line + "\n")
+    code = _exit_code([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and words in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("line,flag", [
+    pytest.param("m = 3", ["--m", "5"], id="int"),
+    pytest.param("k = 0.5", ["--k", "0.25"], id="float"),
+    pytest.param("scheme = sbdf4", ["--scheme", "etdrk4p22if"], id="choices"),
+])
+def test_config_flag_overrides_file(line, flag, tmp_path):
+    argv = ["solve", "--problem", "enzyme", "--m", "5", "--k", "0.25", "--T", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "flags.csv")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = enzyme\nT = 1\nm = 5\nk = 0.25\n" + line + "\n")
+    assert cli.main(["solve", "--config", str(cfg)] + flag
+                    + ["--out", str(tmp_path / "merged.csv")]) == 0
+    assert (tmp_path / "merged.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
 def test_solve_t_zero_echoes_initial(tmp_path):
     out = tmp_path / "field.csv"
     code = cli.main(["solve", "--problem", "model_dirichlet", "--m", "9",
@@ -298,6 +351,31 @@ def test_out_of_memory_exits_one_with_one_line(message, monkeypatch, capsys):
     assert code == 1
     assert captured.err.count("\n") == 1 and "out of memory" in captured.err
     assert (message or "allocation failed") in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--problem", "enzyme", "--h", "1e-310", "--k", "0.25", "--T", "1"],
+                 id="h-1e-310"),
+    pytest.param(["solve", "--problem", "enzyme", "--h", "1e-20", "--k", "0.25", "--T", "1"],
+                 id="h-1e-20"),
+    pytest.param(["solve", "--problem", "enzyme", "--m", "100000000000", "--k", "0.25",
+                  "--T", "1"], id="m-1e11"),
+    pytest.param(["converge", "--problem", "enzyme", "--scheme", "etdrk4p22if", "--k0", "0.1",
+                  "--levels", "2", "--mode", "self", "--coupling", "fixed_h",
+                  "--m", "100000000000"], id="converge-m-1e11"),
+    pytest.param(["converge", "--problem", "model_dirichlet", "--scheme", "etdrk4p22if",
+                  "--k0", "0.1", "--levels", "2", "--h", "1e-20"], id="converge-h-1e-20"),
+])
+def test_oversized_grid_exits_one_before_any_array(argv, monkeypatch, capsys):
+    # the grid size is checked before the operator or any field is allocated
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was allocated before the grid size was checked")
+    monkeypatch.setattr(problems, "assemble_split", no_arrays)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -464,8 +542,8 @@ def _flag(values):
 # the missing-flag checks (tested above) to the values.
 _COMMON_FLAGS = {
     "--problem": st.sampled_from(PROBLEM_NAMES),
-    "--m": _flag(("-1", "0", "2", "3", "5", "9")),
-    "--h": _flag(("0.25", "-1", "nan")),
+    "--m": _flag(("-1", "0", "2", "3", "5", "9", "100000000000")),
+    "--h": _flag(("0.25", "-1", "nan", "1e-310", "1e-20")),
     "--T": _flag(_NUMBERS),
     "--smoothing-steps": _flag(("-1", "0", "1", "3")),
 }
@@ -481,7 +559,11 @@ _COMMAND_FLAGS = {
 
 @st.composite
 def _cli_inputs(draw):
-    """argv for solve or converge; the scheme goes by flag or config file."""
+    """argv for solve or converge; the scheme goes by flag or config file.
+
+    The config file also gets one more key = value line, drawn from the
+    options of either command.
+    """
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     argv = [command]
     for name, values in {**_COMMON_FLAGS, **_COMMAND_FLAGS[command]}.items():
@@ -490,20 +572,23 @@ def _cli_inputs(draw):
             argv += [name, value]
     scheme = draw(st.sampled_from(steppers.SCHEMES + ("rk45",)))
     in_config = draw(st.booleans())
+    flags = {**_COMMON_FLAGS, **_COMMAND_FLAGS["solve"], **_COMMAND_FLAGS["converge"]}
+    key = draw(st.sampled_from(sorted(flags)))
+    config_line = f"{key[2:]} = {draw(flags[key].filter(lambda v: v is not None))}\n"
     with_out = draw(st.booleans())
-    return argv, scheme, in_config, with_out
+    return argv, scheme, in_config, config_line, with_out
 
 
 @settings(max_examples=100, deadline=None)
 @given(_cli_inputs())
 def test_cli_fuzz_exit_code_and_one_line(inputs):
-    argv, scheme, in_config, with_out = inputs
+    argv, scheme, in_config, config_line, with_out = inputs
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
         if in_config:
             config = os.path.join(tmp, "run.cfg")
             with open(config, "w", encoding="utf-8") as fh:
-                fh.write(f"scheme = {scheme}\n")
+                fh.write(f"scheme = {scheme}\n" + config_line)
             argv += ["--config", config]
         else:
             argv += ["--scheme", scheme]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
@@ -285,8 +285,11 @@ def test_eigen_solve_matches_sparse_lu(grid, diffusion, k, system, seed):
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(3, 8), diffusion=diffusions, k=st.floats(1e-4, 0.5),
        system=st.sampled_from(EIGEN_SYSTEMS), value=st.floats(-10.0, 10.0))
+@example(m=3, diffusion=(1.0,), k=0.5, system=EIGEN_SYSTEMS[1], value=5e-324)
 def test_eigen_solve_preserves_constants_on_neumann_grids(m, diffusion, k, system, value):
     # A annihilates constants under zero-flux boundaries: (kA - shift) c = -shift c.
+    # The absolute floor, 1e-12 * tiny, keeps the bound above the spacing of
+    # subnormal values; for |value| >= 1e-300 it is under 1e-6 of the bound.
     _, k_mult, shift = system
     grid = Grid2D(a=0.0, b=1.0, m=m, bc=NEUMANN)
     ops = assemble_split(grid, diffusion)
@@ -294,7 +297,8 @@ def test_eigen_solve_preserves_constants_on_neumann_grids(m, diffusion, k, syste
                                  k_mult * k, shift)
     const = np.full((len(diffusion), grid.p1d, grid.p1d), value)
     got = solver.solve(const)
-    assert np.max(np.abs(got - value / -shift)) <= 1e-12 * abs(value / shift)
+    bound = 1e-12 * abs(value / shift) + 1e-12 * np.finfo(float).tiny
+    assert np.max(np.abs(got - value / -shift)) <= bound
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +24,8 @@ from etdsplit.steppers import (
     ETDRK4P22,
     ETDRK4P22IF,
     PADE,
-    SBDF1,
     SBDF4,
+    SBDF_STARTUP_SUBSTEPS,
     SCHEMES,
     SMOOTHER_ONLY,
     StepPlan,
@@ -33,7 +34,6 @@ from etdsplit.steppers import (
     etdrk4p22if_step,
     integrate,
     sbdf1_step,
-    sbdf4_integrate,
     scheme_entry,
     smoother_step,
 )
@@ -68,14 +68,12 @@ def test_plan_pole_sets_per_scheme():
     disc = discretize(make_problem("enzyme"), 4)
     assert set(build_plan(ETDRK4P22, disc, 0.1).solvers) == {"c1", "c2"}
     assert set(build_plan(SMOOTHER_ONLY, disc, 0.1).solvers) == {"f1", "f2", "e1", "e2"}
-    plan = build_plan(SBDF4, disc, 0.1)
-    assert set(plan.solvers) == {"sbdf4", "sbdf1"}
-    assert plan.k0 == pytest.approx(0.1 / 2000.0)
-    assert build_plan(SBDF1, disc, 0.1).k0 == 0.1
-    assert build_plan(ETDRK4P22IF, disc, 0.1).k0 is None
+    assert set(build_plan(SBDF4, disc, 0.1).solvers) == {"sbdf4", "sbdf1"}
+    # the startup system steps k / SBDF_STARTUP_SUBSTEPS, the step sbdf1_step takes
+    assert scheme_entry(SBDF4, 0.1)[1]["sbdf1"] == (0.1 / 2000.0, -1.0)
 
 
-@pytest.mark.parametrize("scheme", [SMOOTHER_ONLY, SBDF4, "sbdf1"])
+@pytest.mark.parametrize("scheme", [SMOOTHER_ONLY, SBDF4])
 def test_plan_full_operator_eigen_solvers_share_one_basis(scheme):
     disc = discretize(make_problem("brusselator"), 4)
     facts = build_plan(scheme, disc, 0.1).solvers.values()
@@ -250,8 +248,8 @@ def test_presmoothing_benchmark_value():
 
 # ---- semi-implicit BDF ----
 
-def _artificial_plan(scheme, k, a_coef=1.0):
-    """Plan whose operator is a*I on a 3x3 Dirichlet grid, zero reaction."""
+def _artificial_plan(k, a_coef=1.0):
+    """sbdf4 plan whose operator is a*I on a 3x3 Dirichlet grid, zero reaction."""
     grid = Grid2D(0.0, 1.0, 3, DIRICHLET)
     spec = ProblemSpec(name="scalar", a=0.0, b=1.0, bc=DIRICHLET, species=1,
                        diffusion=(1.0,), reaction=lambda u, t: np.zeros_like(u),
@@ -260,21 +258,26 @@ def _artificial_plan(scheme, k, a_coef=1.0):
     disc = discretize(spec, 3)
     op = FullOperator(grid=grid, diffusion=(1.0,),
                       blocks=(a_coef * sparse.identity(9, format="csr"),))
-    if scheme == SBDF4:
-        facts = {"sbdf4": factorize_full(op, 12.0 * k, -25.0),
-                 "sbdf1": factorize_full(op, k / 2000.0, -1.0)}
-        return StepPlan(scheme=SBDF4, k=k, disc=disc, solvers=facts, k0=k / 2000.0)
-    facts = {"sbdf1": factorize_full(op, k, -1.0)}
-    return StepPlan(scheme="sbdf1", k=k, disc=disc, solvers=facts, k0=k)
+    facts = {"sbdf4": factorize_full(op, 12.0 * k, -25.0),
+             "sbdf1": factorize_full(op, k / 2000.0, -1.0)}
+    return StepPlan(scheme=SBDF4, k=k, disc=disc, solvers=facts)
+
+
+def _integrate_artificial(monkeypatch, k, a_coef):
+    """integrate an sbdf4 run on the _artificial_plan operator to T = 2."""
+    plan = _artificial_plan(k, a_coef)
+    monkeypatch.setattr(steppers, "build_plan", lambda scheme, disc, k: plan)
+    return integrate(plan.disc, SBDF4, k, 2.0)
 
 
 def test_sbdf1_identity_and_scalar_decay():
-    plan = _artificial_plan("sbdf1", 0.25, a_coef=0.0)
+    # an sbdf4 plan at k = 500 takes startup substeps of 0.25
+    plan = _artificial_plan(0.25 * SBDF_STARTUP_SUBSTEPS, a_coef=0.0)
     u = np.full((1, 3, 3), 1.3)
     np.testing.assert_allclose(sbdf1_step(plan, u, 0.0), u, rtol=1e-14)
 
     a = 2.0
-    plan = _artificial_plan("sbdf1", 0.25, a_coef=a)
+    plan = _artificial_plan(0.25 * SBDF_STARTUP_SUBSTEPS, a_coef=a)
     got = sbdf1_step(plan, u, 0.0)
     np.testing.assert_allclose(got, u / (1.0 + 0.25 * a), rtol=1e-13)
 
@@ -289,7 +292,7 @@ def test_sbdf1_first_order_against_dense_exponential():
     errs = []
     for n_sub in (50, 100):
         k0 = 0.1 / n_sub
-        plan = build_plan("sbdf1", disc, k0)
+        plan = build_plan(SBDF4, disc, k0 * SBDF_STARTUP_SUBSTEPS)
         u, t = u0, 0.0
         for _ in range(n_sub):
             u = sbdf1_step(plan, u, t)
@@ -298,18 +301,15 @@ def test_sbdf1_first_order_against_dense_exponential():
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
 
 
-def test_sbdf4_identity_dynamics():
-    plan = _artificial_plan(SBDF4, 0.25, a_coef=0.0)
-    u0 = np.full((1, 3, 3), 0.7)
-    got = sbdf4_integrate(plan, u0, 2.0)
-    np.testing.assert_allclose(got, u0, rtol=0, atol=1e-13)
+def test_sbdf4_identity_dynamics(monkeypatch):
+    got = _integrate_artificial(monkeypatch, 0.25, a_coef=0.0)
+    np.testing.assert_allclose(got, np.full((1, 3, 3), 0.7), rtol=0, atol=1e-13)
 
 
-def test_sbdf4_scalar_fourth_order_decay():
+def test_sbdf4_scalar_fourth_order_decay(monkeypatch):
     errs = []
     for k in (0.4, 0.2, 0.1):
-        plan = _artificial_plan(SBDF4, k, a_coef=1.0)
-        u = sbdf4_integrate(plan, np.full((1, 3, 3), 0.7), 2.0)
+        u = _integrate_artificial(monkeypatch, k, a_coef=1.0)
         errs.append(abs(u[0, 0, 0] - 0.7 * math.exp(-2.0)))
     assert errs[0] > errs[1] > errs[2]
     overall_order = math.log2(errs[0] / errs[2]) / 2.0
@@ -317,24 +317,22 @@ def test_sbdf4_scalar_fourth_order_decay():
 
 
 def test_sbdf4_benchmark_value_and_stats():
+    # the clock at each step's snapshot: startup runs from step 1 to step 3
+    # (two startup intervals), main from step 3 to step 10 (seven BDF4 steps)
     disc = discretize(make_problem("model_dirichlet"), 39)
-    plan = build_plan(SBDF4, disc, 0.1)
-    stats = {}
-    u = sbdf4_integrate(plan, disc.initial(), 1.0, stats=stats)
+    clock = []
+    u = integrate(disc, SBDF4, 0.1, 1.0, snapshot_every=1,
+                  snapshot_cb=lambda step, t, field: clock.append(time.perf_counter()))
     err = np.max(np.abs(u - disc.exact(1.0)))
     assert err == pytest.approx(2.2150e-4, rel=0.05)
-    assert stats["steps"] == 10
-    assert stats["startup_seconds"] > stats["main_seconds"]
+    assert len(clock) == 10
+    assert clock[2] - clock[0] > clock[9] - clock[2]
 
 
 def test_sbdf4_validations():
     disc = discretize(make_problem("enzyme"), 4)
-    plan = build_plan(SBDF4, disc, 0.5)
     with pytest.raises(ValidationError):
-        sbdf4_integrate(plan, disc.initial(), 1.0)  # only 2 steps
-    wrong = build_plan(ETDRK4P22, disc, 0.5)
-    with pytest.raises(ValidationError):
-        sbdf4_integrate(wrong, disc.initial(), 4.0)
+        integrate(disc, SBDF4, 0.5, 1.0)  # only 2 steps
 
 
 # ---- dense exponential reference step ----
@@ -468,10 +466,10 @@ def test_scheme_entry_is_the_one_name_check():
         plan = build_plan(scheme, disc, 0.1)
         assert set(systems) == set(plan.solvers)
         assert (step is None) == (scheme == SBDF4)
-    assert scheme_entry(SBDF1, 0.1, SCHEMES + (SBDF1,))[2] is sbdf1_step
-    for call in (lambda: scheme_entry(SBDF1), lambda: scheme_entry("rk45"),
-                 lambda: build_plan("rk45", disc, 0.1),
-                 lambda: integrate(disc, SBDF1, 0.25, 1.0)):
+    # sbdf1, the sbdf4 startup substep, is no scheme of its own
+    for call in (lambda: scheme_entry("sbdf1"), lambda: scheme_entry("rk45"),
+                 lambda: build_plan("sbdf1", disc, 0.1),
+                 lambda: integrate(disc, "sbdf1", 0.25, 1.0)):
         with pytest.raises(ValidationError, match="unknown scheme"):
             call()
 
