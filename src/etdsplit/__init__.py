@@ -16,11 +16,8 @@ from .spatial import (
     AXIS_Y,
     DIRICHLET,
     NEUMANN,
-    AxisOperator,
     Grid2D,
-    SplitOperators,
-    assemble_split,
-    build_axis_operator,
+    axis_matrix,
 )
 from .steppers import (
     ETDRK4P22,

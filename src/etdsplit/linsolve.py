@@ -10,22 +10,25 @@ Three solve paths exist, matching the scheme families:
   diagonalizes it, apart from the two Dirichlet edge rows, which a rank-2
   Woodbury term with a 2 x 2 capacitance matrix restores (Buzbee, Golub &
   Nielson, SIAM J. Numer. Anal. 7 (1970); Buzbee, Dorr, George & Golub,
-  SIAM J. Numer. Anal. 8 (1971)).  A solve is then a real diagonal scaling
-  of the transformed field plus, for Dirichlet, a rank-4 real product; the
-  plan costs O(p) per pole and species.
+  SIAM J. Numer. Anal. 8 (1971)).  The symbol and the edge rows come from
+  the grid and the stencil constants of spatial; B itself is never built.
+  A solve is then a real diagonal scaling of the transformed field plus,
+  for Dirichlet, a rank-4 real product; the plan costs O(p) per pole and
+  species.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
   Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).  With the real
-  eigendecomposition B = V diag(lam) V^-1, a species block solves as
+  eigendecomposition B = V diag(lam) V^-1 of the dense spatial.axis_matrix,
+  a species block solves as
   V ((V^-1 R V^-T) / (-k d (lam_i + lam_j) - shift)) V^T: four real p x p
   matrix products.
 
 * Sparse LU of the full 2-D operator, block-diagonal over species, for the
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
-  is measured against.  Only this family uses scipy.sparse: assemble_full
-  and factorize_full import it when first called, so a run of any other
-  scheme never loads it.
+  is measured against.  assemble_full converts the dense B to CSR.  Only
+  this family uses scipy.sparse: assemble_full and factorize_full import it
+  when first called, so a run of any other scheme never loads it.
 
 Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.
@@ -39,19 +42,14 @@ import scipy.fft
 
 from .errors import ShapeError, SingularSystemError, ValidationError
 from .spatial import (
+    _DIRICHLET_EDGE,
     AXIS_X,
     AXIS_Y,
     DIRICHLET,
     INTERIOR_STENCIL,
-    AxisOperator,
     Grid2D,
-    assemble_split,
+    axis_matrix,
 )
-
-# Largest entry of B minus its reflected stencil, outside the edge rows the
-# boundary kind allows, relative to max |B|.  The assembled operator matches
-# to the last bit; anything larger means the transform does not diagonalize B.
-_REFLECTION_TOL = 1e-13
 
 # Eigenvalues of B with |imag| above this fraction of max |lam| are treated as
 # genuinely complex; the fourth-order operator's are real to the last bit.
@@ -95,65 +93,32 @@ class AxisTransformBasis:
         return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1))
 
 
-def _reflected_entries(p: int, bc: str):
-    """(rows, cols, coefficients) of the interior stencil closed by reflection.
-
-    Coefficients are in units of 1/(12 h^2).  Dirichlet unknowns are the
-    nodes between two zero walls (unknown indices -1 and p), reflected
-    oddly; Neumann unknowns include the walls (indices 0 and p-1), reflected
-    evenly.  A (row, col) pair may repeat; repeats add.
-    """
-    lo, hi, sign = (-1, p, -1.0) if bc == DIRICHLET else (0, p - 1, 1.0)
-    rows = np.tile(np.arange(p), len(INTERIOR_STENCIL))
-    cols = rows + np.repeat(np.arange(-2, 3), p)
-    coef = np.repeat(INTERIOR_STENCIL, p)
-    for beyond, wall in ((cols < lo, lo), (cols > hi, hi)):
-        cols[beyond] = 2 * wall - cols[beyond]
-        coef[beyond] *= sign
-    inside = (cols >= 0) & (cols < p)  # a Dirichlet wall column holds a zero
-    return rows[inside], cols[inside], coef[inside]
-
-
-def axis_transform_basis(axis_op: AxisOperator) -> AxisTransformBasis:
-    """Diagonalize B by its type-1 transform; every pole and species shares it.
-
-    Raises ValidationError when B differs from the reflected stencil outside
-    the rows the boundary kind allows (the two Dirichlet edge rows).  The
-    comparison runs over the stored diagonals only, in O(p).
-    """
-    p, h, bc = axis_op.p1d, axis_op.h, axis_op.bc
-    # Both operators in diagonal storage: diff[k, j] is entry (j - offsets[k], j).
-    offsets = np.union1d(axis_op.offsets, np.arange(-2, 3))
-    rows, cols, coef = _reflected_entries(p, bc)
-    reflected = np.zeros((len(offsets), p))
-    np.add.at(reflected, (np.searchsorted(offsets, cols - rows), cols), coef)
-    diff = -reflected / (12.0 * h * h)
-    np.add.at(diff, np.searchsorted(offsets, axis_op.offsets), axis_op.data)
-    diff_rows = np.arange(p) - offsets[:, np.newaxis]
-    diff[(diff_rows < 0) | (diff_rows >= p)] = 0.0  # slots outside the matrix
-    edges = [0, p - 1] if bc == DIRICHLET else []
-    scale = np.max(np.abs(axis_op.data), initial=0.0)
-    off_pattern = np.abs(diff) > _REFLECTION_TOL * scale
-    if np.any(off_pattern & ~np.isin(diff_rows, edges)):
-        raise ValidationError(
-            f"1-D operator is not the reflection-closed {bc} stencil outside its edge rows")
+def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
+    """Diagonalize the grid's B by its type-1 transform; every pole and species shares it."""
+    p, h, bc = grid.p1d, grid.h, grid.bc
     if bc == DIRICHLET:
         theta = np.pi * np.arange(1, p + 1) / (p + 1)
     else:
         theta = np.pi * np.arange(p) / (p - 1)
     lam = sum(c * np.cos(off * theta) for off, c in zip(range(-2, 3), INTERIOR_STENCIL))
     lam /= 12.0 * h * h
-    u_hat = v_hat = None
-    if edges:
-        unit = np.zeros((p, 2))
-        edge_rows = np.zeros((p, 2))  # V: B's edge rows minus the reflected ones
-        for k, row in enumerate(edges):
-            unit[row, k] = 1.0
-            on_row = diff_rows == row
-            edge_rows[np.nonzero(on_row)[1], k] = diff[on_row]
-        u_hat = scipy.fft.dst(unit, type=1, axis=0)
-        # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
-        v_hat = scipy.fft.idst(edge_rows, type=1, axis=0)
+    if bc != DIRICHLET:
+        return AxisTransformBasis(bc=bc, lam=lam, u_hat=None, v_hat=None)
+    # V's first column: B's first row minus the oddly reflected stencil's,
+    # whose -2 tap folds onto the first unknown with its sign flipped:
+    # (-29, 16, -1, 0).  Both truncate to p; the last column is the mirror.
+    c = 12.0 * h * h
+    s = INTERIOR_STENCIL
+    n = min(p, 4)
+    reflected, edge = np.zeros(p), np.zeros(p)
+    reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
+    edge[:n] = _DIRICHLET_EDGE[:n]
+    first = (-reflected / c) + (edge / c)
+    unit = np.zeros((p, 2))
+    unit[0, 0] = unit[p - 1, 1] = 1.0
+    u_hat = scipy.fft.dst(unit, type=1, axis=0)
+    # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
+    v_hat = scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0)
     return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat)
 
 
@@ -254,13 +219,12 @@ def assemble_full(grid: Grid2D, diffusion) -> FullOperator:
     """Assemble sparse A = A1 + A2 per species for the unsplit schemes."""
     import scipy.sparse as sparse
 
-    split = assemble_split(grid, diffusion)
-    b_op = split.axis_op
-    b = sparse.dia_matrix((b_op.data, b_op.offsets), shape=(b_op.p1d, b_op.p1d)).tocsr()
+    b = sparse.csr_matrix(axis_matrix(grid))
     eye = sparse.identity(grid.p1d, format="csr")
     lap = sparse.kron(b, eye, format="csr") + sparse.kron(eye, b, format="csr")
-    blocks = tuple((-d) * lap for d in split.diffusion)
-    return FullOperator(grid=grid, diffusion=split.diffusion, blocks=blocks)
+    diffusion = tuple(diffusion)
+    blocks = tuple((-d) * lap for d in diffusion)
+    return FullOperator(grid=grid, diffusion=diffusion, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -319,13 +283,13 @@ class AxisEigenbasis:
     v_inv_t: np.ndarray
 
 
-def axis_eigenbasis(axis_op: AxisOperator) -> AxisEigenbasis:
-    """Diagonalize B once; every pole and species of a plan shares the result.
+def axis_eigenbasis(b: np.ndarray) -> AxisEigenbasis:
+    """Diagonalize the dense 1-D operator b once; every pole and species of a plan shares it.
 
     Raises SingularSystemError when B has complex eigenvalues or its
     eigenvector matrix is worse conditioned than EIGEN_COND_MAX.
     """
-    lam, v = np.linalg.eig(axis_op.toarray())
+    lam, v = np.linalg.eig(b)
     scale = np.max(np.abs(lam), initial=0.0)
     imag = np.max(np.abs(lam.imag), initial=0.0)
     if imag > _EIG_IMAG_TOL * scale:

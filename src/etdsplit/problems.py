@@ -18,6 +18,9 @@ Registry:
 * brusselator     -- two-species oscillator on (0,1)^2 with zero-flux
   boundaries, diffusion 2e-3 for both species, kinetics parameters
   alpha = 1, beta = 3.4, u0 = 1/2 + y, v0 = 1 + 5x.
+
+discretize binds a problem to a grid and builds no array: the grid and the
+spec's diffusion coefficients are all a solver needs to derive its operator.
 """
 
 import math
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .spatial import DIRICHLET, NEUMANN, Grid2D, SplitOperators, assemble_split
+from .spatial import DIRICHLET, NEUMANN, Grid2D
 
 BRUSSELATOR_ALPHA = 1.0
 BRUSSELATOR_BETA = 3.4
@@ -144,11 +147,10 @@ def eval_exact(spec: ProblemSpec, grid: Grid2D, t: float):
 
 @dataclass(frozen=True)
 class DiscretizedProblem:
-    """A problem bound to a concrete grid, with split operators built."""
+    """A problem bound to a concrete grid; the grid is the discretization."""
 
     spec: ProblemSpec
     grid: Grid2D
-    ops: SplitOperators
 
     def reaction(self, u: np.ndarray, t: float) -> np.ndarray:
         return eval_reaction(self.spec, u, t)
@@ -161,8 +163,17 @@ class DiscretizedProblem:
 
 
 def discretize(spec: ProblemSpec, m: int) -> DiscretizedProblem:
+    """Bind spec to its grid with m interior nodes per axis.
+
+    A user-built spec is outside input, so its diffusion coefficients are
+    checked here: one finite positive value per species.
+    """
     grid = Grid2D(a=spec.a, b=spec.b, m=m, bc=spec.bc)
-    return DiscretizedProblem(spec=spec, grid=grid, ops=assemble_split(grid, spec.diffusion))
+    d = spec.diffusion
+    if np.shape(d) != (spec.species,) or not all(x > 0 and math.isfinite(x) for x in d):
+        raise ValidationError(
+            f"need {spec.species} finite positive diffusion coefficients, got {d!r}")
+    return DiscretizedProblem(spec=spec, grid=grid)
 
 
 def interior_count_for_h(spec: ProblemSpec, h_target: float) -> int:

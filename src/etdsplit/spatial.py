@@ -18,10 +18,14 @@ m+2 for homogeneous Neumann boundaries (all nodes are unknowns).
 Under this ordering, (B kron I) applies B along y (stride p) and (I kron B)
 applies B along x (contiguous runs).
 
-B is held as numpy arrays in diagonal storage; the sparse 2-D operator of
-the unsplit scheme is assembled in linsolve, next to its factorization.
+The grid is the discretization: B depends on nothing but the grid, and
+axis_matrix is the one place its entries are written.  No operator object
+is built per run; each solver family derives what it needs from the grid
+(the split scheme only B's transform symbol and its Dirichlet edge rows,
+see linsolve), and the diffusion coefficients stay with the problem.
 """
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +44,6 @@ INTERIOR_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)   # centered, offsets -2..2
 _DIRICHLET_EDGE = (-20.0, 6.0, 4.0, -1.0)            # first unknown row, offsets 0..3
 _NEUMANN_CORNER = (-30.0, 32.0, -2.0)                # boundary node row, offsets 0..2
 _NEUMANN_EDGE = (16.0, -31.0, 16.0, -1.0)            # next-to-boundary row, offsets -1..2
-_BANDWIDTH = 3                                       # widest row reach, the Dirichlet edge
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,19 @@ class Grid2D:
             raise ValidationError(f"need m >= 3 interior nodes per axis, got {self.m}")
         if not self.b > self.a:
             raise ValidationError(f"empty domain [{self.a}, {self.b}]")
-        if self.p1d * self.p1d * 8 > np.iinfo(np.intp).max:
+        nbytes = self.p1d * self.p1d * 8
+        if nbytes > np.iinfo(np.intp).max:
             raise ValidationError(f"m = {self.m} is too large: a {self.p1d} x {self.p1d} "
                                   "float64 field exceeds numpy's index range")
+        # Every run holds (p, p) fields: a grid whose field cannot be
+        # allocated fails here, before any O(p) work.  The probe maps the
+        # field's size as malloc would and unmaps it untouched, so it costs
+        # no memory and stays off the Python heap.
+        try:
+            mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE).close()
+        except OSError as exc:
+            raise MemoryError(f"cannot allocate a {self.p1d} x {self.p1d} float64 field "
+                              f"({nbytes / 2 ** 30:.3g} GiB)") from exc
 
     @property
     def h(self) -> float:
@@ -86,80 +99,35 @@ class Grid2D:
         return np.meshgrid(x, x)
 
 
-@dataclass(frozen=True)
-class AxisOperator:
-    """Banded 1-D matrix B ~ d^2/dx^2 over the unknowns of one axis.
+def axis_matrix(grid: Grid2D) -> np.ndarray:
+    """The 1-D fourth-order operator B ~ d^2/dx^2 over one axis, as a dense (p, p) array.
 
-    Diagonal storage, laid out as scipy's dia_matrix lays it out: data[k, j]
-    holds entry (j - offsets[k], j) of the p x p matrix; lower/upper
-    bandwidth <= 3.  For Neumann boundaries every row sums to zero exactly,
-    so constants lie in the kernel.
+    The one statement of B's entries.  Interior rows carry the centered
+    stencil (-1, 16, -30, 16, -1)/(12 h^2).  Near-boundary rows close the
+    stencil according to the boundary kind: homogeneous Dirichlet eliminates
+    the known boundary values and uses a one-sided fourth-degree
+    interpolation row next to each wall; homogeneous Neumann folds the ghost
+    values back with even symmetry, keeping every node (including the wall
+    nodes) as an unknown, so every row sums to zero and constants lie in
+    the kernel.  Bandwidth is at most 3.
     """
-
-    data: np.ndarray     # (diagonals, p)
-    offsets: np.ndarray  # (diagonals,) int32
-    h: float
-    bc: str
-
-    @property
-    def p1d(self) -> int:
-        return self.data.shape[1]
-
-    def toarray(self) -> np.ndarray:
-        p = self.p1d
-        dense = np.zeros((p, p))
-        for off, diag in zip(self.offsets, self.data):
-            dense += np.diag(diag[max(off, 0):p + min(off, 0)], off)
-        return dense
-
-
-def build_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
-    """Assemble the 1-D fourth-order operator for one axis.
-
-    Interior rows carry the centered stencil (-1, 16, -30, 16, -1)/(12 h^2).
-    Near-boundary rows close the stencil according to the boundary kind:
-    homogeneous Dirichlet eliminates the known boundary values and uses a
-    one-sided fourth-degree interpolation row next to each wall; homogeneous
-    Neumann folds the ghost values back with even symmetry, keeping every
-    node (including the wall nodes) as an unknown.
-    """
-    if m < 3:
-        raise ValidationError(f"need m >= 3, got {m}")
-    if not h > 0:
-        raise ValidationError(f"need h > 0, got {h}")
-    if bc not in BOUNDARY_KINDS:
-        raise ValidationError(f"unknown boundary kind {bc!r}")
-
-    # Stencil coefficients in units of 1/(12 h^2); only the band is touched.
-    if bc == DIRICHLET:
+    p = grid.p1d
+    b = np.zeros((p, p))
+    # Stencil coefficients in units of 1/(12 h^2).
+    if grid.bc == DIRICHLET:
         # Coefficients that fall on boundary columns multiply known zeros
         # and are dropped, which truncates the edge rows when m is small.
-        p = m
-        dense = np.zeros((p, p))
-        _set_interior_rows(dense, np.arange(1, p - 1))
+        _set_interior_rows(b, np.arange(1, p - 1))
         edge = _DIRICHLET_EDGE[:p]
-        dense[0, :len(edge)] = edge
-        dense[p - 1, p - len(edge):] = edge[::-1]
+        b[0, :len(edge)] = edge
+        b[p - 1, p - len(edge):] = edge[::-1]
     else:
-        p = m + 2
-        dense = np.zeros((p, p))
-        _set_interior_rows(dense, np.arange(2, p - 2))
-        dense[0, : len(_NEUMANN_CORNER)] = _NEUMANN_CORNER
-        dense[p - 1, p - len(_NEUMANN_CORNER):] = _NEUMANN_CORNER[::-1]
-        dense[1, 0:4] = _NEUMANN_EDGE
-        dense[p - 2, p - 4: p] = _NEUMANN_EDGE[::-1]
-
-    # Diagonal storage as dia_matrix(dense) lays it out; only offsets with a
-    # nonzero are kept.
-    offsets = np.arange(-_BANDWIDTH, _BANDWIDTH + 1)
-    cols = np.broadcast_to(np.arange(p), (len(offsets), p))
-    rows = cols - offsets[:, np.newaxis]
-    inside = (rows >= 0) & (rows < p)
-    data = np.zeros((len(offsets), p))
-    data[inside] = dense[rows[inside], cols[inside]]
-    keep = np.any(data != 0.0, axis=1)
-    return AxisOperator(data=data[keep] / (12.0 * h * h),
-                        offsets=offsets[keep].astype(np.int32), h=h, bc=bc)
+        _set_interior_rows(b, np.arange(2, p - 2))
+        b[0, :len(_NEUMANN_CORNER)] = _NEUMANN_CORNER
+        b[p - 1, p - len(_NEUMANN_CORNER):] = _NEUMANN_CORNER[::-1]
+        b[1, 0:4] = _NEUMANN_EDGE
+        b[p - 2, p - 4:p] = _NEUMANN_EDGE[::-1]
+    return b / (12.0 * grid.h * grid.h)
 
 
 def _set_interior_rows(dense, rows) -> None:
@@ -168,29 +136,3 @@ def _set_interior_rows(dense, rows) -> None:
     coeffs = np.broadcast_to(INTERIOR_STENCIL, cols.shape)
     inside = (cols >= 0) & (cols < dense.shape[1])
     dense[rows[inside], cols[inside]] = coeffs[inside]
-
-
-@dataclass(frozen=True)
-class SplitOperators:
-    """Per-species split operators A1 = -d(B kron I), A2 = -d(I kron B).
-
-    Held implicitly through the shared 1-D operator B and the diffusion
-    coefficients; the Kronecker products are never densified.
-    """
-
-    grid: Grid2D
-    diffusion: tuple
-    axis_op: AxisOperator
-
-    @property
-    def species(self) -> int:
-        return len(self.diffusion)
-
-
-def assemble_split(grid: Grid2D, diffusion) -> SplitOperators:
-    """Build split operators for every species on the given grid."""
-    diffusion = tuple(float(d) for d in np.atleast_1d(diffusion))
-    if any(d <= 0 for d in diffusion):
-        raise ValidationError(f"diffusion coefficients must be positive, got {diffusion}")
-    b_op = build_axis_operator(grid.m, grid.h, grid.bc)
-    return SplitOperators(grid=grid, diffusion=diffusion, axis_op=b_op)

@@ -52,7 +52,7 @@ from .linsolve import (
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
-from .spatial import AXIS_X, AXIS_Y
+from .spatial import AXIS_X, AXIS_Y, axis_matrix
 
 ETDRK4P22IF = "etdrk4p22if"
 ETDRK4P22 = "etdrk4p22"
@@ -184,14 +184,13 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     """Factorize every shifted system the scheme's step sequence solves."""
     _check_step(k)
     family, systems, _ = scheme_entry(scheme, k)
+    grid, diffusion = disc.grid, disc.spec.diffusion
     if family == "transform":
-        basis = axis_transform_basis(disc.ops.axis_op)
-        solver = partial(axis_transform_solver, basis, disc.ops.diffusion)
+        solver = partial(axis_transform_solver, axis_transform_basis(grid), diffusion)
     elif family == "sparse":
-        solver = partial(factorize_full, assemble_full(disc.grid, disc.spec.diffusion))
+        solver = partial(factorize_full, assemble_full(grid, diffusion))
     else:
-        basis = axis_eigenbasis(disc.ops.axis_op)
-        solver = partial(tensor_eigen_solver, basis, disc.ops.diffusion)
+        solver = partial(tensor_eigen_solver, axis_eigenbasis(axis_matrix(grid)), diffusion)
     solvers = {pname: solver(k_sys, shift) for pname, (k_sys, shift) in systems.items()}
     return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers)
 

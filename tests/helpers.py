@@ -2,9 +2,10 @@
 
 Everything here is built independently of the package's solve paths: a
 size-capped dense solve, the 1-D operator and dense Kronecker assembly by
-explicit loops, the axis and full operators applied as sparse products,
-dense rational matrix functions from their numerator/denominator forms, a
-fourth-order exponential step with true matrix exponentials, the published
+explicit loops, the axis operators applied as dense products of
+spatial.axis_matrix and the full operator as sparse ones, dense rational
+matrix functions from their numerator/denominator forms, a fourth-order
+exponential step with true matrix exponentials, the published
 22-entry split-step sequence, and dense-solve stand-ins for a plan's
 solvers, so the step functions run against numpy.linalg.solve instead of
 the transform, sparse or eigenbasis solves.  Also a convergence report's CSV
@@ -18,12 +19,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import FullOperator
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
-from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, AxisOperator, SplitOperators
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, Grid2D, axis_matrix
 from etdsplit.steppers import PADE, SMOOTHER
 
 
@@ -43,21 +43,11 @@ def dense_reference_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError(str(exc)) from exc
 
 
-def band_operator(dense: np.ndarray, h: float = 1.0, bc: str = DIRICHLET) -> AxisOperator:
-    """An AxisOperator holding the nonzero diagonals of a dense matrix.
+def loop_axis_operator(m: int, h: float, bc: str) -> np.ndarray:
+    """The dense 1-D operator assembled row by row with explicit loops.
 
-    The diagonal storage is scipy's dia_matrix(dense) layout.
-    """
-    dia = sparse.dia_matrix(dense)
-    return AxisOperator(data=dia.data, offsets=dia.offsets, h=h, bc=bc)
-
-
-def loop_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
-    """The 1-D operator assembled row by row with explicit loops.
-
-    Reference for spatial.build_axis_operator: the same stencils, written
-    one coefficient at a time into a dense matrix and stored as
-    dia_matrix(dense).
+    Reference for spatial.axis_matrix: the same stencils, written one
+    coefficient at a time.
     """
     interior = (-1.0, 16.0, -30.0, 16.0, -1.0)
     if bc == DIRICHLET:
@@ -85,31 +75,30 @@ def loop_axis_operator(m: int, h: float, bc: str) -> AxisOperator:
             for off, c in zip(range(-2, 3), interior):
                 dense[i, i + off] = c
     dense /= 12.0 * h * h
-    return band_operator(dense, h, bc)
+    return dense
 
 
-def _check_field(ops: SplitOperators, u: np.ndarray) -> np.ndarray:
-    p = ops.grid.p1d
+def _check_field(grid: Grid2D, diffusion, u: np.ndarray) -> np.ndarray:
+    p, species = grid.p1d, len(diffusion)
     u = np.asarray(u)
-    if u.shape != (ops.species, p, p):
+    if u.shape != (species, p, p):
         raise ShapeError(
             f"field shape {u.shape} does not match (species, p, p) = "
-            f"({ops.species}, {p}, {p})"
+            f"({species}, {p}, {p})"
         )
     return u
 
 
-def apply_axis(ops: SplitOperators, u: np.ndarray, axis: str, species: int) -> np.ndarray:
+def apply_axis(grid: Grid2D, diffusion, u: np.ndarray, axis: str, species: int) -> np.ndarray:
     """Apply one split operator to a species block: returns -d * (B along axis).
 
     The x axis acts on contiguous x-runs, the y axis with stride p1d; the
     result is the (p, p) block for the requested species.
     """
-    u = _check_field(ops, u)
-    d = ops.diffusion[species]
+    u = _check_field(grid, diffusion, u)
+    d = diffusion[species]
     block = u[species]
-    b = ops.axis_op
-    bmat = sparse.dia_matrix((b.data, b.offsets), shape=(b.p1d, b.p1d))
+    bmat = axis_matrix(grid)
     if axis == AXIS_Y:
         out = bmat @ block
     elif axis == AXIS_X:
@@ -128,11 +117,11 @@ def full_matvec(op: FullOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_axis_operator(ops: SplitOperators, axis: str, species: int) -> np.ndarray:
+def dense_axis_operator(grid: Grid2D, diffusion, axis: str, species: int) -> np.ndarray:
     """Dense A_axis = -d (B kron I) or -d (I kron B), assembled by loops."""
-    b = ops.axis_op.toarray()
+    b = axis_matrix(grid)
     p = b.shape[0]
-    d = ops.diffusion[species]
+    d = diffusion[species]
     out = np.zeros((p * p, p * p))
     for iy in range(p):
         for ix in range(p):
@@ -146,24 +135,26 @@ def dense_axis_operator(ops: SplitOperators, axis: str, species: int) -> np.ndar
     return -d * out
 
 
-def dense_full_operator(ops: SplitOperators, species: int) -> np.ndarray:
-    return (dense_axis_operator(ops, "x", species)
-            + dense_axis_operator(ops, "y", species))
+def dense_full_operator(grid: Grid2D, diffusion, species: int) -> np.ndarray:
+    return (dense_axis_operator(grid, diffusion, "x", species)
+            + dense_axis_operator(grid, diffusion, "y", species))
 
 
-def dense_axis_solvers(ops: SplitOperators, k: float):
+def dense_axis_solvers(grid: Grid2D, diffusion, k: float):
     """(solve_x, solve_y) mirroring the plan solvers via dense solves."""
     poles = {"c1": PADE.c1, "c2": PADE.c2}
+    species = len(diffusion)
 
     def make(axis):
+        eye = np.eye(grid.p1d ** 2)
         mats = {
-            (name, s): k * dense_axis_operator(ops, axis, s) - pole * np.eye(ops.grid.p1d ** 2)
-            for name, pole in poles.items() for s in range(ops.species)
+            (name, s): k * dense_axis_operator(grid, diffusion, axis, s) - pole * eye
+            for name, pole in poles.items() for s in range(species)
         }
 
         def solve(pole, rhs):
             out = np.empty(rhs.shape, dtype=complex)
-            for s in range(ops.species):
+            for s in range(species):
                 out[s] = np.linalg.solve(
                     mats[(pole, s)], rhs[s].ravel()).reshape(rhs[s].shape)
             return out
@@ -186,11 +177,11 @@ class DenseSolver:
         return out
 
 
-def dense_full_solvers(ops: SplitOperators, k: float, poles: dict) -> dict:
+def dense_full_solvers(grid: Grid2D, diffusion, k: float, poles: dict) -> dict:
     """Plan solvers {pole name: DenseSolver} of the full operator at step k."""
-    eye = np.eye(ops.grid.p1d ** 2)
-    return {name: DenseSolver(tuple(k * dense_full_operator(ops, s) - pole * eye
-                                    for s in range(ops.species)))
+    eye = np.eye(grid.p1d ** 2)
+    return {name: DenseSolver(tuple(k * dense_full_operator(grid, diffusion, s) - pole * eye
+                                    for s in range(len(diffusion))))
             for name, pole in poles.items()}
 
 

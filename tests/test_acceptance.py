@@ -21,7 +21,7 @@ from etdsplit.analysis import (
     run_study,
 )
 from etdsplit.problems import discretize, make_problem
-from etdsplit.spatial import AXIS_X, AXIS_Y
+from etdsplit.spatial import AXIS_X, AXIS_Y, axis_matrix
 from etdsplit.steppers import (
     ETDRK4P22,
     ETDRK4P22IF,
@@ -188,7 +188,7 @@ def test_criterion_8_property_suite():
             plan = build_plan(ETDRK4P22IF, disc, 0.1)
             u = disc.initial()
             got = etdrk4p22if_step(plan, u, 0.0)
-            solve_x, solve_y = dense_axis_solvers(disc.ops, 0.1)
+            solve_x, solve_y = dense_axis_solvers(disc.grid, disc.spec.diffusion, 0.1)
             want = etdrk4p22if_kernel(u, 0.0, 0.1, disc.reaction, solve_x, solve_y)
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             if rel > 1e-10:
@@ -231,11 +231,10 @@ def test_criterion_8_property_suite():
             disc = discretize(spec, m)
             p = disc.grid.p1d
             u = rng.normal(size=(1, p, p))
-            xy = apply_axis(disc.ops, apply_axis(disc.ops, u, AXIS_X, 0)[np.newaxis],
-                            AXIS_Y, 0)
-            yx = apply_axis(disc.ops, apply_axis(disc.ops, u, AXIS_Y, 0)[np.newaxis],
-                            AXIS_X, 0)
-            norm_a = np.max(np.abs(disc.ops.axis_op.toarray())) * disc.ops.diffusion[0]
+            grid, d = disc.grid, disc.spec.diffusion
+            xy = apply_axis(grid, d, apply_axis(grid, d, u, AXIS_X, 0)[np.newaxis], AXIS_Y, 0)
+            yx = apply_axis(grid, d, apply_axis(grid, d, u, AXIS_Y, 0)[np.newaxis], AXIS_X, 0)
+            norm_a = np.max(np.abs(axis_matrix(grid))) * d[0]
             bound = 1e-12 * np.max(np.abs(u)) * (2 * norm_a) ** 2
             if np.max(np.abs(xy - yx)) > bound:
                 failures.append(f"commutation {name} m={m}")

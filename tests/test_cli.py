@@ -355,6 +355,39 @@ def test_out_of_memory_exits_one_with_one_line(message, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--problem", "enzyme", "--m", "100000000", "--k", "0.25", "--T", "1"],
+                 id="solve"),
+    pytest.param(["solve", "--problem", "enzyme", "--m", "100000000", "--k", "0.25", "--T", "0"],
+                 id="solve-T0"),
+    pytest.param(["converge", "--problem", "enzyme", "--scheme", "etdrk4p22if", "--k0", "0.1",
+                  "--levels", "2", "--mode", "self", "--coupling", "fixed_h",
+                  "--m", "100000000"], id="converge"),
+])
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_unallocatable_grid_exits_one_before_any_axis_array(argv):
+    # m = 1e8 passes the index-range check, but its (p, p) field (72.8 PiB)
+    # cannot be allocated.  The grid's own check must refuse it before any
+    # p-length array: the axis nodes alone take 800 MB.  The child runs with
+    # one BLAS thread under a 1 GiB address-space cap, so a wrong order fails
+    # at once instead of filling the host's memory.  It reports its peak RSS
+    # as VmHWM: Linux carries the forking process's peak into ru_maxrss.
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from etdsplit.cli import main\n"
+              f"code = main({argv!r})\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(code, next(ln.split()[1] for ln in fh if ln.startswith('VmHWM')))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    code, maxrss_kib = proc.stdout.split()
+    assert code == "1", proc.stderr
+    assert proc.stderr.count("\n") == 1 and "out of memory" in proc.stderr
+    assert int(maxrss_kib) < 256 * 1024
+
+
+@pytest.mark.parametrize("argv", [
     pytest.param(["solve", "--problem", "enzyme", "--h", "1e-310", "--k", "0.25", "--T", "1"],
                  id="h-1e-310"),
     pytest.param(["solve", "--problem", "enzyme", "--h", "1e-20", "--k", "0.25", "--T", "1"],
@@ -368,10 +401,11 @@ def test_out_of_memory_exits_one_with_one_line(message, monkeypatch, capsys):
                   "--k0", "0.1", "--levels", "2", "--h", "1e-20"], id="converge-h-1e-20"),
 ])
 def test_oversized_grid_exits_one_before_any_array(argv, monkeypatch, capsys):
-    # the grid size is checked before the operator or any field is allocated
+    # the grid size is checked before any field is allocated; DiscretizedProblem
+    # is the first call after the check
     def no_arrays(*args, **kwargs):
         raise AssertionError("an array was allocated before the grid size was checked")
-    monkeypatch.setattr(problems, "assemble_split", no_arrays)
+    monkeypatch.setattr(problems, "DiscretizedProblem", no_arrays)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1

@@ -1,11 +1,12 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import etdsplit.linsolve as linsolve
+import etdsplit.spatial as spatial
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
     EIGEN_COND_MAX,
@@ -18,46 +19,37 @@ from etdsplit.linsolve import (
     factorize_full,
     tensor_eigen_solver,
 )
-from etdsplit.problems import discretize, make_problem
-from etdsplit.spatial import (
-    AXIS_X,
-    AXIS_Y,
-    DIRICHLET,
-    NEUMANN,
-    AxisOperator,
-    Grid2D,
-    assemble_split,
-)
-from etdsplit.steppers import ETDRK4P22IF, PADE, SMOOTHER, build_plan
-from helpers import band_operator, dense_axis_operator, dense_reference_solve
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
+from etdsplit.steppers import PADE, SMOOTHER
+from helpers import dense_axis_operator, dense_reference_solve
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
 
 
-def _ops(bc=DIRICHLET, m=5, d=1.0, a=0.0, b=1.0):
-    return assemble_split(Grid2D(a=a, b=b, m=m, bc=bc), (d,))
+def _grid(bc=DIRICHLET, m=5, a=0.0, b=1.0):
+    return Grid2D(a=a, b=b, m=m, bc=bc)
 
 
-def _axis_solve(ops, k, pole, axis, rhs):
+def _axis_solve(grid, diffusion, k, pole, axis, rhs):
     """(k*A_axis - pole*I)^-1 rhs for a complex (species, p, p) rhs.
 
     Built from the solver's real 2*Re(w ...) terms: weights 1/2 and -i/2
     recover the real and imaginary parts of the inverse applied to a real
     field.
     """
-    basis = axis_transform_basis(ops.axis_op)
-    solver = axis_transform_solver(basis, ops.diffusion, k, pole)
+    basis = axis_transform_basis(grid)
+    solver = axis_transform_solver(basis, diffusion, k, pole)
     re, im = basis.forward(rhs.real), basis.forward(rhs.imag)
     real = solver.terms(axis, (0.5, re), (0.5j, im))
     imag = solver.terms(axis, (-0.5j, re), (0.5, im))
     return basis.inverse(real) + 1j * basis.inverse(imag)
 
 
-def _dense_axis_solve(ops, k, pole, axis, rhs):
-    p = ops.grid.p1d
+def _dense_axis_solve(grid, diffusion, k, pole, axis, rhs):
+    p = grid.p1d
     out = np.empty(rhs.shape, dtype=complex)
-    for s in range(ops.species):
-        mat = k * dense_axis_operator(ops, axis, s) - pole * np.eye(p * p)
+    for s in range(len(diffusion)):
+        mat = k * dense_axis_operator(grid, diffusion, axis, s) - pole * np.eye(p * p)
         out[s] = np.linalg.solve(mat, rhs[s].ravel()).reshape(p, p)
     return out
 
@@ -67,21 +59,20 @@ def _complex_field(rng, shape):
 
 
 def test_factorization_residual():
-    ops = _ops(m=5)
+    grid = _grid(m=5)
     k = 0.1
     rng = np.random.default_rng(7)
     rhs = _complex_field(rng, (1, 5, 5))
-    x = _axis_solve(ops, k, PADE.c1, AXIS_X, rhs)
-    m_dense = k * dense_axis_operator(ops, AXIS_X, 0) - PADE.c1 * np.eye(25)
+    x = _axis_solve(grid, (1.0,), k, PADE.c1, AXIS_X, rhs)
+    m_dense = k * dense_axis_operator(grid, (1.0,), AXIS_X, 0) - PADE.c1 * np.eye(25)
     resid = np.max(np.abs((m_dense @ x.ravel()).reshape(1, 5, 5) - rhs))
     assert resid <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_factorization_determinism():
-    ops = _ops(m=6)
-    basis = axis_transform_basis(ops.axis_op)
-    f1 = axis_transform_solver(basis, ops.diffusion, 0.2, PADE.c2)
-    f2 = axis_transform_solver(basis, ops.diffusion, 0.2, PADE.c2)
+    basis = axis_transform_basis(_grid(m=6))
+    f1 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
+    f2 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
     assert np.array_equal(f1.inv_symbol, f2.inv_symbol)
     assert np.array_equal(f1.edge_in, f2.edge_in) and np.array_equal(f1.edge_out, f2.edge_out)
     rhs = basis.forward(np.full((1, 6, 6), 0.3))
@@ -92,44 +83,41 @@ def test_factorization_determinism():
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("pole", ALL_POLES)
 def test_axis_solve_matches_dense_kron(bc, m, pole):
-    ops = _ops(bc=bc, m=m, d=0.7, a=-1.0, b=1.5)
+    grid, d = _grid(bc=bc, m=m, a=-1.0, b=1.5), (0.7,)
     k = 0.25
-    p = ops.grid.p1d
+    p = grid.p1d
     rhs = _complex_field(np.random.default_rng(m), (1, p, p))
     for axis in (AXIS_X, AXIS_Y):
-        x = _axis_solve(ops, k, pole, axis, rhs)
-        x_ref = _dense_axis_solve(ops, k, pole, axis, rhs)
+        x = _axis_solve(grid, d, k, pole, axis, rhs)
+        x_ref = _dense_axis_solve(grid, d, k, pole, axis, rhs)
         assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
 
 
 def test_axis_solve_zero_rhs_and_inverse_composition():
-    ops = _ops(bc=NEUMANN, m=4)
+    grid = _grid(bc=NEUMANN, m=4)
     k = 0.5
-    p = ops.grid.p1d
-    assert np.all(_axis_solve(ops, k, PADE.c2, AXIS_X, np.zeros((1, p, p))) == 0)
+    p = grid.p1d
+    assert np.all(_axis_solve(grid, (1.0,), k, PADE.c2, AXIS_X, np.zeros((1, p, p))) == 0)
 
     y = _complex_field(np.random.default_rng(11), (1, p, p))
-    m_dense = k * dense_axis_operator(ops, AXIS_X, 0) - PADE.c2 * np.eye(p * p)
+    m_dense = k * dense_axis_operator(grid, (1.0,), AXIS_X, 0) - PADE.c2 * np.eye(p * p)
     rhs = (m_dense @ y.ravel()).reshape(1, p, p)
-    x = _axis_solve(ops, k, PADE.c2, AXIS_X, rhs)
+    x = _axis_solve(grid, (1.0,), k, PADE.c2, AXIS_X, rhs)
     assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_axis_solve_shape_mismatch():
-    ops = _ops(m=4)
-    solver = axis_transform_solver(axis_transform_basis(ops.axis_op), ops.diffusion,
-                                   0.1, PADE.c1)
+    solver = axis_transform_solver(axis_transform_basis(_grid(m=4)), (1.0,), 0.1, PADE.c1)
     for shape in ((1, 5, 4), (1, 4, 5), (2, 4, 4), (4, 4)):
         with pytest.raises(ShapeError):
             solver.terms(AXIS_X, (1.0, np.zeros(shape)))
 
 
 def test_axis_validation():
-    ops = _ops(m=4)
-    basis = axis_transform_basis(ops.axis_op)
+    basis = axis_transform_basis(_grid(m=4))
     with pytest.raises(ValidationError):
-        axis_transform_solver(basis, ops.diffusion, 0.0, PADE.c1)
-    solver = axis_transform_solver(basis, ops.diffusion, 0.1, PADE.c1)
+        axis_transform_solver(basis, (1.0,), 0.0, PADE.c1)
+    solver = axis_transform_solver(basis, (1.0,), 0.1, PADE.c1)
     with pytest.raises(ValidationError):
         solver.terms("z", (1.0, np.zeros((1, 4, 4))))
 
@@ -137,10 +125,9 @@ def test_axis_validation():
 @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 def test_all_poles_nonsingular(k, bc):
-    ops = _ops(bc=bc, m=5)
-    basis = axis_transform_basis(ops.axis_op)
+    basis = axis_transform_basis(_grid(bc=bc, m=5))
     for pole in ALL_POLES:
-        axis_transform_solver(basis, ops.diffusion, k, pole)  # must not raise
+        axis_transform_solver(basis, (1.0,), k, pole)  # must not raise
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,41 +136,50 @@ def test_all_poles_nonsingular(k, bc):
        pole=st.sampled_from((PADE.c1, PADE.c2)), axis=st.sampled_from((AXIS_X, AXIS_Y)),
        k=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axis, k, seed):
-    ops = assemble_split(Grid2D(a=0.0, b=1.0, m=m, bc=bc), diffusion)
-    p = ops.grid.p1d
+    grid = _grid(bc=bc, m=m)
+    p = grid.p1d
     rhs = _complex_field(np.random.default_rng(seed), (len(diffusion), p, p))
-    got = _axis_solve(ops, k, pole, axis, rhs)
-    want = _dense_axis_solve(ops, k, pole, axis, rhs)
+    got = _axis_solve(grid, diffusion, k, pole, axis, rhs)
+    want = _dense_axis_solve(grid, diffusion, k, pole, axis, rhs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _perturbed(ops, row, col, delta):
-    b = ops.axis_op.toarray()
-    b[row, col] += delta * np.max(np.abs(b))
-    axis_op = band_operator(b, h=ops.axis_op.h, bc=ops.axis_op.bc)
-    return replace(ops, axis_op=axis_op)
+def _transform_residual(grid):
+    """max |F^-1 diag(lam) F + U V^T - B| / max |B| for the grid's basis and B.
+
+    F is the type-1 transform as a matrix; U and V come back from the basis's
+    transformed u_hat = F U and v_hat = F^-T V.
+    """
+    basis = axis_transform_basis(grid)
+    p = grid.p1d
+    fwd, inv = (scipy.fft.dst, scipy.fft.idst) if grid.bc == DIRICHLET else \
+        (scipy.fft.dct, scipy.fft.idct)
+    f, f_inv = fwd(np.eye(p), type=1, axis=0), inv(np.eye(p), type=1, axis=0)
+    rebuilt = f_inv @ (basis.lam[:, np.newaxis] * f)
+    if basis.u_hat is not None:
+        rebuilt += (f_inv @ basis.u_hat) @ (f.T @ basis.v_hat).T
+    b = axis_matrix(grid)
+    return np.max(np.abs(rebuilt - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("bc,row", [(DIRICHLET, 1), (DIRICHLET, 3), (NEUMANN, 0),
-                                    (NEUMANN, 2), (NEUMANN, 7)])
-def test_build_plan_rejects_operator_off_the_reflection_pattern(bc, row):
-    disc = discretize(make_problem("model_dirichlet" if bc == DIRICHLET else "model_neumann"), 6)
-    col = min(row + 1, disc.grid.p1d - 1)
-    bad = replace(disc, ops=_perturbed(disc.ops, row, col, 1e-6))
-    with pytest.raises(ValidationError, match="reflection"):
-        build_plan(ETDRK4P22IF, bad, 0.1)
-    build_plan(ETDRK4P22IF, disc, 0.1)  # the assembled operator passes
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_transform_basis_rebuilds_the_axis_matrix(bc):
+    # the transform path never builds B; this oracle checks what it derives
+    # from the grid against spatial.axis_matrix, which it matches to a few
+    # rounding errors
+    for m in range(3, 41):
+        assert _transform_residual(_grid(bc=bc, m=m, a=-0.3, b=2.1)) <= 1e-13
 
 
-@pytest.mark.parametrize("row", [0, 4])
-def test_dirichlet_edge_rows_come_from_the_assembled_operator(row):
-    # any change to a Dirichlet edge row lands in the rank-2 correction
-    ops = _perturbed(_ops(bc=DIRICHLET, m=5, d=0.9), row, 2, 0.3)
-    rhs = _complex_field(np.random.default_rng(row), (1, 5, 5))
-    for axis in (AXIS_X, AXIS_Y):
-        got = _axis_solve(ops, 0.4, PADE.c2, axis, rhs)
-        want = _dense_axis_solve(ops, 0.4, PADE.c2, axis, rhs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+@pytest.mark.parametrize("module", [spatial, linsolve])
+def test_transform_basis_oracle_sees_a_perturbed_dirichlet_edge(module, monkeypatch):
+    # B's edge row and the transform's copy of it are read from one constant;
+    # perturbing either side alone must break the identity
+    edge = list(spatial._DIRICHLET_EDGE)
+    edge[1] += 1e-6
+    monkeypatch.setattr(module, "_DIRICHLET_EDGE", tuple(edge))
+    assert _transform_residual(_grid(bc=DIRICHLET, m=8)) > 1e-13
+    assert _transform_residual(_grid(bc=NEUMANN, m=8)) <= 1e-13
 
 
 def test_full_solve_matches_dense():
@@ -261,8 +257,7 @@ diffusions = st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple)
 
 
 def _eigen_and_sparse(grid, diffusion, k, shift):
-    ops = assemble_split(grid, diffusion)
-    solver = tensor_eigen_solver(axis_eigenbasis(ops.axis_op), ops.diffusion, k, shift)
+    solver = tensor_eigen_solver(axis_eigenbasis(axis_matrix(grid)), diffusion, k, shift)
     return solver, factorize_full(assemble_full(grid, diffusion), k, shift)
 
 
@@ -292,8 +287,7 @@ def test_eigen_solve_preserves_constants_on_neumann_grids(m, diffusion, k, syste
     # subnormal values; for |value| >= 1e-300 it is under 1e-6 of the bound.
     _, k_mult, shift = system
     grid = Grid2D(a=0.0, b=1.0, m=m, bc=NEUMANN)
-    ops = assemble_split(grid, diffusion)
-    solver = tensor_eigen_solver(axis_eigenbasis(ops.axis_op), ops.diffusion,
+    solver = tensor_eigen_solver(axis_eigenbasis(axis_matrix(grid)), diffusion,
                                  k_mult * k, shift)
     const = np.full((len(diffusion), grid.p1d, grid.p1d), value)
     got = solver.solve(const)
@@ -310,24 +304,21 @@ def test_eigen_solve_real_shift_stays_real(bc):
 
 
 def test_eigen_solver_shape_and_step_validation():
-    ops = _ops(m=4)
-    basis = axis_eigenbasis(ops.axis_op)
-    solver = tensor_eigen_solver(basis, ops.diffusion, 0.1, -1.0)
+    basis = axis_eigenbasis(axis_matrix(_grid(m=4)))
+    solver = tensor_eigen_solver(basis, (1.0,), 0.1, -1.0)
     assert isinstance(solver, TensorEigenSolver) and solver.shape == (1, 4, 4)
     with pytest.raises(ShapeError):
         solver.solve(np.zeros((1, 5, 4)))
     with pytest.raises(ValidationError):
-        tensor_eigen_solver(basis, ops.diffusion, 0.0, -1.0)
+        tensor_eigen_solver(basis, (1.0,), 0.0, -1.0)
     with pytest.raises(SingularSystemError):
-        zero = AxisOperator(data=np.zeros((1, 4)), offsets=np.zeros(1, dtype=np.int32),
-                            h=ops.grid.h, bc=DIRICHLET)
-        tensor_eigen_solver(axis_eigenbasis(zero), (1.0,), 0.1, 0.0)
+        tensor_eigen_solver(axis_eigenbasis(np.zeros((4, 4))), (1.0,), 0.1, 0.0)
 
 
 def test_eigenbasis_rejects_complex_eigenvalues():
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(SingularSystemError, match="complex"):
-        axis_eigenbasis(band_operator(rotation))
+        axis_eigenbasis(rotation)
 
 
 def test_eigenbasis_rejects_ill_conditioned_eigenvectors():
@@ -336,4 +327,4 @@ def test_eigenbasis_rejects_ill_conditioned_eigenvectors():
     near_jordan = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]])
     assert np.linalg.cond(np.linalg.eig(near_jordan)[1]) > EIGEN_COND_MAX
     with pytest.raises(SingularSystemError, match="ill-conditioned"):
-        axis_eigenbasis(band_operator(near_jordan))
+        axis_eigenbasis(near_jordan)

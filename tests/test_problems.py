@@ -126,7 +126,8 @@ def test_exact_solution_discrete_residual_fourth_order(name):
     for m in (15, 31):
         disc = discretize(spec, m)
         u = disc.exact(t)
-        au = apply_axis(disc.ops, u, AXIS_X, 0) + apply_axis(disc.ops, u, AXIS_Y, 0)
+        grid, d = disc.grid, disc.spec.diffusion
+        au = apply_axis(grid, d, u, AXIS_X, 0) + apply_axis(grid, d, u, AXIS_Y, 0)
         residual = np.abs(-3.0 * u[0] + au + u[0])
         res_int.append(np.max(residual[1:-1, 1:-1]))
     assert 16.0 * 0.8 <= res_int[0] / res_int[1] <= 16.0 * 1.2

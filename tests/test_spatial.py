@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from etdsplit.errors import ShapeError, ValidationError
 from etdsplit.linsolve import assemble_full
-from etdsplit.spatial import (
-    AXIS_X,
-    AXIS_Y,
-    DIRICHLET,
-    NEUMANN,
-    Grid2D,
-    assemble_split,
-    build_axis_operator,
-)
+from etdsplit.problems import ProblemSpec, discretize, make_problem
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
 from helpers import (
     apply_axis,
     dense_axis_operator,
@@ -46,20 +38,22 @@ def test_grid_validation(kwargs):
         Grid2D(**kwargs)
 
 
+def _b(m, h, bc):
+    """axis_matrix on the grid [0, (m+1) h] and that grid's 1/(12 h^2)."""
+    grid = Grid2D(a=0.0, b=(m + 1) * h, m=m, bc=bc)
+    return axis_matrix(grid), 1.0 / (12.0 * grid.h * grid.h)
+
+
 def test_interior_row_coefficients():
-    h = 0.1
-    scale = 1.0 / (12.0 * h * h)
     for bc, row in ((DIRICHLET, 3), (NEUMANN, 4)):
-        b = build_axis_operator(8, h, bc).toarray()
+        b, scale = _b(8, 0.1, bc)
         np.testing.assert_allclose(
             b[row, row - 2: row + 3],
             np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) * scale, rtol=1e-14)
 
 
 def test_dirichlet_edge_rows():
-    h = 0.25
-    scale = 1.0 / (12.0 * h * h)
-    b = build_axis_operator(6, h, DIRICHLET).toarray()
+    b, scale = _b(6, 0.25, DIRICHLET)
     np.testing.assert_allclose(b[0, :4], np.array([-20.0, 6.0, 4.0, -1.0]) * scale,
                                rtol=1e-14)
     np.testing.assert_allclose(b[5, 2:], np.array([-1.0, 4.0, 6.0, -20.0]) * scale,
@@ -70,9 +64,7 @@ def test_dirichlet_edge_rows():
 
 
 def test_neumann_rows_and_row_sums():
-    h = 0.2
-    scale = 1.0 / (12.0 * h * h)
-    b = build_axis_operator(6, h, NEUMANN).toarray()
+    b, scale = _b(6, 0.2, NEUMANN)
     np.testing.assert_allclose(b[0, :3], np.array([-30.0, 32.0, -2.0]) * scale,
                                rtol=1e-14)
     np.testing.assert_allclose(b[1, :4], np.array([16.0, -31.0, 16.0, -1.0]) * scale,
@@ -84,47 +76,46 @@ def test_neumann_rows_and_row_sums():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_neumann_constant_in_kernel(m):
-    op = build_axis_operator(m, 0.125, NEUMANN)
-    ones = np.ones(op.p1d)
-    assert np.max(np.abs(op.toarray() @ ones)) <= 1e-12 / (12 * 0.125 ** 2) * 30
+    b, scale = _b(m, 0.125, NEUMANN)
+    assert np.max(np.abs(b @ np.ones(m + 2))) <= 1e-12 * scale * 30
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_bandwidth_at_most_three(bc, m):
-    op = build_axis_operator(m, 0.1, bc)
-    row, col = np.nonzero(op.toarray())
+    row, col = np.nonzero(_b(m, 0.1, bc)[0])
     assert np.max(np.abs(row - col)) <= 3
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
-@pytest.mark.parametrize("m", range(3, 41))
+@pytest.mark.parametrize("m", [*range(3, 41), 79, 319, 321])  # plus the benchmark grids
 def test_build_axis_operator_bitwise_equals_loop_assembly(bc, m):
-    h = 2.7 / (m + 1)
-    got = build_axis_operator(m, h, bc)
-    want = loop_axis_operator(m, h, bc)
-    assert got.p1d == want.p1d
-    assert np.array_equal(got.offsets, want.offsets) and got.offsets.dtype == want.offsets.dtype
-    assert np.array_equal(got.data, want.data)
-    assert np.array_equal(got.toarray(), want.toarray())
-    dia = sparse.dia_matrix((want.data, want.offsets), shape=(want.p1d, want.p1d))
-    assert np.array_equal(got.toarray(), dia.toarray())
+    # spatial.axis_matrix, the one statement of B, against the loop assembly
+    grid = Grid2D(a=0.0, b=2.7, m=m, bc=bc)
+    got = axis_matrix(grid)
+    want = loop_axis_operator(m, grid.h, bc)
+    assert got.shape == want.shape == (grid.p1d, grid.p1d) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_build_validation():
+    # the grid checks its own size; discretize checks a spec's diffusion
     with pytest.raises(ValidationError):
-        build_axis_operator(2, 0.1, DIRICHLET)
-    with pytest.raises(ValidationError):
-        build_axis_operator(5, 0.0, DIRICHLET)
-    with pytest.raises(ValidationError):
-        assemble_split(Grid2D(0.0, 1.0, 5, DIRICHLET), (1.0, -2.0))
+        Grid2D(0.0, 1.0, 2, DIRICHLET)
+    base = make_problem("enzyme")
+    for diffusion in ((-2.0,), (0.0,), (float("nan"),), (float("inf"),), (1.0, 1.0), (), 1.0):
+        spec = ProblemSpec(name="bad", a=base.a, b=base.b, bc=base.bc, species=1,
+                           diffusion=diffusion, reaction=base.reaction, initial=base.initial,
+                           exact=None, default_T=1.0)
+        with pytest.raises(ValidationError, match="diffusion"):
+            discretize(spec, 5)
 
 
 def test_split_matches_brute_force_kron_m3():
     grid = Grid2D(a=0.0, b=1.0, m=3, bc=DIRICHLET)
-    ops = assemble_split(grid, (1.0,))
+    diffusion = (1.0,)
     # direct entrywise 2-D Laplacian assembly as the independent oracle
-    b = ops.axis_op.toarray()
+    b = axis_matrix(grid)
     p = 3
     lap = np.zeros((p * p, p * p))
     for iy in range(p):
@@ -133,20 +124,20 @@ def test_split_matches_brute_force_kron_m3():
             for j in range(p):
                 lap[row, iy * p + j] += b[ix, j]
                 lap[row, j * p + ix] += b[iy, j]
-    dense_sum = dense_axis_operator(ops, AXIS_X, 0) + dense_axis_operator(ops, AXIS_Y, 0)
+    dense_sum = (dense_axis_operator(grid, diffusion, AXIS_X, 0)
+                 + dense_axis_operator(grid, diffusion, AXIS_Y, 0))
     np.testing.assert_allclose(dense_sum, -lap, rtol=0, atol=1e-12 * np.max(np.abs(lap)))
 
 
 @pytest.mark.parametrize("bc,m", [(DIRICHLET, 3), (DIRICHLET, 6), (NEUMANN, 4)])
 def test_commutation(bc, m):
-    grid = Grid2D(a=-1.0, b=2.0, m=m, bc=bc)
-    ops = assemble_split(grid, (0.7,))
+    grid, d = Grid2D(a=-1.0, b=2.0, m=m, bc=bc), (0.7,)
     rng = np.random.default_rng(42)
     p = grid.p1d
     u = rng.normal(size=(1, p, p))
-    xy = apply_axis(ops, apply_axis(ops, u, AXIS_X, 0)[np.newaxis], AXIS_Y, 0)
-    yx = apply_axis(ops, apply_axis(ops, u, AXIS_Y, 0)[np.newaxis], AXIS_X, 0)
-    a_dense = dense_axis_operator(ops, AXIS_X, 0)
+    xy = apply_axis(grid, d, apply_axis(grid, d, u, AXIS_X, 0)[np.newaxis], AXIS_Y, 0)
+    yx = apply_axis(grid, d, apply_axis(grid, d, u, AXIS_Y, 0)[np.newaxis], AXIS_X, 0)
+    a_dense = dense_axis_operator(grid, d, AXIS_X, 0)
     bound = 1e-12 * np.max(np.abs(u)) * np.max(np.abs(a_dense)) ** 2
     assert np.max(np.abs(xy - yx)) <= bound
 
@@ -158,10 +149,9 @@ def test_apply_axis_cos_second_derivative():
     errs_max, errs_int = [], []
     for m in (19, 39):
         grid = Grid2D(a=-np.pi / 2, b=np.pi / 2, m=m, bc=DIRICHLET)
-        ops = assemble_split(grid, (2.0,))
         x, _ = grid.meshgrid()
         u = np.cos(x)[np.newaxis]
-        res = np.abs(apply_axis(ops, u, AXIS_X, 0) - 2.0 * np.cos(x))
+        res = np.abs(apply_axis(grid, (2.0,), u, AXIS_X, 0) - 2.0 * np.cos(x))
         errs_max.append(np.max(res))
         errs_int.append(np.max(res[:, 1:-1]))
     assert 16.0 * 0.8 <= errs_int[0] / errs_int[1] <= 16.0 * 1.2
@@ -169,14 +159,13 @@ def test_apply_axis_cos_second_derivative():
 
 
 def test_apply_axis_zero_and_shapes():
-    grid = Grid2D(a=0.0, b=1.0, m=4, bc=DIRICHLET)
-    ops = assemble_split(grid, (1.0,))
+    grid, d = Grid2D(a=0.0, b=1.0, m=4, bc=DIRICHLET), (1.0,)
     z = np.zeros((1, 4, 4))
-    assert np.all(apply_axis(ops, z, AXIS_X, 0) == 0)
+    assert np.all(apply_axis(grid, d, z, AXIS_X, 0) == 0)
     with pytest.raises(ShapeError):
-        apply_axis(ops, np.zeros((1, 5, 4)), AXIS_X, 0)
+        apply_axis(grid, d, np.zeros((1, 5, 4)), AXIS_X, 0)
     with pytest.raises(ValidationError):
-        apply_axis(ops, z, "diagonal", 0)
+        apply_axis(grid, d, z, "diagonal", 0)
 
 
 @pytest.mark.parametrize("bc,domain,max_ratio", [
@@ -191,10 +180,9 @@ def test_spatial_order_coscos(bc, domain, max_ratio):
     errs_max, errs_int = [], []
     for m in (15, 31):
         grid = Grid2D(a=domain[0], b=domain[1], m=m, bc=bc)
-        ops = assemble_split(grid, (d,))
         x, y = grid.meshgrid()
         u = (np.cos(x) * np.cos(y))[np.newaxis]
-        au = apply_axis(ops, u, AXIS_X, 0) + apply_axis(ops, u, AXIS_Y, 0)
+        au = apply_axis(grid, (d,), u, AXIS_X, 0) + apply_axis(grid, (d,), u, AXIS_Y, 0)
         res = np.abs(au - 2.0 * d * u[0])
         errs_max.append(np.max(res))
         errs_int.append(np.max(res[1:-1, 1:-1]))
@@ -204,9 +192,9 @@ def test_spatial_order_coscos(bc, domain, max_ratio):
 
 def test_full_equals_split_sum_m3():
     grid = Grid2D(a=0.0, b=1.0, m=3, bc=DIRICHLET)
-    ops = assemble_split(grid, (1.5,))
     full = assemble_full(grid, (1.5,))
-    dense_sum = dense_axis_operator(ops, AXIS_X, 0) + dense_axis_operator(ops, AXIS_Y, 0)
+    dense_sum = (dense_axis_operator(grid, (1.5,), AXIS_X, 0)
+                 + dense_axis_operator(grid, (1.5,), AXIS_Y, 0))
     np.testing.assert_allclose(full.blocks[0].toarray(), dense_sum, rtol=1e-14)
 
 
@@ -228,12 +216,11 @@ def test_full_eigenvalues_positive_real_part_m4():
 def test_full_matvec_matches_apply_axis():
     grid = Grid2D(a=-1.0, b=1.0, m=5, bc=NEUMANN)
     diffusion = (0.5, 2.0)
-    ops = assemble_split(grid, diffusion)
     full = assemble_full(grid, diffusion)
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2, grid.p1d, grid.p1d))
     via_axis = np.stack([
-        apply_axis(ops, u, AXIS_X, s) + apply_axis(ops, u, AXIS_Y, s)
+        apply_axis(grid, diffusion, u, AXIS_X, s) + apply_axis(grid, diffusion, u, AXIS_Y, s)
         for s in range(2)
     ])
     np.testing.assert_allclose(full_matvec(full, u), via_axis, rtol=1e-13, atol=1e-13)
@@ -242,7 +229,6 @@ def test_full_matvec_matches_apply_axis():
 def test_operators_match_dense_helper():
     # helper loop assembly against the package's sparse kron assembly
     grid = Grid2D(a=0.0, b=2.0, m=4, bc=NEUMANN)
-    ops = assemble_split(grid, (1.25,))
     full = assemble_full(grid, (1.25,))
     np.testing.assert_allclose(full.blocks[0].toarray(),
-                               dense_full_operator(ops, 0), rtol=1e-14)
+                               dense_full_operator(grid, (1.25,), 0), rtol=1e-14)

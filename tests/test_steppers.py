@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,19 @@ def test_plan_rebuild_identical_pole_set():
 
 # ---- split scheme against dense oracles ----
 
+@pytest.mark.parametrize("name", ["model_dirichlet", "model_neumann"])
+def test_split_plan_memory_is_linear_in_p(name):
+    # the split plan derives B's symbol and edge rows from the grid and never
+    # builds B: a dense B alone would take 32 MB at m = 2000
+    tracemalloc.start()
+    try:
+        build_plan(ETDRK4P22IF, discretize(make_problem(name), 2000), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("base,m", [("model_dirichlet", 3), ("model_dirichlet", 6),
                                     ("model_neumann", 4)])
 def test_if_step_zero_reaction_is_rational_propagator(base, m):
@@ -111,8 +125,8 @@ def test_if_step_zero_reaction_is_rational_propagator(base, m):
     p = disc.grid.p1d
     u = rng.normal(size=(1, p, p))
     got = etdrk4p22if_step(plan, u, 0.0)
-    r1 = rational_r22(k * dense_axis_operator(disc.ops, "y", 0))
-    r2 = rational_r22(k * dense_axis_operator(disc.ops, "x", 0))
+    r1 = rational_r22(k * dense_axis_operator(disc.grid, disc.spec.diffusion, "y", 0))
+    r2 = rational_r22(k * dense_axis_operator(disc.grid, disc.spec.diffusion, "x", 0))
     want = (r1 @ (r2 @ u[0].ravel())).reshape(1, p, p)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -134,7 +148,7 @@ def test_if_step_structured_equals_dense_22_steps(name, m):
     plan = build_plan(ETDRK4P22IF, disc, k)
     u = disc.initial()
     got = etdrk4p22if_step(plan, u, 0.0)
-    solve_x, solve_y = dense_axis_solvers(disc.ops, k)
+    solve_x, solve_y = dense_axis_solvers(disc.grid, disc.spec.diffusion, k)
     want = etdrk4p22if_kernel(u, 0.0, k, disc.reaction, solve_x, solve_y)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -162,7 +176,7 @@ def test_if_step_equals_22_step_oracle(m, bc, diffusion, k, t, seed):
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(diffusion), p, p))
     got = etdrk4p22if_step(plan, u, t)
     assert got.dtype == np.dtype(float) and got.shape == u.shape
-    solve_x, solve_y = dense_axis_solvers(disc.ops, k)
+    solve_x, solve_y = dense_axis_solvers(disc.grid, disc.spec.diffusion, k)
     want = etdrk4p22if_kernel(u, t, k, disc.reaction, solve_x, solve_y)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -185,7 +199,8 @@ def test_unsplit_step_zero_reaction_is_rational_propagator():
     p = disc.grid.p1d
     u = rng.normal(size=(1, p, p))
     got = etdrk4p22_step(plan, u, 0.0)
-    want = (rational_r22(k * dense_full_operator(disc.ops, 0)) @ u[0].ravel()).reshape(1, p, p)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
+    want = (rational_r22(k * a_dense) @ u[0].ravel()).reshape(1, p, p)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
     assert np.all(etdrk4p22_step(plan, np.zeros_like(u), 0.0) == 0)
 
@@ -196,7 +211,8 @@ def test_unsplit_step_matches_dense_8_steps():
     plan = build_plan(ETDRK4P22, disc, k)
     u = disc.initial()
     got = etdrk4p22_step(plan, u, 0.0)
-    oracle = replace(plan, solvers=dense_full_solvers(disc.ops, k, ETD_POLES))
+    oracle = replace(plan, solvers=dense_full_solvers(disc.grid, disc.spec.diffusion, k,
+                                                      ETD_POLES))
     want = etdrk4p22_step(oracle, u, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -222,7 +238,8 @@ def test_smoother_preserves_constants_and_matches_rational():
     rng = np.random.default_rng(4)
     u = rng.normal(size=(1, p, p))
     got = smoother_step(plan, u, 0.0)
-    want = (rational_r03(k * dense_full_operator(disc.ops, 0)) @ u[0].ravel()).reshape(1, p, p)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
+    want = (rational_r03(k * a_dense) @ u[0].ravel()).reshape(1, p, p)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(u))
 
 
@@ -232,7 +249,8 @@ def test_smoother_matches_dense_12_steps():
     plan = build_plan(SMOOTHER_ONLY, disc, k)
     u = disc.initial()
     got = smoother_step(plan, u, 0.0)
-    oracle = replace(plan, solvers=dense_full_solvers(disc.ops, k, SMOOTHER_POLES))
+    oracle = replace(plan, solvers=dense_full_solvers(disc.grid, disc.spec.diffusion, k,
+                                                      SMOOTHER_POLES))
     want = smoother_step(oracle, u, 0.0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -286,7 +304,8 @@ def test_sbdf1_first_order_against_dense_exponential():
     # substep to t=k and compare against the semi-discrete exact propagator
     spec = make_problem("model_dirichlet")
     disc = discretize(spec, 6)
-    a_full = dense_full_operator(disc.ops, 0) + np.eye(36)  # diffusion plus -u
+    # diffusion plus -u
+    a_full = dense_full_operator(disc.grid, disc.spec.diffusion, 0) + np.eye(36)
     u0 = disc.initial()
     exact = (scipy.linalg.expm(-0.1 * a_full) @ u0.ravel()).reshape(u0.shape)
     errs = []
@@ -339,7 +358,7 @@ def test_sbdf4_validations():
 
 def test_reference_step_zero_reaction_is_exponential():
     disc = zero_reaction_disc("model_dirichlet", 4)
-    a_dense = dense_full_operator(disc.ops, 0)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
     u0 = disc.initial().ravel()
     got = exact_etdrk4_reference_step(a_dense, u0, 0.0, 0.3,
                                       lambda v, t: np.zeros_like(v))
@@ -350,7 +369,7 @@ def test_reference_step_zero_reaction_is_exponential():
 def test_reference_step_small_k_limit():
     disc = discretize(make_problem("enzyme"), 4)
     p = disc.grid.p1d
-    a_dense = dense_full_operator(disc.ops, 0)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
     u0 = disc.initial().ravel()
     reaction = lambda v, t: disc.reaction(v.reshape(1, p, p), t).ravel()
     got = exact_etdrk4_reference_step(a_dense, u0, 0.0, 1e-9, reaction)
@@ -365,7 +384,7 @@ def test_reference_step_size_cap():
 
 def test_reference_step_handles_singular_neumann_operator():
     disc = zero_reaction_disc("model_neumann", 3)
-    a_dense = dense_full_operator(disc.ops, 0)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
     p = disc.grid.p1d
     const = np.full(p * p, 2.0)
     got = exact_etdrk4_reference_step(a_dense, const, 0.0, 0.5,
@@ -382,7 +401,7 @@ def test_pade_step_approaches_reference_at_fifth_order():
                        exact=None, default_T=1.0)
     disc = discretize(spec, 5)
     p = disc.grid.p1d
-    a_dense = dense_full_operator(disc.ops, 0)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
     u0 = disc.initial()
     reaction = lambda v, t: disc.reaction(v.reshape(1, p, p), t).ravel()
     gaps = []
@@ -399,7 +418,7 @@ def test_pade_step_reference_gap_preasymptotic_regime():
     # stiffer operator: ratios below 32 but growing toward it (19.6, 24.8)
     disc = discretize(make_problem("enzyme"), 5)
     p = disc.grid.p1d
-    a_dense = dense_full_operator(disc.ops, 0)
+    a_dense = dense_full_operator(disc.grid, disc.spec.diffusion, 0)
     u0 = disc.initial()
     reaction = lambda v, t: disc.reaction(v.reshape(1, p, p), t).ravel()
     gaps = []
