@@ -80,17 +80,21 @@ class AxisTransformBasis:
     u_hat: Optional[np.ndarray]      # (p, 2); None when B is exactly reflected
     v_hat: Optional[np.ndarray]      # (p, 2)
 
-    def forward(self, field: np.ndarray) -> np.ndarray:
-        """Transform a (species, p, p) field along both axes."""
-        if self.bc == DIRICHLET:
-            return scipy.fft.dstn(field, type=1, axes=(-2, -1))
-        return scipy.fft.dctn(field, type=1, axes=(-2, -1))
+    def forward(self, field: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """Transform a (species, p, p) field along both axes.
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        With overwrite_x, a C-contiguous float64 field is transformed in
+        place: the result is a view of it.
+        """
+        if self.bc == DIRICHLET:
+            return scipy.fft.dstn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+        return scipy.fft.dctn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+
+    def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of forward."""
         if self.bc == DIRICHLET:
-            return scipy.fft.idstn(coeffs, type=1, axes=(-2, -1))
-        return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1))
+            return scipy.fft.idstn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+        return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
 
 
 def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
@@ -140,12 +144,17 @@ class AxisTransformSolver:
     edge_in: Optional[np.ndarray] = None    # (species, p, 4)
     edge_out: Optional[np.ndarray] = None   # (species, p, 4)
 
-    def terms(self, axis: str, *weighted) -> np.ndarray:
-        """sum_i 2*Re(w_i (k*A_axis - pole*I)^-1 f_i) for (w_i, f_i) pairs.
+    def terms(self, axis: str, *weighted, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """out + sum_i 2*Re(w_i (k*A_axis - pole*I)^-1 f_i) for (w_i, f_i) pairs.
 
         Each f_i is a real (species, p, p) field already transformed along
-        both axes; so is the result.  Fields along one axis share the edge
-        correction: their projections are combined before it is applied.
+        both axes; so is out, which is updated in place and returned (a new
+        zero field when None).  out may be the first f_i but no later one.
+        scratch is a field-shaped float buffer the call overwrites (a new one
+        when None); it may be none of the fields.  Fields along one axis
+        share the edge correction: their projections are combined before it
+        is applied.
         """
         if axis == AXIS_X:
             line = (slice(None), np.newaxis, slice(None))
@@ -154,25 +163,28 @@ class AxisTransformSolver:
         else:
             raise ValidationError(f"unknown axis {axis!r}")
         shape = (self.inv_symbol.shape[0],) + 2 * (self.inv_symbol.shape[1],)
-        out = None
-        coupled = 0.0
-        for w, f in weighted:
-            if f.shape != shape:
+        for f in [f for _, f in weighted] + [out, scratch]:
+            if f is not None and f.shape != shape:
                 raise ShapeError(f"field shape {f.shape}, expected {shape}")
-            scaled = f * (2.0 * (w * self.inv_symbol).real)[line]
-            out = scaled if out is None else np.add(out, scaled, out=out)
-            if self.edge_in is not None:
+        out = np.zeros(shape) if out is None else out
+        scratch = np.empty(shape) if scratch is None else scratch
+        # The edge projections read every f_i before out changes.
+        coupled = 0.0
+        if self.edge_in is not None:
+            for w, f in weighted:
                 if axis == AXIS_X:
                     proj = f @ self.edge_in
                 else:
                     proj = np.swapaxes(np.swapaxes(self.edge_in, 1, 2) @ f, 1, 2)
                 coupled = coupled + w * (proj[..., :2] + 1j * proj[..., 2:])
+        for w, f in weighted:
+            out += np.multiply(f, (2.0 * (w * self.inv_symbol).real)[line], out=scratch)
         if self.edge_in is not None:
             z = np.concatenate([coupled.real, coupled.imag], axis=-1)
             if axis == AXIS_X:
-                out -= z @ np.swapaxes(self.edge_out, 1, 2)
+                out -= np.matmul(z, np.swapaxes(self.edge_out, 1, 2), out=scratch)
             else:
-                out -= self.edge_out @ np.swapaxes(z, 1, 2)
+                out -= np.matmul(self.edge_out, np.swapaxes(z, 1, 2), out=scratch)
         return out
 
 

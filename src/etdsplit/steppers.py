@@ -7,8 +7,11 @@ Schemes:
   splitting so every linear solve is a family of 1-D systems along one
   axis.  The step runs in sine/cosine-transform space, where each such
   solve is a real diagonal scaling (plus a rank-2 edge correction for
-  Dirichlet boundaries): all species at once, five forward and four
-  inverse 2-D transforms per step.
+  Dirichlet boundaries), all species at once.  A run's first split step
+  makes five forward and four inverse 2-D transforms; every later one
+  starts from the transform the previous step kept and makes four of
+  each.  The step's field buffers (SplitWork) are allocated once per
+  integrate call and live for that run only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order step built from the
@@ -195,61 +198,94 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers)
 
 
-def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
+class SplitWork:
+    """The split step's field buffers for one run, and the state it carries.
+
+    fields holds five (species, p, p) buffers and terms' scratch, allocated
+    by the first step.  state is the array the last step returned and
+    state_hat its transform, kept in fields; a step from state starts at
+    state_hat and skips one forward transform.  integrate makes one per run,
+    so no two runs share buffers.
+    """
+
+    def __init__(self):
+        self.fields = None
+        self.state = self.state_hat = None
+
+
+def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
+                     work: Optional[SplitWork] = None) -> np.ndarray:
     """Advance one step of the split scheme in transform space.
 
     The published 22-entry sequence, with every solve a 2*Re(...) term of a
     transform-space inverse (AxisTransformSolver.terms).  Every field is
     transformed along both axes, so x and y terms apply to it alike and a
-    field goes back to grid values only where the reaction needs it: five
-    forward and four inverse 2-D transforms per step.  The first solve, on
-    2 w11 U + 24 k w51 F(U), is the sum of the two solves on 2 w11 U and
-    24 k w51 F(U) that stages b and c need anyway.
+    field goes back to grid values only where the reaction needs it.  The
+    first solve, on 2 w11 U + 24 k w51 F(U), is the sum of the two solves on
+    2 w11 U and 24 k w51 F(U) that stages b and c need anyway.
+
+    A step from grid values makes five forward and four inverse 2-D
+    transforms.  Given the run's work, a step from the array the previous
+    step returned starts from its kept transform: four forward and four
+    inverse, the least the four grid-space reaction evaluations allow.
+    Every field lives in work's buffers, transformed in place; only the
+    returned state is a new array.  Without work the step makes its own.
     """
     c = PADE
     k = plan.k
     reaction = plan.disc.reaction
     s1, s2 = plan.solvers["c1"], plan.solvers["c2"]
     w11, w11_2, w51 = c.w11, 2.0 * c.w11, 24.0 * k * c.w51
-    fwd, inv = s1.basis.forward, s1.basis.inverse
-    # Each field is dropped once it is last read, to keep the peak footprint
-    # to a few fields.
-    u_hat = fwd(u)
-    fn_hat = fwd(reaction(u, t))
-    bn3 = u_hat + s2.terms(AXIS_X, (w11_2, u_hat))
-    cn2 = s2.terms(AXIS_X, (w51, fn_hat))
-    us1 = u_hat + s1.terms(AXIS_X, (w11, u_hat), (k * c.w21, fn_hat))
-    del u_hat, fn_hat
+    basis = s1.basis
+    if work is None:
+        work = SplitWork()
+    if work.fields is None:
+        work.fields = [np.empty(u.shape) for _ in range(6)]
+    buf_a, buf_b, buf_c, buf_d, buf_e, scratch = work.fields
+
+    def into(buf, field):
+        np.copyto(buf, field)
+        return buf
+
+    def fwd(buf, field):
+        return basis.forward(into(buf, field), overwrite_x=True)
+
+    def reaction_hat(field_hat, at):
+        """The transformed reaction at the grid values of field_hat, in its buffer."""
+        return fwd(field_hat, reaction(basis.inverse(field_hat, overwrite_x=True), at))
+
+    x1, y1, x2, y2 = (partial(s.terms, axis, scratch=scratch)
+                      for s in (s1, s2) for axis in (AXIS_X, AXIS_Y))
+    # Buffer a holds u_hat, us1 and the new state's transform; b fn_hat, an,
+    # cn and fc; c bn3, bn and fb; d cn2 and us2; e fa and g.
+    u_hat = work.state_hat if u is work.state else fwd(buf_a, u)
+    work.state = None  # buf_a changes next: a step that fails leaves nothing to carry
+    fn_hat = fwd(buf_b, reaction(u, t))
+    bn3 = x2((w11_2, u_hat), out=into(buf_c, u_hat))
+    cn2 = x2((w51, fn_hat), out=into(buf_d, 0.0))
+    us1 = x1((w11, u_hat), (k * c.w21, fn_hat), out=u_hat)
     # stage a
-    an = bn3 + cn2
-    an += s2.terms(AXIS_Y, (w11_2, an))
-    fa = fwd(reaction(inv(an), t + 0.5 * k))
+    an = np.add(bn3, cn2, out=buf_b)
+    an = y2((w11_2, an), out=an)
+    fa = reaction_hat(into(buf_e, an), t + 0.5 * k)
     # stage b
-    bn = bn3 + s2.terms(AXIS_Y, (w11_2, bn3)) + s2.terms(AXIS_X, (w51, fa))
-    del bn3
-    fb = fwd(reaction(inv(bn), t + 0.5 * k))
-    del bn
+    bn = x2((w51, fa), out=y2((w11_2, bn3), out=bn3))
+    fb = reaction_hat(bn, t + 0.5 * k)
     # stage c
-    cn = an + s2.terms(AXIS_X, (w11_2, an), (2.0 * w51, fb))
-    del an
-    cn += s2.terms(AXIS_Y, (w11_2, cn))
+    cn = x2((w11_2, an), (2.0 * w51, fb), out=an)
+    cn = y2((w11_2, cn), out=cn)
     cn -= cn2
-    cn -= s1.terms(AXIS_Y, (w11, cn2))
-    del cn2
-    g = fa + fb
-    del fa, fb
-    fc = fwd(reaction(inv(cn), t + k))
-    del cn
+    cn = y1((-w11, cn2), out=cn)
+    g = np.add(fa, fb, out=fa)
+    fc = reaction_hat(cn, t + k)
     # update
-    us2 = s1.terms(AXIS_X, (4.0 * k * c.w31, g))
-    del g
-    out = s1.terms(AXIS_X, (k * c.w41, fc))
-    del fc
-    out += us1
+    us2 = x1((4.0 * k * c.w31, g), out=into(buf_d, 0.0))
+    out = y1((w11, us1), out=us1)
     out += us2
-    out += s1.terms(AXIS_Y, (w11, us1))
-    out += s2.terms(AXIS_Y, (w11_2, us2))
-    return inv(out)
+    out = y2((w11_2, us2), out=out)
+    out = x1((k * c.w41, fc), out=out)
+    work.state_hat, work.state = out, basis.inverse(out)
+    return work.state
 
 
 def etdrk4p22_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
@@ -393,13 +429,18 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     """Integrate a problem from its initial condition to time T.
 
     The first `smoothing_steps` steps use the third-order presmoother at the
-    same step size k and count toward T/k; the rest use `scheme`.
+    same step size k and count toward T/k; the rest use `scheme`.  Every
+    step returns a new array, so snapshot_cb(step, t, u) may keep u; it must
+    not modify u in place, since the split step carries u's transform.
     """
     n_steps = check_run(scheme, k, T, smoothing_steps)
     if n_steps == 0:
         return disc.initial()
     plan = build_plan(scheme, disc, k)
-    one_step = scheme_entry(scheme)[2] or _sbdf4_step()
+    family, _, one_step = scheme_entry(scheme)
+    if family == "transform":
+        one_step = partial(one_step, work=SplitWork())
+    one_step = one_step or _sbdf4_step()
     steps = repeat(partial(one_step, plan), n_steps - smoothing_steps)
     if smoothing_steps:
         smoother = plan if scheme == SMOOTHER_ONLY else build_plan(SMOOTHER_ONLY, disc, k)

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import (
+    AxisTransformBasis,
     AxisTransformSolver,
     FullOperator,
     SparseFactorization,
@@ -29,6 +31,7 @@ from etdsplit.steppers import (
     SBDF_STARTUP_SUBSTEPS,
     SCHEMES,
     SMOOTHER_ONLY,
+    SplitWork,
     StepPlan,
     build_plan,
     etdrk4p22_step,
@@ -434,7 +437,9 @@ def test_pade_step_reference_gap_preasymptotic_regime():
 # ---- integration driver ----
 
 def test_integrate_equals_manual_steps():
-    # every one-step scheme, alone and after presmoothing steps, bit for bit
+    # every one-step scheme, alone and after presmoothing steps, bit for bit;
+    # the split steps carry their transformed state through one SplitWork,
+    # as integrate's do
     disc = discretize(make_problem("enzyme"), 5)
     k = 0.25
     smooth_plan = build_plan(SMOOTHER_ONLY, disc, k)
@@ -445,6 +450,8 @@ def test_integrate_equals_manual_steps():
                                        (SMOOTHER_ONLY, smoother_step, 2)):
         got = integrate(disc, scheme, k, 1.0, smoothing_steps=smoothing)
         plan = build_plan(scheme, disc, k)
+        if scheme == ETDRK4P22IF:
+            step_fn = partial(step_fn, work=SplitWork())
         u = disc.initial()
         for step in range(4):
             if step < smoothing:
@@ -452,6 +459,88 @@ def test_integrate_equals_manual_steps():
             else:
                 u = step_fn(plan, u, step * k)
         assert np.array_equal(got, u), (scheme, smoothing)
+
+
+@pytest.mark.parametrize("name", ["enzyme", "brusselator"])
+@pytest.mark.parametrize("smoothing", [0, 2])
+def test_carried_split_state_matches_grid_value_steps(name, smoothing):
+    # starting each step from the kept transform in place of fwd(u) changes
+    # the result by rounding only
+    disc = discretize(make_problem(name), 9)
+    k = 0.05
+    got = integrate(disc, ETDRK4P22IF, k, 4 * k, smoothing_steps=smoothing)
+    plan, smooth_plan = build_plan(ETDRK4P22IF, disc, k), build_plan(SMOOTHER_ONLY, disc, k)
+    u = disc.initial()
+    for step in range(4):
+        if step < smoothing:
+            u = smoother_step(smooth_plan, u, step * k)
+        else:
+            u = etdrk4p22if_step(plan, u, step * k)
+    assert np.max(np.abs(got - u)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("name", ["enzyme", "brusselator"])
+def test_split_step_transform_count(monkeypatch, name):
+    # nine 2-D transforms from grid values, eight from the carried state
+    calls = []
+
+    def counting(method):
+        original = getattr(AxisTransformBasis, method)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(method)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AxisTransformBasis, method, wrapper)
+
+    counting("forward")
+    counting("inverse")
+    disc = discretize(make_problem(name), 5)
+    per_step = []
+
+    def count_step(step, t, u):
+        per_step.append((calls.count("forward"), calls.count("inverse")))
+        calls.clear()
+
+    for smoothing, want in ((0, [(5, 4), (4, 4), (4, 4), (4, 4)]),
+                            (2, [(0, 0), (0, 0), (5, 4), (4, 4)])):
+        per_step.clear()
+        integrate(disc, ETDRK4P22IF, 0.05, 0.2, smoothing_steps=smoothing,
+                  snapshot_every=1, snapshot_cb=count_step)
+        assert per_step == want, smoothing
+    # a step starts from the kept transform only given the run's SplitWork
+    # and the very array the previous step returned
+    plan, work = build_plan(ETDRK4P22IF, disc, 0.05), SplitWork()
+
+    def counted_step(u, w):
+        calls.clear()
+        out = etdrk4p22if_step(plan, u, 0.0, w)
+        return out, (calls.count("forward"), calls.count("inverse"))
+
+    u, counts = counted_step(disc.initial(), work)
+    assert counts == (5, 4)
+    assert counted_step(u, None)[1] == (5, 4)
+    u_next, counts = counted_step(u, work)
+    assert counts == (4, 4)
+    assert counted_step(u_next.copy(), work)[1] == (5, 4)
+
+
+def test_split_run_states_share_no_memory():
+    # the run's buffers never leak into a returned state: every snapshot is
+    # its own array and stays equal to a run stopped at its time, and a
+    # later run leaves an earlier result alone
+    disc = discretize(make_problem("brusselator"), 6)
+    k = 0.05
+    snaps = []
+    final = integrate(disc, ETDRK4P22IF, k, 4 * k, snapshot_every=1,
+                      snapshot_cb=lambda step, t, u: snaps.append(u))
+    assert len(snaps) == 4 and snaps[-1] is final
+    for i, u in enumerate(snaps):
+        assert all(not np.shares_memory(u, v) for v in snaps[i + 1:])
+        assert np.array_equal(u, integrate(disc, ETDRK4P22IF, k, (i + 1) * k))
+    kept = final.copy()
+    integrate(disc, ETDRK4P22IF, k, 4 * k, smoothing_steps=1)
+    assert np.array_equal(final, kept)
 
 
 def test_scheme_table_resolves_functions_per_call(monkeypatch):
