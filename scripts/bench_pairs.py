@@ -56,21 +56,23 @@ def quartiles(values: list) -> dict:
             "n": len(values)}
 
 
+def metric(run: dict, name: str):
+    """A run's value of one metric, None when the run printed no result."""
+    return ((run["result"] or {}).get("metrics", {}).get(name) or {}).get("value")
+
+
 def summarise(pairs: list, better: dict) -> dict:
     """Per metric: each side's spread over runs, and the pairs each side won."""
     summary = {}
     for name, direction in better.items():
-        sides = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs
-                        if p[side]["result"]] for side in SIDES}
+        sides = {side: [v for p in pairs if (v := metric(p[side], name)) is not None]
+                 for side in SIDES}
         if not all(sides.values()):
             continue
         wins = {side: 0 for side in SIDES}
         for p in pairs:
-            if not (p["parent"]["result"] and p["change"]["result"]):
-                continue
-            old = p["parent"]["result"]["metrics"][name]["value"]
-            new = p["change"]["result"]["metrics"][name]["value"]
-            if new != old:
+            old, new = metric(p["parent"], name), metric(p["change"], name)
+            if old is not None and new is not None and new != old:
                 improved = new < old if direction == "lower" else new > old
                 wins["change" if improved else "parent"] += 1
         summary[name] = {"better": direction, "wins": wins,
@@ -107,9 +109,8 @@ def main(argv=None) -> int:
                 pair[side] = run_perfbench(roots[side], workload, args.seed, seconds)
             pairs.append(pair)
             print(f"{workload} pair {index + 1}: " + "  ".join(
-                f"{side} steps_per_s="
-                f"{(pair[side]['result'] or {}).get('metrics', {}).get('steps_per_s', {}).get('value')}"
-                for side in SIDES), flush=True)
+                f"{side} steps_per_s={metric(pair[side], 'steps_per_s')}" for side in SIDES),
+                flush=True)
         record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, better)}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
