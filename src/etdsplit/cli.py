@@ -15,7 +15,7 @@ allowed): each key must name one of the command's options exactly, and each
 line is parsed as a ``--key=value`` flag placed before the command-line
 flags, so a file value gets the flag's type and choices and a flag overrides
 it.  Exit codes: 0 success, 1 invalid configuration (including a grid too
-large to allocate), 2 numerical failure.
+large to allocate), 2 numerical failure, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -417,6 +417,9 @@ def main(argv=None) -> int:
     except (DivergenceError, SingularSystemError) as exc:
         print(f"etdsplit: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt as exc:
+        print(f"etdsplit: {str(exc) or 'interrupted'}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ Three solve paths exist, matching the scheme families:
   Nielson, SIAM J. Numer. Anal. 7 (1970); Buzbee, Dorr, George & Golub,
   SIAM J. Numer. Anal. 8 (1971)).  The symbol and the edge rows come from
   the grid and the stencil constants of spatial; B itself is never built.
-  A solve is then a real diagonal scaling of the transformed field plus,
-  for Dirichlet, a rank-4 real product; the plan costs O(p) per pole and
-  species.
+  A solver is applied only as an axis map, axis_map(axis, w, shift): the
+  real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed
+  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -127,65 +127,72 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
 
 
 @dataclass(frozen=True)
+class AxisMap:
+    """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed fields.
+
+    diag * f plus, for Dirichlet, the edge term as a real rank-4 product with
+    w folded into edge_out: f @ edge_in @ edge_out along x, else reversed.
+    """
+
+    axis: str
+    shape: tuple                          # (species, p, p)
+    diag: np.ndarray                      # (species, 1, p) along x, (species, p, 1) along y
+    edge_in: Optional[np.ndarray] = None  # (species, p, 4) along x, (species, 4, p) along y
+    edge_out: Optional[np.ndarray] = None  # (species, 4, p) along x, (species, p, 4) along y
+
+    def __call__(self, f: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 add: bool = False) -> np.ndarray:
+        """out = map(f), or out += map(f) when add; out may be f, scratch neither."""
+        for g in (f, out, scratch):
+            if g.shape != self.shape:
+                raise ShapeError(f"field shape {g.shape}, expected {self.shape}")
+        along_x = self.axis == AXIS_X
+        if self.edge_in is not None:  # z reads f before out (which may be f) changes
+            z = f @ self.edge_in if along_x else self.edge_in @ f
+        if add:
+            out += np.multiply(f, self.diag, out=scratch)
+        else:
+            np.multiply(f, self.diag, out=out)
+        if self.edge_in is not None:
+            out += np.matmul(z, self.edge_out, out=scratch) if along_x else \
+                np.matmul(self.edge_out, z, out=scratch)
+        return out
+
+
+@dataclass(frozen=True)
 class AxisTransformSolver:
     """(k*A_axis - pole*I)^-1 along either axis, applied in transform space.
 
     With mu = -k d lam - pole, the Woodbury identity gives, in transform
     space, M^-1 = diag(1/mu) - a q^T, a = diag(1/mu) Uk G, q = diag(1/mu)
     v_hat, where Uk = -k d u_hat and G = (I + v_hat^T diag(1/mu) Uk)^-1 is
-    the 2 x 2 capacitance inverse.  The rank-2 factors are stored as real
-    (p, 4) matrices: edge_in = [Re q, Im q] and edge_out = [2 Re a, -2 Im a],
-    so 2*Re(w a q^T f) = edge_out [Re z; Im z] with z = w q^T f.  basis
-    carries the transform that fields must be in.
+    the 2 x 2 capacitance inverse.  edge_in = [Re q, Im q] projects a real
+    field f to [Re; Im] of q^T f, and edge_a is a.  basis carries the
+    transform that fields must be in.
     """
 
     basis: AxisTransformBasis
     inv_symbol: np.ndarray            # (species, p) complex, 1/mu
-    edge_in: Optional[np.ndarray] = None    # (species, p, 4)
-    edge_out: Optional[np.ndarray] = None   # (species, p, 4)
+    edge_in: Optional[np.ndarray] = None  # (species, p, 4) real
+    edge_a: Optional[np.ndarray] = None   # (species, p, 2) complex
 
-    def terms(self, axis: str, *weighted, out: Optional[np.ndarray] = None,
-              scratch: Optional[np.ndarray] = None) -> np.ndarray:
-        """out + sum_i 2*Re(w_i (k*A_axis - pole*I)^-1 f_i) for (w_i, f_i) pairs.
-
-        Each f_i is a real (species, p, p) field already transformed along
-        both axes; so is out, which is updated in place and returned (a new
-        zero field when None).  out may be the first f_i but no later one.
-        scratch is a field-shaped float buffer the call overwrites (a new one
-        when None); it may be none of the fields.  Fields along one axis
-        share the edge correction: their projections are combined before it
-        is applied.
-        """
-        if axis == AXIS_X:
-            line = (slice(None), np.newaxis, slice(None))
-        elif axis == AXIS_Y:
-            line = (slice(None), slice(None), np.newaxis)
-        else:
+    def axis_map(self, axis: str, w, shift: float = 0.0) -> AxisMap:
+        """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as one AxisMap."""
+        if axis not in (AXIS_X, AXIS_Y):
             raise ValidationError(f"unknown axis {axis!r}")
-        shape = (self.inv_symbol.shape[0],) + 2 * (self.inv_symbol.shape[1],)
-        for f in [f for _, f in weighted] + [out, scratch]:
-            if f is not None and f.shape != shape:
-                raise ShapeError(f"field shape {f.shape}, expected {shape}")
-        out = np.zeros(shape) if out is None else out
-        scratch = np.empty(shape) if scratch is None else scratch
-        # The edge projections read every f_i before out changes.
-        coupled = 0.0
-        if self.edge_in is not None:
-            for w, f in weighted:
-                if axis == AXIS_X:
-                    proj = f @ self.edge_in
-                else:
-                    proj = np.swapaxes(np.swapaxes(self.edge_in, 1, 2) @ f, 1, 2)
-                coupled = coupled + w * (proj[..., :2] + 1j * proj[..., 2:])
-        for w, f in weighted:
-            out += np.multiply(f, (2.0 * (w * self.inv_symbol).real)[line], out=scratch)
-        if self.edge_in is not None:
-            z = np.concatenate([coupled.real, coupled.imag], axis=-1)
-            if axis == AXIS_X:
-                out -= np.matmul(z, np.swapaxes(self.edge_out, 1, 2), out=scratch)
-            else:
-                out -= np.matmul(self.edge_out, np.swapaxes(z, 1, 2), out=scratch)
-        return out
+        species, p = self.inv_symbol.shape
+        diag = shift + 2.0 * (w * self.inv_symbol).real
+        diag = diag[:, np.newaxis, :] if axis == AXIS_X else diag[:, :, np.newaxis]
+        if self.edge_a is None:
+            return AxisMap(axis, (species, p, p), diag)
+        # -2*Re(w a z) with z = q^T f = [Re z; Im z] = edge_in's projection of f
+        wa = w * self.edge_a
+        edge_in, edge_out = self.edge_in, np.concatenate([-2.0 * wa.real, 2.0 * wa.imag], axis=-1)
+        if axis == AXIS_X:
+            edge_out = np.ascontiguousarray(np.swapaxes(edge_out, 1, 2))
+        else:
+            edge_in = np.ascontiguousarray(np.swapaxes(edge_in, 1, 2))
+        return AxisMap(axis, (species, p, p), diag, edge_in, edge_out)
 
 
 def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,
@@ -208,10 +215,8 @@ def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,
         raise SingularSystemError(
             f"edge-row capacitance matrix is singular (pole={pole})") from exc
     q = basis.v_hat * inv_symbol[:, :, np.newaxis]
-    return AxisTransformSolver(
-        basis=basis, inv_symbol=inv_symbol,
-        edge_in=np.concatenate([q.real, q.imag], axis=-1),
-        edge_out=np.concatenate([2.0 * a.real, -2.0 * a.imag], axis=-1))
+    return AxisTransformSolver(basis=basis, inv_symbol=inv_symbol,
+                               edge_in=np.concatenate([q.real, q.imag], axis=-1), edge_a=a)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,21 @@ Schemes:
 * ``etdrk4p22if`` -- fourth-order exponential Runge-Kutta step whose matrix
   exponentials are replaced by Pade(2,2) rationals, with dimensional
   splitting so every linear solve is a family of 1-D systems along one
-  axis.  The step runs in sine/cosine-transform space, where each such
-  solve is a real diagonal scaling (plus a rank-2 edge correction for
-  Dirichlet boundaries), all species at once.  A run's first split step
-  makes five forward and four inverse 2-D transforms; every later one
-  starts from the transform the previous step kept and makes four of
-  each.  The step's field buffers (SplitWork) are allocated once per
-  integrate call and live for that run only.
+  axis.  The step is four stage equations in sine/cosine-transform space,
+  with N the reaction at grid values:
+
+      a  = Hy(Hx u + Px N(u))
+      b  = Hy Hx u + Px N(a)
+      c  = Hy(Hx a + 2 Px N(b)) - Ry Px N(u)
+      u' = Ry(Rx u + Qx(k w21) N(u)) + Hy Qx(4k w31) (N(a) + N(b)) + Qx(k w41) N(c)
+
+  H = I + 2Re(2 w11 (kA - c2)^-1), R = I + 2Re(w11 (kA - c1)^-1),
+  P = 2Re(24 k w51 (kA - c2)^-1) and Q(w) = 2Re(w (kA - c1)^-1) along the
+  subscript's axis are each one real axis map of linsolve, all species at
+  once.  A run's first split step makes five forward and four inverse 2-D
+  transforms; every later one starts from the transform the previous step
+  kept and makes four of each.  The step's maps and field buffers
+  (SplitWork) are made once per integrate call, for that run only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order step built from the
@@ -146,13 +154,12 @@ class StepPlan:
 
     solvers maps each pole name of the scheme's table row to one solver of
     the row's family: a transform-space inverse covering both axes and every
-    species (split scheme; each carries the shared transform as .basis), a
-    sparse LU factorization (etdrk4p22) or an eigen-solver sharing one 1-D
-    eigenbasis (presmoother and SBDF schemes).  The last two solve with
-    .solve(rhs).  Plans are immutable.
+    species (split scheme; each carries the shared transform as .basis and
+    applies as .axis_map), a sparse LU factorization (etdrk4p22) or an
+    eigen-solver sharing one 1-D eigenbasis (presmoother and SBDF schemes).
+    The last two solve with .solve(rhs).  Plans are immutable.
     """
 
-    scheme: str
     k: float
     disc: DiscretizedProblem
     solvers: dict
@@ -195,34 +202,31 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     else:
         solver = partial(tensor_eigen_solver, axis_eigenbasis(axis_matrix(grid)), diffusion)
     solvers = {pname: solver(k_sys, shift) for pname, (k_sys, shift) in systems.items()}
-    return StepPlan(scheme=scheme, k=k, disc=disc, solvers=solvers)
+    return StepPlan(k=k, disc=disc, solvers=solvers)
 
 
 class SplitWork:
-    """The split step's field buffers for one run, and the state it carries.
+    """What one run of the split step keeps between steps.
 
-    fields holds five (species, p, p) buffers and terms' scratch, allocated
-    by the first step.  state is the array the last step returned and
-    state_hat its transform, kept in fields; a step from state starts at
-    state_hat and skips one forward transform.  integrate makes one per run,
-    so no two runs share buffers.
+    maps holds the ten axis maps the step derives from plan's two solvers
+    and fields five (species, p, p) buffers and the maps' scratch; another
+    plan makes the step rebuild both.  state is the array the last step
+    returned and state_hat its transform, kept in fields; a step from state
+    starts at state_hat.  integrate makes one per run, so no two runs share.
     """
 
     def __init__(self):
-        self.fields = None
-        self.state = self.state_hat = None
+        self.plan = self.maps = self.fields = self.state = self.state_hat = None
 
 
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
                      work: Optional[SplitWork] = None) -> np.ndarray:
     """Advance one step of the split scheme in transform space.
 
-    The published 22-entry sequence, with every solve a 2*Re(...) term of a
-    transform-space inverse (AxisTransformSolver.terms).  Every field is
-    transformed along both axes, so x and y terms apply to it alike and a
-    field goes back to grid values only where the reaction needs it.  The
-    first solve, on 2 w11 U + 24 k w51 F(U), is the sum of the two solves on
-    2 w11 U and 24 k w51 F(U) that stages b and c need anyway.
+    The module docstring's four stage equations: fifteen applications of
+    ten axis maps.  Every field is transformed along both axes, so x and y
+    maps apply to it alike and a field goes back to grid values only where
+    the reaction needs it.
 
     A step from grid values makes five forward and four inverse 2-D
     transforms.  Given the run's work, a step from the array the previous
@@ -231,59 +235,47 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     Every field lives in work's buffers, transformed in place; only the
     returned state is a new array.  Without work the step makes its own.
     """
-    c = PADE
-    k = plan.k
-    reaction = plan.disc.reaction
-    s1, s2 = plan.solvers["c1"], plan.solvers["c2"]
-    w11, w11_2, w51 = c.w11, 2.0 * c.w11, 24.0 * k * c.w51
-    basis = s1.basis
+    k, reaction, basis = plan.k, plan.disc.reaction, plan.solvers["c1"].basis
     if work is None:
         work = SplitWork()
-    if work.fields is None:
+    if work.plan is not plan:
+        s1, s2 = plan.solvers["c1"], plan.solvers["c2"]
+        w11, w51 = PADE.w11, 24.0 * k * PADE.w51
+        work.maps = (s2.axis_map(AXIS_X, 2.0 * w11, 1.0), s2.axis_map(AXIS_Y, 2.0 * w11, 1.0),
+                     s2.axis_map(AXIS_X, w51), s2.axis_map(AXIS_X, 2.0 * w51),
+                     s1.axis_map(AXIS_X, w11, 1.0), s1.axis_map(AXIS_Y, w11, 1.0),
+                     s1.axis_map(AXIS_Y, -w11, -1.0), s1.axis_map(AXIS_X, k * PADE.w21),
+                     s1.axis_map(AXIS_X, 4.0 * k * PADE.w31), s1.axis_map(AXIS_X, k * PADE.w41))
         work.fields = [np.empty(u.shape) for _ in range(6)]
-    buf_a, buf_b, buf_c, buf_d, buf_e, scratch = work.fields
-
-    def into(buf, field):
-        np.copyto(buf, field)
-        return buf
+        work.plan, work.state = plan, None
+    f0, f1, f2, f3, f4, scratch = work.fields
+    hx, hy, px, px2, rx, ry, minus_ry, qx21, qx31, qx41 = (
+        partial(m, scratch=scratch) for m in work.maps)
 
     def fwd(buf, field):
-        return basis.forward(into(buf, field), overwrite_x=True)
+        np.copyto(buf, field)
+        return basis.forward(buf, overwrite_x=True)
 
     def reaction_hat(field_hat, at):
         """The transformed reaction at the grid values of field_hat, in its buffer."""
         return fwd(field_hat, reaction(basis.inverse(field_hat, overwrite_x=True), at))
 
-    x1, y1, x2, y2 = (partial(s.terms, axis, scratch=scratch)
-                      for s in (s1, s2) for axis in (AXIS_X, AXIS_Y))
-    # Buffer a holds u_hat, us1 and the new state's transform; b fn_hat, an,
-    # cn and fc; c bn3, bn and fb; d cn2 and us2; e fa and g.
-    u_hat = work.state_hat if u is work.state else fwd(buf_a, u)
-    work.state = None  # buf_a changes next: a step that fails leaves nothing to carry
-    fn_hat = fwd(buf_b, reaction(u, t))
-    bn3 = x2((w11_2, u_hat), out=into(buf_c, u_hat))
-    cn2 = x2((w51, fn_hat), out=into(buf_d, 0.0))
-    us1 = x1((w11, u_hat), (k * c.w21, fn_hat), out=u_hat)
-    # stage a
-    an = np.add(bn3, cn2, out=buf_b)
-    an = y2((w11_2, an), out=an)
-    fa = reaction_hat(into(buf_e, an), t + 0.5 * k)
-    # stage b
-    bn = x2((w51, fa), out=y2((w11_2, bn3), out=bn3))
-    fb = reaction_hat(bn, t + 0.5 * k)
-    # stage c
-    cn = x2((w11_2, an), (2.0 * w51, fb), out=an)
-    cn = y2((w11_2, cn), out=cn)
-    cn -= cn2
-    cn = y1((-w11, cn2), out=cn)
+    u_hat = work.state_hat if u is work.state else fwd(f0, u)
+    work.state = None  # f0 changes next: a step that fails leaves nothing to carry
+    fn = fwd(f1, reaction(u, t))
+    hxu, pn = hx(u_hat, f2), px(fn, f3)
+    us = qx21(fn, rx(u_hat, u_hat), add=True)  # u' starts as Rx u + Qx(k w21) N(u)
+    a = hy(np.add(hxu, pn, out=f1), f1)
+    np.copyto(f4, a)  # reaction_hat overwrites its field, and stage c needs a
+    fa = reaction_hat(f4, t + 0.5 * k)
+    b = px(fa, hy(hxu, hxu), add=True)
+    fb = reaction_hat(b, t + 0.5 * k)
+    c = hy(px2(fb, hx(a, a), add=True), a)  # Hy(Hx a + 2 Px N(b)), then - Ry Px N(u)
+    c = minus_ry(pn, c, add=True)
     g = np.add(fa, fb, out=fa)
-    fc = reaction_hat(cn, t + k)
-    # update
-    us2 = x1((4.0 * k * c.w31, g), out=into(buf_d, 0.0))
-    out = y1((w11, us1), out=us1)
-    out += us2
-    out = y2((w11_2, us2), out=out)
-    out = x1((k * c.w41, fc), out=out)
+    fc = reaction_hat(c, t + k)
+    out = hy(qx31(g, f2), ry(us, us), add=True)  # Ry(...) + Hy Qx(4k w31) (N(a) + N(b))
+    out = qx41(fc, out, add=True)
     work.state_hat, work.state = out, basis.inverse(out)
     return work.state
 
@@ -341,15 +333,6 @@ def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
     return plan.solvers["sbdf1"].solve(u + k0 * plan.disc.reaction(u, t))
 
 
-def _quiet_divergence():
-    """Silence numpy's floating-point warnings inside a step loop.
-
-    A diverging state overflows long before the loop sees it; the finite
-    check after each step reports it once, as a DivergenceError.
-    """
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
 def _check_step(k: float) -> None:
     if not (k > 0 and math.isfinite(k)):
         raise ValidationError(f"need a finite k > 0, got {k}")
@@ -383,17 +366,25 @@ def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None
 
     The i-th of the steps, step(u, t), starts at t = i*k.  Each new state
     must be finite, and every snapshot_every-th goes to snapshot_cb(step, t, u).
+    An interrupt (Ctrl-C) leaves it as a KeyboardInterrupt naming the last
+    step done and its t.
     """
-    t = 0.0
-    with _quiet_divergence():
-        for step, advance in enumerate(steps):
-            u = advance(u, t)
-            t = (step + 1) * k
-            if not np.all(np.isfinite(u)):
-                raise DivergenceError(
-                    f"non-finite state after step {step + 1} (t = {t:.6g})", step=step + 1, t=t)
-            if snapshot_every and snapshot_cb and (step + 1) % snapshot_every == 0:
-                snapshot_cb(step + 1, t, u)
+    t, done = 0.0, 0
+    try:
+        # A diverging state overflows long before the finite check sees it;
+        # that check reports it once, so numpy's own warnings stay quiet.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for advance in steps:
+                u = advance(u, t)
+                done += 1
+                t = done * k
+                if not np.all(np.isfinite(u)):
+                    raise DivergenceError(
+                        f"non-finite state after step {done} (t = {t:.6g})", step=done, t=t)
+                if snapshot_every and snapshot_cb and done % snapshot_every == 0:
+                    snapshot_cb(done, t, u)
+    except KeyboardInterrupt as exc:
+        raise KeyboardInterrupt(f"interrupted after step {done} (t = {t:.6g})") from exc
     return u
 
 

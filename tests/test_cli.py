@@ -3,9 +3,11 @@ import csv
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -338,6 +340,41 @@ def test_only_the_sparse_baseline_imports_scipy_sparse(scheme, loads_sparse, tmp
     code, modules = proc.stdout.split(" ", 1)
     assert code == "0"
     assert (modules.strip() != "[]") == loads_sparse, modules
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path):
+    # SIGINT once the first snapshot is written: one stderr line naming the
+    # step and t reached, exit 130 and no final --out file
+    out = tmp_path / "u.csv"
+    argv = ["solve", "--problem", "model_dirichlet", "--m", "39", "--k", "0.0125",
+            "--T", "1000", "--out", str(out), "--snapshot-every", "10"]
+    # a shell that starts a background job ignores SIGINT in it; restore the
+    # default handler so the child sees the interrupt a terminal would send
+    script = ("import signal, sys\n"
+              "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+              "from etdsplit.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120.0
+        while not list(tmp_path.glob("u_step*.csv")):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "no snapshot within 120 s"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("etdsplit: interrupted after step "), err
+    assert "(t = " in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 71.1 PiB for an array", ""])

@@ -33,16 +33,19 @@ def _grid(bc=DIRICHLET, m=5, a=0.0, b=1.0):
 def _axis_solve(grid, diffusion, k, pole, axis, rhs):
     """(k*A_axis - pole*I)^-1 rhs for a complex (species, p, p) rhs.
 
-    Built from the solver's real 2*Re(w ...) terms: weights 1/2 and -i/2
+    Built from the solver's real 2*Re(w ...) axis maps: weights 1/2 and -i/2
     recover the real and imaginary parts of the inverse applied to a real
     field.
     """
     basis = axis_transform_basis(grid)
     solver = axis_transform_solver(basis, diffusion, k, pole)
     re, im = basis.forward(rhs.real), basis.forward(rhs.imag)
-    real = solver.terms(axis, (0.5, re), (0.5j, im))
-    imag = solver.terms(axis, (-0.5j, re), (0.5, im))
-    return basis.inverse(real) + 1j * basis.inverse(imag)
+    scratch = np.empty(rhs.shape)
+
+    def part(w_re, w_im):
+        out = solver.axis_map(axis, w_re)(re, np.empty(rhs.shape), scratch)
+        return solver.axis_map(axis, w_im)(im, out, scratch, add=True)
+    return basis.inverse(part(0.5, 0.5j)) + 1j * basis.inverse(part(-0.5j, 0.5))
 
 
 def _dense_axis_solve(grid, diffusion, k, pole, axis, rhs):
@@ -74,9 +77,10 @@ def test_factorization_determinism():
     f1 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
     f2 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
     assert np.array_equal(f1.inv_symbol, f2.inv_symbol)
-    assert np.array_equal(f1.edge_in, f2.edge_in) and np.array_equal(f1.edge_out, f2.edge_out)
+    assert np.array_equal(f1.edge_in, f2.edge_in) and np.array_equal(f1.edge_a, f2.edge_a)
     rhs = basis.forward(np.full((1, 6, 6), 0.3))
-    assert np.array_equal(f1.terms(AXIS_X, (PADE.w11, rhs)), f2.terms(AXIS_X, (PADE.w11, rhs)))
+    apply = lambda f: f.axis_map(AXIS_X, PADE.w11)(rhs, np.empty(rhs.shape), np.empty(rhs.shape))
+    assert np.array_equal(apply(f1), apply(f2))
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
@@ -108,9 +112,13 @@ def test_axis_solve_zero_rhs_and_inverse_composition():
 
 def test_axis_solve_shape_mismatch():
     solver = axis_transform_solver(axis_transform_basis(_grid(m=4)), (1.0,), 0.1, PADE.c1)
+    amap = solver.axis_map(AXIS_X, 1.0)
+    good = np.zeros((1, 4, 4))
     for shape in ((1, 5, 4), (1, 4, 5), (2, 4, 4), (4, 4)):
-        with pytest.raises(ShapeError):
-            solver.terms(AXIS_X, (1.0, np.zeros(shape)))
+        bad = np.zeros(shape)
+        for args in ((bad, good, good.copy()), (good, bad, good.copy()), (good, good.copy(), bad)):
+            with pytest.raises(ShapeError):
+                amap(*args)
 
 
 def test_axis_validation():
@@ -119,7 +127,7 @@ def test_axis_validation():
         axis_transform_solver(basis, (1.0,), 0.0, PADE.c1)
     solver = axis_transform_solver(basis, (1.0,), 0.1, PADE.c1)
     with pytest.raises(ValidationError):
-        solver.terms("z", (1.0, np.zeros((1, 4, 4))))
+        solver.axis_map("z", 1.0)
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0])
@@ -142,6 +150,39 @@ def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axi
     got = _axis_solve(grid, diffusion, k, pole, axis, rhs)
     want = _dense_axis_solve(grid, diffusion, k, pole, axis, rhs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 12),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2, unique=True).map(tuple),
+       pole=st.sampled_from(ALL_POLES), axis=st.sampled_from((AXIS_X, AXIS_Y)),
+       k=st.floats(0.01, 1.0), w=st.complex_numbers(max_magnitude=10.0),
+       shift=st.floats(-2.0, 2.0), call=st.sampled_from(("new", "add", "aliased")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, axis, k, w, shift, call, seed):
+    # axis_map(axis, w, shift) on transformed fields is, on grid values, the
+    # dense shift*I + 2*Re(w (k*A_axis - pole*I)^-1), into out, added to it,
+    # or written over its own input
+    grid = _grid(bc=bc, m=m)
+    p = grid.p1d
+    basis = axis_transform_basis(grid)
+    amap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
+    rng = np.random.default_rng(seed)
+    f, start = rng.normal(size=(2, len(diffusion), p, p))
+    want, eye = np.empty(f.shape), np.eye(p * p)
+    for s in range(len(diffusion)):
+        inv = np.linalg.inv(k * dense_axis_operator(grid, diffusion, axis, s) - pole * eye)
+        want[s] = ((shift * eye + 2.0 * (w * inv).real) @ f[s].ravel()).reshape(p, p)
+    f_hat, scratch = basis.forward(f), np.empty(f.shape)
+    if call == "new":
+        got = amap(f_hat, np.empty(f.shape), scratch)
+    elif call == "add":
+        want += start
+        got = amap(f_hat, basis.forward(start), scratch, add=True)
+    else:
+        got = amap(f_hat, f_hat, scratch)
+        assert got is f_hat
+    assert np.max(np.abs(basis.inverse(got) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _transform_residual(grid):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import (
+    AxisMap,
     AxisTransformBasis,
     AxisTransformSolver,
     FullOperator,
@@ -21,7 +22,7 @@ from etdsplit.linsolve import (
     factorize_full,
 )
 from etdsplit.problems import ProblemSpec, discretize, make_problem
-from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D
+from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D
 import etdsplit.steppers as steppers
 from etdsplit.steppers import (
     ETDRK4P22,
@@ -281,7 +282,7 @@ def _artificial_plan(k, a_coef=1.0):
                       blocks=(a_coef * sparse.identity(9, format="csr"),))
     facts = {"sbdf4": factorize_full(op, 12.0 * k, -25.0),
              "sbdf1": factorize_full(op, k / 2000.0, -1.0)}
-    return StepPlan(scheme=SBDF4, k=k, disc=disc, solvers=facts)
+    return StepPlan(k=k, disc=disc, solvers=facts)
 
 
 def _integrate_artificial(monkeypatch, k, a_coef):
@@ -525,6 +526,39 @@ def test_split_step_transform_count(monkeypatch, name):
     assert counted_step(u_next.copy(), work)[1] == (5, 4)
 
 
+def test_split_work_follows_its_plan():
+    # a SplitWork handed another plan rebuilds its maps from that plan
+    disc = discretize(make_problem("brusselator"), 5)
+    work, u = SplitWork(), disc.initial()
+    for k in (0.05, 0.1):
+        plan = build_plan(ETDRK4P22IF, disc, k)
+        assert np.array_equal(etdrk4p22if_step(plan, u, 0.0, work),
+                              etdrk4p22if_step(plan, u, 0.0))
+
+
+@pytest.mark.parametrize("name", ["enzyme", "brusselator"])
+def test_split_step_axis_map_budget(monkeypatch, name):
+    # the four stage equations apply fifteen axis maps per step, and those
+    # are the step's only applications of an axis operator
+    calls = []
+    original = AxisMap.__call__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.axis)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AxisMap, "__call__", counting)
+    per_step = []
+
+    def count_step(step, t, u):
+        per_step.append((calls.count(AXIS_X), calls.count(AXIS_Y)))
+        calls.clear()
+
+    integrate(discretize(make_problem(name), 5), ETDRK4P22IF, 0.05, 0.2,
+              snapshot_every=1, snapshot_cb=count_step)
+    assert per_step == [(9, 6)] * 4
+
+
 def test_split_run_states_share_no_memory():
     # the run's buffers never leak into a returned state: every snapshot is
     # its own array and stays equal to a run stopped at its time, and a
@@ -635,6 +669,18 @@ def test_integrate_snapshot_callback():
     integrate(disc, ETDRK4P22IF, 0.25, 1.0, snapshot_every=2,
               snapshot_cb=lambda step, t, u: seen.append((step, t)))
     assert [s for s, _ in seen] == [2, 4]
+
+
+def test_integrate_interrupt_names_step_and_t():
+    # Ctrl-C inside the loop (here in the snapshot callback) leaves it as a
+    # KeyboardInterrupt naming the last step done and its t
+    def interrupt(step, t, u):
+        if step == 3:
+            raise KeyboardInterrupt
+
+    disc = discretize(make_problem("enzyme"), 4)
+    with pytest.raises(KeyboardInterrupt, match=r"^interrupted after step 3 \(t = 0\.75\)$"):
+        integrate(disc, ETDRK4P22IF, 0.25, 2.0, snapshot_every=1, snapshot_cb=interrupt)
 
 
 def test_smoothing_keeps_nonsmooth_solution_in_bounds():
