@@ -14,7 +14,11 @@ Three solve paths exist, matching the scheme families:
   the grid and the stencil constants of spatial; B itself is never built.
   A solver is applied only as an axis map, axis_map(axis, w, shift): the
   real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed
-  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.
+  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.  The
+  2-D transforms themselves run two ways, picked once per grid from p: up
+  to DENSE_TRANSFORM_MAX_P as two BLAS products with the transform's dense
+  p x p matrix, which at small p beats pocketfft's FFT-based type-1
+  transforms by 2-8x; above it as scipy.fft's dstn/dctn.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -35,9 +39,12 @@ step; all kinds are immutable.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+# Imported with the module even where only the dense transforms run: on first
+# use the import (about 0.2 s) would land inside a run's set-up.
 import scipy.fft
 
 from .errors import ShapeError, SingularSystemError, ValidationError
@@ -60,6 +67,17 @@ _EIG_IMAG_TOL = 1e-10
 # 1.41-1.63 for m = 3..319 on both boundary kinds.
 EIGEN_COND_MAX = 1e3
 
+# Largest p1d whose 2-D type-1 transforms run as two dense p x p matrix
+# products; above it scipy.fft's pocketfft runs them.  Measured by
+# scripts/transform_crossover.py (BENCH_dense_transform.json, "crossover":
+# 2-core Xeon, one OpenBLAS thread, two species, forward plus inverse): the
+# products win at every p from 39 to 149, by 2-8x at most p but only by
+# 1.05-1.25x at the FFT-friendly lengths above p = 100 (p = 107, 109, 119,
+# 127, 139, 143, 149), and pocketfft wins by up to 1.4x from p = 151 on.
+# Other sweeps on that host put p = 119 and 127 within 4% and pocketfft
+# ahead by 1.3x at p = 143, so the bound stays below 143.
+DENSE_TRANSFORM_MAX_P = 128
+
 
 @dataclass(frozen=True)
 class AxisTransformBasis:
@@ -73,12 +91,22 @@ class AxisTransformBasis:
     Dirichlet edge rows: U = [e_0, e_(p-1)] and V^T holds their differences
     from the reflected rows, (9, -10, 5, -1)/(12 h^2) for m >= 4.  The
     low-rank term is kept transformed: u_hat = F U and v_hat = F^-T V.
+
+    F is scipy.fft's unnormalized type-1 transform, applied along both axes
+    of every species at once in one of two ways, chosen once from p.  With
+    dense (p at most DENSE_TRANSFORM_MAX_P) a 2-D transform is two BLAS
+    matrix products with the p x p arrays of dense_transform_matrices,
+    F X F^T, and its inverse (F / n^2) X F^T.  Otherwise scipy.fft's
+    dstn/dctn run it.  Both keep scipy's scaling, so lam, u_hat and v_hat
+    serve either.  Every array is read-only: one basis serves every plan
+    on its grid.
     """
 
     bc: str
     lam: np.ndarray                  # (p,)
     u_hat: Optional[np.ndarray]      # (p, 2); None when B is exactly reflected
     v_hat: Optional[np.ndarray]      # (p, 2)
+    dense: bool = False
 
     def forward(self, field: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Transform a (species, p, p) field along both axes.
@@ -86,19 +114,76 @@ class AxisTransformBasis:
         With overwrite_x, a C-contiguous float64 field is transformed in
         place: the result is a view of it.
         """
+        if self.dense:
+            f, f_t, _ = dense_transform_matrices(self.bc, len(self.lam))
+            return _dense_transform(f, f_t, field, overwrite_x)
         if self.bc == DIRICHLET:
             return scipy.fft.dstn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
         return scipy.fft.dctn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
 
     def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of forward."""
+        if self.dense:
+            _, f_t, f_inv = dense_transform_matrices(self.bc, len(self.lam))
+            return _dense_transform(f_inv, f_t, coeffs, overwrite_x)
         if self.bc == DIRICHLET:
             return scipy.fft.idstn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
         return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
 
 
+def _dense_transform(left: np.ndarray, right: np.ndarray, x: np.ndarray,
+                     overwrite_x: bool) -> np.ndarray:
+    """left @ x @ right over every (p, p) block of x, into x itself with overwrite_x.
+
+    A contiguous right factor, not a transposed view, keeps the first
+    product about a fifth faster at p = 79.
+    """
+    x = np.asarray(x)
+    return np.matmul(left, x @ right, out=x if overwrite_x else None)
+
+
+@lru_cache(maxsize=8)
+def dense_transform_matrices(bc: str, p: int) -> tuple:
+    """(F, F^T, F / n^2): scipy.fft's unnormalized type-1 transform as p x p arrays.
+
+    F is the sine transform, 2 sin(pi (j+1)(k+1) / (p+1)), for Dirichlet
+    and the cosine one, 2 cos(pi j k / (p-1)) with the first and last
+    columns halved, for Neumann; F F = n I.  Each entry is read from a
+    table of the n angles of one period by its integer numerator modulo n,
+    so large products lose no accuracy and only n sines or cosines are
+    evaluated.  The sine transform is symmetric: its F^T is F itself.
+
+    Built at a boundary kind and size's first transform and cached,
+    read-only, as scipy.fft caches its plans: a process pays it once.
+    """
+    idx = np.arange(1, p + 1) if bc == DIRICHLET else np.arange(p)
+    n = 2 * (p + 1) if bc == DIRICHLET else 2 * (p - 1)
+    angles = np.pi * np.arange(n) / (n // 2)
+    table = 2.0 * (np.sin(angles) if bc == DIRICHLET else np.cos(angles))
+    numerators = np.outer(idx, idx)
+    f = table[np.remainder(numerators, n, out=numerators)]
+    if bc == DIRICHLET:
+        f_t = f
+    else:
+        f[:, [0, -1]] *= 0.5
+        f_t = np.ascontiguousarray(f.T)
+    f_inv = f / float(n * n)
+    _read_only(f, f_t, f_inv)
+    return f, f_t, f_inv
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=16)
 def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
-    """Diagonalize the grid's B by its type-1 transform; every pole and species shares it."""
+    """Diagonalize the grid's B by its type-1 transform; every pole and species shares it.
+
+    Cached per grid, so every plan on one grid shares one basis.
+    """
     p, h, bc = grid.p1d, grid.h, grid.bc
     if bc == DIRICHLET:
         theta = np.pi * np.arange(1, p + 1) / (p + 1)
@@ -106,24 +191,26 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
         theta = np.pi * np.arange(p) / (p - 1)
     lam = sum(c * np.cos(off * theta) for off, c in zip(range(-2, 3), INTERIOR_STENCIL))
     lam /= 12.0 * h * h
-    if bc != DIRICHLET:
-        return AxisTransformBasis(bc=bc, lam=lam, u_hat=None, v_hat=None)
-    # V's first column: B's first row minus the oddly reflected stencil's,
-    # whose -2 tap folds onto the first unknown with its sign flipped:
-    # (-29, 16, -1, 0).  Both truncate to p; the last column is the mirror.
-    c = 12.0 * h * h
-    s = INTERIOR_STENCIL
-    n = min(p, 4)
-    reflected, edge = np.zeros(p), np.zeros(p)
-    reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
-    edge[:n] = _DIRICHLET_EDGE[:n]
-    first = (-reflected / c) + (edge / c)
-    unit = np.zeros((p, 2))
-    unit[0, 0] = unit[p - 1, 1] = 1.0
-    u_hat = scipy.fft.dst(unit, type=1, axis=0)
-    # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
-    v_hat = scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0)
-    return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat)
+    u_hat = v_hat = None
+    if bc == DIRICHLET:
+        # V's first column: B's first row minus the oddly reflected stencil's,
+        # whose -2 tap folds onto the first unknown with its sign flipped:
+        # (-29, 16, -1, 0).  Both truncate to p; the last column is the mirror.
+        c = 12.0 * h * h
+        s = INTERIOR_STENCIL
+        n = min(p, 4)
+        reflected, edge = np.zeros(p), np.zeros(p)
+        reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
+        edge[:n] = _DIRICHLET_EDGE[:n]
+        first = (-reflected / c) + (edge / c)
+        unit = np.zeros((p, 2))
+        unit[0, 0] = unit[p - 1, 1] = 1.0
+        u_hat = scipy.fft.dst(unit, type=1, axis=0)
+        # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
+        v_hat = scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0)
+    _read_only(lam, u_hat, v_hat)
+    return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat,
+                              dense=p <= DENSE_TRANSFORM_MAX_P)
 
 
 @dataclass(frozen=True)
@@ -289,8 +376,9 @@ def factorize_full(op: FullOperator, k: float, shift) -> SparseFactorization:
 class AxisEigenbasis:
     """Real eigendecomposition B = V diag(lam) V^-1 of the 1-D operator.
 
-    The transposes are stored contiguous: a product with a contiguous right
-    factor runs about a third faster than with a transposed view at p = 79.
+    All four matrices are stored C-contiguous, the transposes too: a product
+    with a contiguous right factor runs about a third faster than with a
+    transposed view at p = 79.
     """
 
     lam: np.ndarray
@@ -312,7 +400,7 @@ def axis_eigenbasis(b: np.ndarray) -> AxisEigenbasis:
     if imag > _EIG_IMAG_TOL * scale:
         raise SingularSystemError(
             f"1-D operator has complex eigenvalues (max |imag| {imag:.3g})")
-    v = v.real
+    v = np.ascontiguousarray(v.real)  # eig's .real is a strided view
     cond = np.linalg.cond(v)
     if not cond <= EIGEN_COND_MAX:
         raise SingularSystemError(

@@ -42,7 +42,9 @@ through its one loop, _march, and sbdf4 enters it through a step function
 that keeps its own history.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
-uses inside its matrix products.
+uses inside its matrix products.  On grids up to
+linsolve.DENSE_TRANSFORM_MAX_P unknowns per axis those include the split
+step's 2-D transforms, which run there as dense matrix products.
 """
 
 import math

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,6 +11,7 @@ import etdsplit.linsolve as linsolve
 import etdsplit.spatial as spatial
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
+    DENSE_TRANSFORM_MAX_P,
     EIGEN_COND_MAX,
     FullOperator,
     TensorEigenSolver,
@@ -215,12 +218,45 @@ def test_transform_basis_rebuilds_the_axis_matrix(bc):
 @pytest.mark.parametrize("module", [spatial, linsolve])
 def test_transform_basis_oracle_sees_a_perturbed_dirichlet_edge(module, monkeypatch):
     # B's edge row and the transform's copy of it are read from one constant;
-    # perturbing either side alone must break the identity
+    # perturbing either side alone must break the identity.  The basis is
+    # cached per grid, so no basis built before or during the perturbation
+    # may outlive it.
     edge = list(spatial._DIRICHLET_EDGE)
     edge[1] += 1e-6
+    axis_transform_basis.cache_clear()
     monkeypatch.setattr(module, "_DIRICHLET_EDGE", tuple(edge))
-    assert _transform_residual(_grid(bc=DIRICHLET, m=8)) > 1e-13
-    assert _transform_residual(_grid(bc=NEUMANN, m=8)) <= 1e-13
+    try:
+        assert _transform_residual(_grid(bc=DIRICHLET, m=8)) > 1e-13
+        assert _transform_residual(_grid(bc=NEUMANN, m=8)) <= 1e-13
+    finally:
+        axis_transform_basis.cache_clear()
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("p", [5, 40, DENSE_TRANSFORM_MAX_P, DENSE_TRANSFORM_MAX_P + 1])
+@pytest.mark.parametrize("species", [1, 2])
+def test_transform_paths_match_scipy(bc, p, species):
+    # the basis picks dense products up to the crossover and pocketfft above
+    # it; either way of applying F is scipy.fft's type-1 transform, in place
+    # with overwrite_x and leaving the input alone without it
+    grid = _grid(bc=bc, m=p if bc == DIRICHLET else p - 2)
+    basis = axis_transform_basis(grid)
+    assert basis.dense == (p <= DENSE_TRANSFORM_MAX_P)
+    fwd, inv = (scipy.fft.dstn, scipy.fft.idstn) if bc == DIRICHLET else \
+        (scipy.fft.dctn, scipy.fft.idctn)
+    x = np.random.default_rng(p).normal(size=(species, p, p))
+    for dense in (True, False):
+        path = replace(basis, dense=dense)
+        for method, ref in ((path.forward, fwd), (path.inverse, inv)):
+            want = ref(x, type=1, axes=(-2, -1))
+            kept = x.copy()
+            got = method(x)
+            assert np.array_equal(x, kept), dense
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dense
+            buf = x.copy()
+            got = method(buf, overwrite_x=True)
+            assert np.shares_memory(got, buf) and got.shape == buf.shape, dense
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dense
 
 
 def test_full_solve_matches_dense():
@@ -348,6 +384,7 @@ def test_eigen_solver_shape_and_step_validation():
     basis = axis_eigenbasis(axis_matrix(_grid(m=4)))
     solver = tensor_eigen_solver(basis, (1.0,), 0.1, -1.0)
     assert isinstance(solver, TensorEigenSolver) and solver.shape == (1, 4, 4)
+    assert all(a.flags.c_contiguous for a in (basis.v, basis.v_t, basis.v_inv, basis.v_inv_t))
     with pytest.raises(ShapeError):
         solver.solve(np.zeros((1, 5, 4)))
     with pytest.raises(ValidationError):

@@ -19,6 +19,7 @@ from etdsplit.linsolve import (
     FullOperator,
     SparseFactorization,
     TensorEigenSolver,
+    dense_transform_matrices,
     factorize_full,
 )
 from etdsplit.problems import ProblemSpec, discretize, make_problem
@@ -524,6 +525,38 @@ def test_split_step_transform_count(monkeypatch, name):
     u_next, counts = counted_step(u, work)
     assert counts == (4, 4)
     assert counted_step(u_next.copy(), work)[1] == (5, 4)
+
+
+@pytest.mark.parametrize("name,m", [("model_dirichlet", 9), ("brusselator", 7)])
+def test_dense_and_pocketfft_split_steps_agree(name, m):
+    # the grid picks the dense transform; the same plan stepped with
+    # pocketfft's transforms gives the same states to rounding
+    disc = discretize(make_problem(name), m)
+    plan = build_plan(ETDRK4P22IF, disc, 0.05)
+    basis = plan.solvers["c1"].basis
+    assert basis.dense
+    fft_basis = replace(basis, dense=False)
+    fft_plan = replace(plan, solvers={pole: replace(s, basis=fft_basis)
+                                      for pole, s in plan.solvers.items()})
+    states = []
+    for p in (plan, fft_plan):
+        u, work = disc.initial(), SplitWork()
+        for step in range(4):
+            u = etdrk4p22if_step(p, u, step * 0.05, work)
+        states.append(u)
+    dense, fft = states
+    assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
+
+
+def test_split_plans_on_one_grid_share_a_read_only_basis():
+    # two equal grids, two step sizes: one basis, which no plan can change
+    disc, again = (discretize(make_problem("brusselator"), 7) for _ in range(2))
+    assert disc.grid == again.grid and disc.grid is not again.grid
+    basis = build_plan(ETDRK4P22IF, disc, 0.05).solvers["c1"].basis
+    assert build_plan(ETDRK4P22IF, again, 0.1).solvers["c1"].basis is basis
+    for a in (basis.lam, *dense_transform_matrices(disc.grid.bc, disc.grid.p1d)):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_split_work_follows_its_plan():
