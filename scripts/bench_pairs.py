@@ -8,9 +8,9 @@ same seed and ``--seconds``; even pairs run the parent first, odd pairs the
 change.  Every run's perfbench output is kept as printed: its environment
 record and its last-line JSON.  This script measures nothing itself; it only
 orders the runs and summarises the medians perfbench reports, per metric and
-side, as min, quartiles and median, with the number of pairs each side won.
-Directions (lower or higher is better) come from the parent's
-``BENCHMARK.json``.
+side, as min, quartiles and median, with the number of pairs each side won
+and the number tied.  Directions (lower or higher is better) come from the
+parent's ``BENCHMARK.json``.
 """
 
 import argparse
@@ -22,6 +22,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Two values of a pair within this relative distance are a tie, not a win:
+# far below every metric's bound, above the rounding moves of a computed error.
+TIE_RTOL = 1e-6
 
 
 def src_digest(root: Path) -> str:
@@ -62,20 +66,24 @@ def metric(run: dict, name: str):
 
 
 def summarise(pairs: list, better: dict) -> dict:
-    """Per metric: each side's spread over runs, and the pairs each side won."""
+    """Per metric: each side's spread over runs, the pairs each side won and the ties."""
     summary = {}
     for name, direction in better.items():
         sides = {side: [v for p in pairs if (v := metric(p[side], name)) is not None]
                  for side in SIDES}
         if not all(sides.values()):
             continue
-        wins = {side: 0 for side in SIDES}
+        wins, ties = {side: 0 for side in SIDES}, 0
         for p in pairs:
             old, new = metric(p["parent"], name), metric(p["change"], name)
-            if old is not None and new is not None and new != old:
+            if old is None or new is None:
+                continue
+            if abs(new - old) <= TIE_RTOL * max(abs(old), abs(new)):
+                ties += 1
+            else:
                 improved = new < old if direction == "lower" else new > old
                 wins["change" if improved else "parent"] += 1
-        summary[name] = {"better": direction, "wins": wins,
+        summary[name] = {"better": direction, "wins": wins, "ties": ties,
                          **{side: quartiles(values) for side, values in sides.items()}}
     return summary
 

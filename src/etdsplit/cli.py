@@ -15,7 +15,8 @@ allowed): each key must name one of the command's options exactly, and each
 line is parsed as a ``--key=value`` flag placed before the command-line
 flags, so a file value gets the flag's type and choices and a flag overrides
 it.  Exit codes: 0 success, 1 invalid configuration (including a grid too
-large to allocate), 2 numerical failure, 130 interrupted (Ctrl-C).
+large to allocate), 2 numerical failure, 130 interrupted (Ctrl-C), 141
+stdout closed early (a broken pipe; nothing is printed).
 """
 
 import argparse
@@ -408,6 +409,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"etdsplit: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's
+        # final flush stays quiet, and exit as SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"etdsplit: {exc}", file=sys.stderr)
         return 1

@@ -124,27 +124,6 @@ def make_problem(name: str) -> ProblemSpec:
         ) from None
 
 
-def eval_reaction(spec: ProblemSpec, u: np.ndarray, t: float) -> np.ndarray:
-    """Pointwise reaction F(U, t) under the fixed field ordering."""
-    u = np.asarray(u)
-    if u.ndim != 3 or u.shape[0] != spec.species:
-        raise ShapeError(f"field shape {u.shape} does not match {spec.species} species")
-    return spec.reaction(u, t)
-
-
-def eval_initial(spec: ProblemSpec, grid: Grid2D) -> np.ndarray:
-    x, y = grid.meshgrid()
-    return spec.initial(x, y)
-
-
-def eval_exact(spec: ProblemSpec, grid: Grid2D, t: float):
-    """Exact solution sampled on the grid, or None when unavailable."""
-    if spec.exact is None:
-        return None
-    x, y = grid.meshgrid()
-    return spec.exact(x, y, t)
-
-
 @dataclass(frozen=True)
 class DiscretizedProblem:
     """A problem bound to a concrete grid; the grid is the discretization."""
@@ -153,13 +132,21 @@ class DiscretizedProblem:
     grid: Grid2D
 
     def reaction(self, u: np.ndarray, t: float) -> np.ndarray:
-        return eval_reaction(self.spec, u, t)
+        """Pointwise reaction F(U, t) under the fixed field ordering."""
+        u = np.asarray(u)
+        if u.ndim != 3 or u.shape[0] != self.spec.species:
+            raise ShapeError(f"field shape {u.shape} does not match "
+                             f"{self.spec.species} species")
+        return self.spec.reaction(u, t)
 
     def initial(self) -> np.ndarray:
-        return eval_initial(self.spec, self.grid)
+        return self.spec.initial(*self.grid.meshgrid())
 
     def exact(self, t: float):
-        return eval_exact(self.spec, self.grid, t)
+        """Exact solution sampled on the grid, or None when unavailable."""
+        if self.spec.exact is None:
+            return None
+        return self.spec.exact(*self.grid.meshgrid(), t)
 
 
 def discretize(spec: ProblemSpec, m: int) -> DiscretizedProblem:

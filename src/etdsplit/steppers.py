@@ -19,7 +19,7 @@ Schemes:
   once.  A run's first split step makes five forward and four inverse 2-D
   transforms; every later one starts from the transform the previous step
   kept and makes four of each.  The step's maps and field buffers
-  (SplitWork) are made once per integrate call, for that run only.
+  (SplitWork) are made once per run, for that run and its plan only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order step built from the
@@ -34,12 +34,12 @@ All rational functions are applied through partial fractions: each becomes
 "solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
 step is a fixed sequence of factorized solves.  States stay real throughout.
 One table, scheme_entry, maps each of the four scheme names to its solver
-family, its shifted systems and its one-step function; build_plan and
-integrate read it.  A plan holds one solver per pole in StepPlan.solvers.
-check_run alone decides whether a run is valid and gives its step count.
-integrate is the one function that runs a scheme: every scheme steps
-through its one loop, _march, and sbdf4 enters it through a step function
-that keeps its own history.
+family, its shifted systems and start(plan), which begins one run and
+returns its step(u, t); the step holds what the run carries between steps,
+the split step's SplitWork or sbdf4's history.  A plan holds one solver per
+pole in StepPlan.solvers.  check_run alone decides whether a run is valid
+and gives its step count.  integrate is the one function that runs a
+scheme: every scheme steps through its one loop, _march.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
 uses inside its matrix products.  On grids up to
@@ -170,25 +170,28 @@ class StepPlan:
 def scheme_entry(scheme: str, k: float = 1.0) -> tuple:
     """Look a scheme up in the scheme table; the one unknown-scheme check.
 
-    Returns (family, systems, step).  family is the solver of every system:
+    Returns (family, systems, start).  family is the solver of every system:
     "transform" (split, 1-D transforms), "sparse" (SuperLU) or "eigen" (1-D
     eigenbasis).  systems maps each pole name to the (step, shift) of its
-    system (step*A - shift*I) at step size k.  step(plan, u, t) is the
-    one-step function, None for the multistep sbdf4.  The table is built per
-    call, so it holds the functions the module's names are bound to at that
-    moment.
+    system (step*A - shift*I) at step size k.  start(plan) begins one run on
+    a plan of this row and returns the run's step(u, t); each call starts a
+    run of its own.  The table is built per call, so it holds the functions
+    the module's names are bound to at that moment.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     c, sm = PADE, SMOOTHER
+    etd = {"c1": (k, c.c1), "c2": (k, c.c2)}
     return {
-        ETDRK4P22IF: ("transform", {"c1": (k, c.c1), "c2": (k, c.c2)}, etdrk4p22if_step),
-        ETDRK4P22: ("sparse", {"c1": (k, c.c1), "c2": (k, c.c2)}, etdrk4p22_step),
+        ETDRK4P22IF: ("transform", etd,
+                      lambda plan: partial(etdrk4p22if_step, plan, work=SplitWork(plan))),
+        ETDRK4P22: ("sparse", etd, lambda plan: partial(etdrk4p22_step, plan)),
         SMOOTHER_ONLY: ("eigen", {"f1": (k, sm.f1), "f2": (k, sm.f2),
-                                  "e1": (k, sm.e1), "e2": (k, sm.e2)}, smoother_step),
+                                  "e1": (k, sm.e1), "e2": (k, sm.e2)},
+                        lambda plan: partial(smoother_step, plan)),
         # Main solve (25 I + 12 k A); startup substep solve (I + k/2000 A).
         SBDF4: ("eigen", {"sbdf4": (12.0 * k, -25.0),
-                          "sbdf1": (k / SBDF_STARTUP_SUBSTEPS, -1.0)}, None),
+                          "sbdf1": (k / SBDF_STARTUP_SUBSTEPS, -1.0)}, _sbdf4_run),
     }[scheme]
 
 
@@ -211,14 +214,23 @@ class SplitWork:
     """What one run of the split step keeps between steps.
 
     maps holds the ten axis maps the step derives from plan's two solvers
-    and fields five (species, p, p) buffers and the maps' scratch; another
-    plan makes the step rebuild both.  state is the array the last step
-    returned and state_hat its transform, kept in fields; a step from state
-    starts at state_hat.  integrate makes one per run, so no two runs share.
+    and fields five (species, p, p) buffers and the maps' scratch; a step on
+    another plan rejects it.  state is the array the last step returned and
+    state_hat its transform, kept in fields; a step from state starts at
+    state_hat.  Each split run makes its own, so no two runs share.
     """
 
-    def __init__(self):
-        self.plan = self.maps = self.fields = self.state = self.state_hat = None
+    def __init__(self, plan: StepPlan):
+        s1, s2, k = plan.solvers["c1"], plan.solvers["c2"], plan.k
+        w11, w51 = PADE.w11, 24.0 * k * PADE.w51
+        self.maps = (s2.axis_map(AXIS_X, 2.0 * w11, 1.0), s2.axis_map(AXIS_Y, 2.0 * w11, 1.0),
+                     s2.axis_map(AXIS_X, w51), s2.axis_map(AXIS_X, 2.0 * w51),
+                     s1.axis_map(AXIS_X, w11, 1.0), s1.axis_map(AXIS_Y, w11, 1.0),
+                     s1.axis_map(AXIS_Y, -w11, -1.0), s1.axis_map(AXIS_X, k * PADE.w21),
+                     s1.axis_map(AXIS_X, 4.0 * k * PADE.w31), s1.axis_map(AXIS_X, k * PADE.w41))
+        p = plan.disc.grid.p1d
+        self.fields = [np.empty((plan.disc.spec.species, p, p)) for _ in range(6)]
+        self.plan, self.state, self.state_hat = plan, None, None
 
 
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
@@ -239,17 +251,9 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     """
     k, reaction, basis = plan.k, plan.disc.reaction, plan.solvers["c1"].basis
     if work is None:
-        work = SplitWork()
-    if work.plan is not plan:
-        s1, s2 = plan.solvers["c1"], plan.solvers["c2"]
-        w11, w51 = PADE.w11, 24.0 * k * PADE.w51
-        work.maps = (s2.axis_map(AXIS_X, 2.0 * w11, 1.0), s2.axis_map(AXIS_Y, 2.0 * w11, 1.0),
-                     s2.axis_map(AXIS_X, w51), s2.axis_map(AXIS_X, 2.0 * w51),
-                     s1.axis_map(AXIS_X, w11, 1.0), s1.axis_map(AXIS_Y, w11, 1.0),
-                     s1.axis_map(AXIS_Y, -w11, -1.0), s1.axis_map(AXIS_X, k * PADE.w21),
-                     s1.axis_map(AXIS_X, 4.0 * k * PADE.w31), s1.axis_map(AXIS_X, k * PADE.w41))
-        work.fields = [np.empty(u.shape) for _ in range(6)]
-        work.plan, work.state = plan, None
+        work = SplitWork(plan)
+    elif work.plan is not plan:
+        raise ValidationError("a SplitWork serves only the plan it was made for")
     f0, f1, f2, f3, f4, scratch = work.fields
     hx, hy, px, px2, rx, ry, minus_ry, qx21, qx31, qx41 = (
         partial(m, scratch=scratch) for m in work.maps)
@@ -367,9 +371,9 @@ def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None
     """The one step loop of every scheme.
 
     The i-th of the steps, step(u, t), starts at t = i*k.  Each new state
-    must be finite, and every snapshot_every-th goes to snapshot_cb(step, t, u).
-    An interrupt (Ctrl-C) leaves it as a KeyboardInterrupt naming the last
-    step done and its t.
+    must be finite, and a read-only view of every snapshot_every-th goes to
+    snapshot_cb(step, t, u).  An interrupt (Ctrl-C) leaves it as a
+    KeyboardInterrupt naming the last step done and its t.
     """
     t, done = 0.0, 0
     try:
@@ -384,21 +388,23 @@ def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None
                     raise DivergenceError(
                         f"non-finite state after step {done} (t = {t:.6g})", step=done, t=t)
                 if snapshot_every and snapshot_cb and done % snapshot_every == 0:
-                    snapshot_cb(done, t, u)
+                    view = u.view()
+                    view.flags.writeable = False
+                    snapshot_cb(done, t, view)
     except KeyboardInterrupt as exc:
         raise KeyboardInterrupt(f"interrupted after step {done} (t = {t:.6g})") from exc
     return u
 
 
-def _sbdf4_step() -> Callable:
-    """A step(plan, u, t) of sbdf4; it keeps the last four states and reaction values.
+def _sbdf4_run(plan: StepPlan) -> Callable:
+    """One sbdf4 run's step(u, t); it keeps the last four states and reaction values.
 
     The first three steps each cross one interval in SBDF_STARTUP_SUBSTEPS
     sbdf1 substeps; every later step is one BDF4 solve.
     """
     hist_u, hist_f = [], []
 
-    def step(plan, u, t):
+    def step(u, t):
         hist_u.append(u)
         hist_f.append(plan.disc.reaction(u, t))
         if len(hist_u) < 4:
@@ -422,20 +428,16 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
     """Integrate a problem from its initial condition to time T.
 
     The first `smoothing_steps` steps use the third-order presmoother at the
-    same step size k and count toward T/k; the rest use `scheme`.  Every
-    step returns a new array, so snapshot_cb(step, t, u) may keep u; it must
-    not modify u in place, since the split step carries u's transform.
+    same step size k and count toward T/k; the rest use `scheme`.  Each part
+    is one run, begun by its table row's start.  snapshot_cb(step, t, u) gets
+    a read-only view of a new array, which it may keep.
     """
     n_steps = check_run(scheme, k, T, smoothing_steps)
     if n_steps == 0:
         return disc.initial()
     plan = build_plan(scheme, disc, k)
-    family, _, one_step = scheme_entry(scheme)
-    if family == "transform":
-        one_step = partial(one_step, work=SplitWork())
-    one_step = one_step or _sbdf4_step()
-    steps = repeat(partial(one_step, plan), n_steps - smoothing_steps)
+    steps = repeat(scheme_entry(scheme)[2](plan), n_steps - smoothing_steps)
     if smoothing_steps:
         smoother = plan if scheme == SMOOTHER_ONLY else build_plan(SMOOTHER_ONLY, disc, k)
-        steps = chain(repeat(partial(smoother_step, smoother), smoothing_steps), steps)
+        steps = chain(repeat(scheme_entry(SMOOTHER_ONLY)[2](smoother), smoothing_steps), steps)
     return _march(disc.initial(), k, steps, snapshot_every, snapshot_cb)

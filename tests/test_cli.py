@@ -377,6 +377,31 @@ def test_interrupt_exits_130_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line of the field and closes the pipe (as
+    # `| head -1` does): exit 141 as SIGPIPE would, with nothing on stderr
+    argv = ["solve", "--problem", "enzyme", "--m", "60", "--k", "0.25", "--T", "0"]
+    script = ("import sys\n"
+              "from etdsplit.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == "x,y,u\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == 141, err
+    assert err == ""
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 71.1 PiB for an array", ""])
 def test_out_of_memory_exits_one_with_one_line(message, monkeypatch, capsys):
     def oversized(*args, **kwargs):

@@ -6,15 +6,18 @@ import pytest
 from etdsplit.errors import ShapeError, ValidationError
 from etdsplit.problems import (
     PROBLEM_NAMES,
+    DiscretizedProblem,
     discretize,
-    eval_exact,
-    eval_initial,
-    eval_reaction,
     interior_count_for_h,
     make_problem,
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D
 from helpers import apply_axis
+
+
+def _reaction(name):
+    # the reaction is pointwise: any grid of the problem evaluates it
+    return discretize(make_problem(name), 3).reaction
 
 
 def test_registry_contents():
@@ -48,28 +51,26 @@ def test_exact_value_at_origin():
 
 
 def test_model_reaction_is_negation():
-    spec = make_problem("model_neumann")
     rng = np.random.default_rng(0)
     u = rng.normal(size=(1, 5, 5))
-    np.testing.assert_array_equal(eval_reaction(spec, u, 0.3), -u)
+    np.testing.assert_array_equal(_reaction("model_neumann")(u, 0.3), -u)
 
 
 def test_enzyme_reaction_values():
-    spec = make_problem("enzyme")
+    reaction = _reaction("enzyme")
     u = np.full((1, 3, 3), 1.0)
-    np.testing.assert_allclose(eval_reaction(spec, u, 0.0), -0.5)
+    np.testing.assert_allclose(reaction(u, 0.0), -0.5)
     z = np.zeros((1, 3, 3))
-    np.testing.assert_array_equal(eval_reaction(spec, z, 0.0), z)
+    np.testing.assert_array_equal(reaction(z, 0.0), z)
     # |F| bounded by 1/2 on [0, 1]
     grid_vals = np.linspace(0.0, 1.0, 11).reshape(1, 11, 1) * np.ones((1, 11, 11))
-    f = eval_reaction(spec, grid_vals, 0.0)
+    f = reaction(grid_vals, 0.0)
     assert np.max(np.abs(f)) <= 0.5
 
 
 def test_brusselator_reaction_values():
-    spec = make_problem("brusselator")
     w = np.ones((2, 3, 3))
-    f = eval_reaction(spec, w, 0.0)
+    f = _reaction("brusselator")(w, 0.0)
     np.testing.assert_allclose(f[0], 1.0 + 1.0 - 4.4)   # alpha + u^2 v - (beta+1) u
     np.testing.assert_allclose(f[1], 3.4 - 1.0)         # beta u - u^2 v
     assert f[0][0, 0] == pytest.approx(-2.4)
@@ -77,20 +78,19 @@ def test_brusselator_reaction_values():
 
 
 def test_reaction_shape_validation():
-    spec = make_problem("brusselator")
     with pytest.raises(ShapeError):
-        eval_reaction(spec, np.zeros((1, 3, 3)), 0.0)
+        _reaction("brusselator")(np.zeros((1, 3, 3)), 0.0)
 
 
 def test_initial_values():
     spec = make_problem("model_neumann")
     grid = Grid2D(spec.a, spec.b, 9, spec.bc)  # m+1 = 10 even: node at 0
-    u0 = eval_initial(spec, grid)
+    u0 = DiscretizedProblem(spec, grid).initial()
     assert u0.max() == pytest.approx(1.0, rel=1e-12)
 
     bruss = make_problem("brusselator")
     grid = Grid2D(bruss.a, bruss.b, 3, bruss.bc)
-    w0 = eval_initial(bruss, grid)
+    w0 = DiscretizedProblem(bruss, grid).initial()
     x, y = grid.meshgrid()
     np.testing.assert_allclose(w0[0], 0.5 + y)
     np.testing.assert_allclose(w0[1], 1.0 + 5.0 * x)
@@ -106,14 +106,14 @@ def test_exact_matches_initial_at_t0(name):
 def test_exact_absent_when_unknown(name):
     disc = discretize(make_problem(name), 4)
     assert disc.exact(1.0) is None
-    assert eval_exact(make_problem(name), disc.grid, 0.5) is None
+    assert disc.exact(0.5) is None
 
 
 def test_evaluators_deterministic():
-    spec = make_problem("brusselator")
+    reaction = _reaction("brusselator")
     rng = np.random.default_rng(5)
     w = rng.normal(size=(2, 4, 4))
-    assert np.array_equal(eval_reaction(spec, w, 0.1), eval_reaction(spec, w, 0.1))
+    assert np.array_equal(reaction(w, 0.1), reaction(w, 0.1))
 
 
 @pytest.mark.parametrize("name", ["model_dirichlet", "model_neumann"])

@@ -453,7 +453,7 @@ def test_integrate_equals_manual_steps():
         got = integrate(disc, scheme, k, 1.0, smoothing_steps=smoothing)
         plan = build_plan(scheme, disc, k)
         if scheme == ETDRK4P22IF:
-            step_fn = partial(step_fn, work=SplitWork())
+            step_fn = partial(step_fn, work=SplitWork(plan))
         u = disc.initial()
         for step in range(4):
             if step < smoothing:
@@ -512,7 +512,8 @@ def test_split_step_transform_count(monkeypatch, name):
         assert per_step == want, smoothing
     # a step starts from the kept transform only given the run's SplitWork
     # and the very array the previous step returned
-    plan, work = build_plan(ETDRK4P22IF, disc, 0.05), SplitWork()
+    plan = build_plan(ETDRK4P22IF, disc, 0.05)
+    work = SplitWork(plan)
 
     def counted_step(u, w):
         calls.clear()
@@ -540,7 +541,7 @@ def test_dense_and_pocketfft_split_steps_agree(name, m):
                                       for pole, s in plan.solvers.items()})
     states = []
     for p in (plan, fft_plan):
-        u, work = disc.initial(), SplitWork()
+        u, work = disc.initial(), SplitWork(p)
         for step in range(4):
             u = etdrk4p22if_step(p, u, step * 0.05, work)
         states.append(u)
@@ -559,14 +560,48 @@ def test_split_plans_on_one_grid_share_a_read_only_basis():
             a[0] = 1.0
 
 
-def test_split_work_follows_its_plan():
-    # a SplitWork handed another plan rebuilds its maps from that plan
+def test_split_work_serves_one_plan():
+    # a SplitWork steps its own plan as a throwaway one does, and rejects
+    # any other plan, even an equal one
     disc = discretize(make_problem("brusselator"), 5)
-    work, u = SplitWork(), disc.initial()
-    for k in (0.05, 0.1):
-        plan = build_plan(ETDRK4P22IF, disc, k)
-        assert np.array_equal(etdrk4p22if_step(plan, u, 0.0, work),
-                              etdrk4p22if_step(plan, u, 0.0))
+    u = disc.initial()
+    plan = build_plan(ETDRK4P22IF, disc, 0.05)
+    work = SplitWork(plan)
+    assert np.array_equal(etdrk4p22if_step(plan, u, 0.0, work),
+                          etdrk4p22if_step(plan, u, 0.0))
+    for other in (build_plan(ETDRK4P22IF, disc, 0.1), build_plan(ETDRK4P22IF, disc, 0.05)):
+        with pytest.raises(ValidationError, match="SplitWork"):
+            etdrk4p22if_step(other, u, 0.0, work)
+
+
+@pytest.mark.parametrize("scheme", [ETDRK4P22IF, SBDF4])
+def test_runs_from_one_plan_keep_their_own_state(scheme):
+    # each start(plan) is a run of its own: two runs stepped alternately
+    # give, bit for bit, the states they give stepped one after the other
+    disc = discretize(make_problem("brusselator"), 5)
+    k = 0.05
+    plan = build_plan(scheme, disc, k)
+    start = scheme_entry(scheme)[2]
+    u0 = disc.initial()
+    starts = (u0, 0.5 * u0)
+
+    def run_alone(u):
+        step, states = start(plan), []
+        for i in range(6):
+            u = step(u, i * k)
+            states.append(u)
+        return states
+
+    alone = [run_alone(u) for u in starts]
+    steps, states = (start(plan), start(plan)), ([], [])
+    us = list(starts)
+    for i in range(6):
+        for j in (0, 1):
+            us[j] = steps[j](us[j], i * k)
+            states[j].append(us[j])
+    for got, want in zip(states, alone):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not np.array_equal(alone[0][-1], alone[1][-1])
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
@@ -601,7 +636,7 @@ def test_split_run_states_share_no_memory():
     snaps = []
     final = integrate(disc, ETDRK4P22IF, k, 4 * k, snapshot_every=1,
                       snapshot_cb=lambda step, t, u: snaps.append(u))
-    assert len(snaps) == 4 and snaps[-1] is final
+    assert len(snaps) == 4 and snaps[-1].base is final
     for i, u in enumerate(snaps):
         assert all(not np.shares_memory(u, v) for v in snaps[i + 1:])
         assert np.array_equal(u, integrate(disc, ETDRK4P22IF, k, (i + 1) * k))
@@ -637,10 +672,10 @@ def test_scheme_table_resolves_functions_per_call(monkeypatch):
 def test_scheme_entry_is_the_one_name_check():
     disc = discretize(make_problem("enzyme"), 4)
     for scheme in SCHEMES:
-        _, systems, step = scheme_entry(scheme)
+        _, systems, start = scheme_entry(scheme)
         plan = build_plan(scheme, disc, 0.1)
         assert set(systems) == set(plan.solvers)
-        assert (step is None) == (scheme == SBDF4)
+        assert callable(start(plan))
     # sbdf1, the sbdf4 startup substep, is no scheme of its own
     for call in (lambda: scheme_entry("sbdf1"), lambda: scheme_entry("rk45"),
                  lambda: build_plan("sbdf1", disc, 0.1),
@@ -702,6 +737,17 @@ def test_integrate_snapshot_callback():
     integrate(disc, ETDRK4P22IF, 0.25, 1.0, snapshot_every=2,
               snapshot_cb=lambda step, t, u: seen.append((step, t)))
     assert [s for s, _ in seen] == [2, 4]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_snapshots_are_read_only(scheme):
+    # a callback cannot change the state a run carries on from
+    def halve(step, t, u):
+        u *= 0.5
+
+    disc = discretize(make_problem("enzyme"), 4)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(disc, scheme, 0.25, 1.0, snapshot_every=1, snapshot_cb=halve)
 
 
 def test_integrate_interrupt_names_step_and_t():
