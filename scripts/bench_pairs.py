@@ -11,17 +11,35 @@ orders the runs and summarises the medians perfbench reports, per metric and
 side, as min, quartiles and median, with the number of pairs each side won
 and the number tied.  Directions (lower or higher is better) come from the
 parent's ``BENCHMARK.json``.
+
+perfbench's ``wall_s`` starts after the package import, so the record also
+keeps a cold start under ``cold_start``: COLD_RUNS fresh processes per side
+of ``import etdsplit.cli`` and of each requested workload's whole CLI
+command (its argv read from the parent's ``perfbench/workloads.py``), with
+one BLAS thread, the sides interleaved.  Each process's wall seconds, from
+spawn to exit, and its own peak RSS, from ``os.wait4``, are kept, and
+summarised per side as min, quartiles and median.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Fresh processes per side for each cold-start command.
+COLD_RUNS = 5
+
+IMPORT_ARGV = ("-c", "import etdsplit.cli")
+CLI_ARGV = ("-c", "import sys; from etdsplit.cli import main; sys.exit(main())")
 
 # Two values of a pair within this relative distance are a tie, not a win:
 # far below every metric's bound, above the rounding moves of a computed error.
@@ -48,6 +66,67 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     last = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     return {"exit_code": proc.returncode, "environment": env, "result": last,
             "stderr": proc.stderr.strip()[-2000:] or None}
+
+
+def load_workloads(root: Path) -> dict:
+    """perfbench's WORKLOADS table, loaded from the checkout without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module.WORKLOADS
+
+
+def child_env(root: Path) -> dict:
+    """The environment perfbench gives its children: the checkout's src/, one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run_cold(root: Path, args: list) -> dict:
+    """One fresh interpreter on args, in a scratch directory: seconds, peak RSS, exit code."""
+    with tempfile.TemporaryDirectory() as workdir, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], cwd=workdir, env=child_env(root),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        err.seek(0)
+        stderr = err.read().decode(errors="replace").strip()[-2000:]
+    return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "exit_code": proc.returncode, "stderr": stderr or None}
+
+
+def cold_start(roots: dict, workloads: list) -> dict:
+    """COLD_RUNS fresh processes per side and command, interleaved, each summarised."""
+    table = load_workloads(roots["parent"])
+    commands = {"import": list(IMPORT_ARGV)}
+    commands.update({w: [*CLI_ARGV, *table[w].argv("out.csv")] for w in workloads})
+    runs = {name: {side: [] for side in SIDES} for name in commands}
+    for index in range(COLD_RUNS):
+        for name, args in commands.items():
+            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                runs[name][side].append(run_cold(roots[side], args))
+    return {name: {"argv": commands[name],
+                   **{side: summarise_cold(runs[name][side]) for side in SIDES}}
+            for name in commands}
+
+
+def summarise_cold(runs: list) -> dict:
+    """One side's cold-start runs with the spread of those that exited 0."""
+    ok = [r for r in runs if r["exit_code"] == 0]
+    summary = {"runs": runs, "failed": len(runs) - len(ok)}
+    if ok:
+        summary.update({key: quartiles([r[key] for r in ok])
+                        for key in ("seconds", "peak_rss_mb")})
+    return summary
 
 
 def quartiles(values: list) -> dict:
@@ -121,6 +200,12 @@ def main(argv=None) -> int:
                 flush=True)
         record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, better)}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    record["cold_start"] = cold_start(roots, list(record["workloads"]))
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for name, sides in record["cold_start"].items():
+        print(f"cold {name}: " + "  ".join(
+            f"{side} seconds={sides[side].get('seconds', {}).get('median')}" for side in SIDES),
+            flush=True)
     return 0
 
 

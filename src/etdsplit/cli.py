@@ -163,10 +163,8 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     disc = discretize(spec, m)
 
     def snapshot(step, t, field):
-        stem, dot, ext = cfg.out.rpartition(".")
-        base = stem if dot else cfg.out
-        ext = ext if dot else "csv"
-        path = f"{base}_step{step:06d}.{ext}"
+        base, ext = os.path.splitext(cfg.out)
+        path = f"{base}_step{step:06d}{ext or '.csv'}"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_field_csv(fh, disc.grid, field)
 

@@ -24,7 +24,8 @@ Three solve paths exist, matching the scheme families:
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
   Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).  With the real
   eigendecomposition B = V diag(lam) V^-1 of the dense spatial.axis_matrix,
-  a species block solves as
+  assembled from the eigenproblems of its even and odd halves (B is
+  centrosymmetric), a species block solves as
   V ((V^-1 R V^-T) / (-k d (lam_i + lam_j) - shift)) V^T: four real p x p
   matrix products.
 
@@ -391,23 +392,62 @@ class AxisEigenbasis:
 def axis_eigenbasis(b: np.ndarray) -> AxisEigenbasis:
     """Diagonalize the dense 1-D operator b once; every pole and species of a plan shares it.
 
-    Raises SingularSystemError when B has complex eigenvalues or its
-    eigenvector matrix is worse conditioned than EIGEN_COND_MAX.
+    b must equal its 180-degree rotation J b J, as both walls close the
+    stencil alike, so the even/odd butterfly Q splits it into two half-size
+    eigenproblems (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+    275-288): with quadrants A = b[:n, :n] and C = b[:n, p-n:], the odd
+    block A - C J and the even block A + C J, for odd p bordered by b's
+    middle column and twice its middle row's first half.  V = Q diag(W_even,
+    W_odd) and V^-1 = diag(W_even^-1, W_odd^-1) Q^-1, where Q's entries are
+    0 and +-1 and Q^-1's 0, +-1/2 and 1, all exact, so V V^-1 carries no
+    rounding bias.  Q is sqrt 2 times an orthogonal matrix but for its
+    middle column, so cond_2(V) is the ratio of the extreme singular values
+    of W_odd and of W_even with its middle row scaled by 1/sqrt 2.
+
+    Raises ValidationError unless b is square and centrosymmetric, and
+    SingularSystemError when B has complex eigenvalues or its eigenvector
+    matrix is worse conditioned than EIGEN_COND_MAX.
     """
-    lam, v = np.linalg.eig(b)
+    b = np.asarray(b)
+    if b.ndim != 2 or len(b) != b.shape[1] or not np.array_equal(b, b[::-1, ::-1]):
+        raise ValidationError("1-D operator must be a square matrix equal to its "
+                              "180-degree rotation")
+    p = len(b)
+    n, h = p // 2, p - p // 2
+    folded = b[:h, ::-1][:, :n]  # C J; for odd p also the middle row's mirror half
+    even = b[:h, :h] + np.pad(folded, ((0, 0), (0, h - n)))
+    odd = b[:n, :n] - folded[:n]
+    (lam_e, w_e), (lam_o, w_o) = np.linalg.eig(even), np.linalg.eig(odd)
+    lam = np.concatenate([lam_e, lam_o])
     scale = np.max(np.abs(lam), initial=0.0)
     imag = np.max(np.abs(lam.imag), initial=0.0)
     if imag > _EIG_IMAG_TOL * scale:
         raise SingularSystemError(
             f"1-D operator has complex eigenvalues (max |imag| {imag:.3g})")
-    v = np.ascontiguousarray(v.real)  # eig's .real is a strided view
-    cond = np.linalg.cond(v)
+    w_e, w_o = w_e.real, w_o.real
+    sigma = np.concatenate([np.linalg.svd(w, compute_uv=False)
+                            for w in (np.vstack([w_e[:n], w_e[n:] * np.sqrt(0.5)]), w_o)])
+    cond = sigma.max() / sigma.min()
     if not cond <= EIGEN_COND_MAX:
         raise SingularSystemError(
             f"1-D eigenvector matrix too ill-conditioned (cond {cond:.3g} > {EIGEN_COND_MAX:g})")
-    v_inv = np.linalg.inv(v)
+    v = _butterfly(w_e, w_o, 1.0)
+    v_inv_t = _butterfly(np.linalg.inv(w_e).T, np.linalg.inv(w_o).T, 0.5)
     return AxisEigenbasis(lam=lam.real, v=v, v_t=np.ascontiguousarray(v.T),
-                          v_inv=v_inv, v_inv_t=np.ascontiguousarray(v_inv.T))
+                          v_inv=np.ascontiguousarray(v_inv_t.T), v_inv_t=v_inv_t)
+
+
+def _butterfly(even: np.ndarray, odd: np.ndarray, pair: float) -> np.ndarray:
+    """Rows pair*[even, odd], [even's middle row, 0], pair*J [even, -odd], in C order.
+
+    Q diag(even, odd) with pair = 1; (diag(W_even^-1, W_odd^-1) Q^-1)^T from
+    the blocks' inverse transposes with pair = 1/2.
+    """
+    n = len(odd)
+    top = np.hstack([even[:n], odd]) * pair
+    bottom = np.hstack([even[:n], -odd])[::-1] * pair
+    middle = np.hstack([even[n:], np.zeros((len(even) - n, n))])
+    return np.ascontiguousarray(np.vstack([top, middle, bottom]))  # vstack keeps F order
 
 
 def _congruence(m: np.ndarray, m_t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -34,3 +34,31 @@ def test_lower_wall_s_is_a_change_win():
     assert summary["wall_s"]["wins"] == {"parent": 0, "change": 4}
     assert summary["wall_s"]["ties"] == 0
     assert summary["wall_s"]["change"]["median"] == 3.1
+
+
+def _cold(seconds, rss, exit_code=0):
+    return {"seconds": seconds, "peak_rss_mb": rss, "exit_code": exit_code, "stderr": None}
+
+
+def test_cold_start_summary_spreads_the_runs_that_exited_0():
+    runs = [_cold(s, r) for s, r in ((0.52, 56.0), (0.48, 55.5), (0.61, 56.5),
+                                     (0.50, 55.0), (0.55, 57.0))]
+    runs.append(_cold(9.9, 99.0, exit_code=1))
+    summary = bench_pairs.summarise_cold(runs)
+    assert summary["runs"] == runs and summary["failed"] == 1
+    assert summary["seconds"]["n"] == 5
+    assert summary["seconds"]["min"] == 0.48 and summary["seconds"]["median"] == 0.52
+    assert (summary["seconds"]["q1"], summary["seconds"]["q3"]) == (0.50, 0.55)
+    assert summary["peak_rss_mb"]["min"] == 55.0 and summary["peak_rss_mb"]["median"] == 56.0
+
+
+def test_cold_start_summary_of_failed_runs_has_no_spread():
+    summary = bench_pairs.summarise_cold([_cold(0.1, 50.0, exit_code=2)])
+    assert summary["failed"] == 1 and "seconds" not in summary and "peak_rss_mb" not in summary
+
+
+def test_cold_start_commands_read_perfbench_workloads():
+    workloads = bench_pairs.load_workloads(Path(__file__).resolve().parent.parent)
+    argv = workloads["sbdf4-startup"].argv("out.csv")
+    assert argv[:3] == ["solve", "--problem", "model_dirichlet"]
+    assert argv[-2:] == ["--out", "out.csv"]

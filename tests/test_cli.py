@@ -268,6 +268,23 @@ def test_solve_snapshots(tmp_path):
         assert (tmp_path / names[-1]).read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("out, snapshot", [
+    (os.path.join("res.d", "field"), os.path.join("res.d", "field_step000001.csv")),
+    (".hidden", ".hidden_step000001.csv"),
+])
+def test_snapshot_names_take_the_extension_from_the_file_name(out, snapshot, tmp_path,
+                                                              monkeypatch):
+    # A dot in a directory name, or a leading dot, is no extension.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.d").mkdir()
+    code = cli.main(["solve", "--problem", "enzyme", "--m", "4", "--k", "0.25",
+                     "--T", "0.25", "--out", out, "--snapshot-every", "1"])
+    assert code == 0
+    assert (tmp_path / snapshot).read_bytes() == (tmp_path / out).read_bytes()
+    made = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert made == sorted([out, snapshot])
+
+
 @pytest.mark.parametrize("every", ["0", "-2"])
 def test_solve_rejects_snapshot_cadence_below_one(every, tmp_path, monkeypatch, capsys):
     def no_compute(*args, **kwargs):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -393,16 +394,70 @@ def test_eigen_solver_shape_and_step_validation():
         tensor_eigen_solver(axis_eigenbasis(np.zeros((4, 4))), (1.0,), 0.1, 0.0)
 
 
+def _centrosymmetric(even, odd):
+    """The 4 x 4 b whose even and odd blocks, A + C J and A - C J, are the given 2 x 2s.
+
+    Built through the butterfly from its quadrants, b equals its 180-degree
+    rotation bit for bit.
+    """
+    a, cj = (even + odd) / 2.0, (even - odd) / 2.0
+    return np.block([[a, cj[:, ::-1]], [cj[::-1], a[::-1, ::-1]]])
+
+
 def test_eigenbasis_rejects_complex_eigenvalues():
-    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # A rotation as the even block: eigenvalues +-i
+    b = _centrosymmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([2.0, 3.0]))
+    assert np.array_equal(b, b[::-1, ::-1])
     with pytest.raises(SingularSystemError, match="complex"):
-        axis_eigenbasis(rotation)
+        axis_eigenbasis(b)
 
 
 def test_eigenbasis_rejects_ill_conditioned_eigenvectors():
-    # Two nearly equal eigenvalues on a Jordan-like block: almost parallel
-    # eigenvectors, cond(V) about 2e8.
+    # Two nearly equal eigenvalues on a Jordan-like even block: almost
+    # parallel eigenvectors, cond(V) about 2e8.
     near_jordan = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-8]])
-    assert np.linalg.cond(np.linalg.eig(near_jordan)[1]) > EIGEN_COND_MAX
+    b = _centrosymmetric(near_jordan, np.diag([2.0, 3.0]))
+    assert np.array_equal(b, b[::-1, ::-1])
+    assert np.linalg.cond(np.linalg.eig(b)[1]) > EIGEN_COND_MAX
     with pytest.raises(SingularSystemError, match="ill-conditioned"):
-        axis_eigenbasis(near_jordan)
+        axis_eigenbasis(b)
+
+
+def _nudged_axis_matrix():
+    b = axis_matrix(_grid(m=6))
+    b[0, 1] = np.nextafter(b[0, 1], np.inf)
+    return b
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param(np.array([[0.0, 1.0], [-1.0, 0.0]]), id="rotation"),
+    pytest.param(_nudged_axis_matrix(), id="axis-matrix-one-ulp-off"),
+    pytest.param(np.ones((2, 3)), id="not-square"),
+    pytest.param(np.ones(4), id="not-2d"),
+])
+def test_eigenbasis_rejects_non_centrosymmetric_input(b):
+    with pytest.raises(ValidationError, match="180-degree rotation"):
+        axis_eigenbasis(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 64),
+       a=st.floats(-10.0, 10.0), length=st.floats(0.1, 10.0))
+@example(bc=DIRICHLET, m=3, a=0.0, length=1.0)    # odd p, smallest grid
+@example(bc=NEUMANN, m=64, a=-1.0, length=2.0)    # even p
+def test_eigenbasis_from_halves_diagonalizes_b(bc, m, a, length):
+    b = axis_matrix(Grid2D(a=a, b=a + length, m=m, bc=bc))
+    assert np.array_equal(b, b[::-1, ::-1])
+    basis = axis_eigenbasis(b)
+    assert all(a.flags.c_contiguous for a in (basis.v, basis.v_t, basis.v_inv, basis.v_inv_t))
+    assert np.array_equal(basis.v_t, basis.v.T) and np.array_equal(basis.v_inv_t, basis.v_inv.T)
+    assert np.max(np.abs((basis.v * basis.lam) @ basis.v_inv - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.max(np.abs(basis.v_inv @ basis.v - np.eye(len(b)))) <= 1e-12
+    # The cond(V) the check uses, taken from the blocks, brackets numpy's
+    # cond_2 of the assembled V within 1e-10 relative.
+    cond = np.linalg.cond(basis.v)
+    with mock.patch.object(linsolve, "EIGEN_COND_MAX", cond * (1.0 + 1e-10)):
+        axis_eigenbasis(b)
+    with mock.patch.object(linsolve, "EIGEN_COND_MAX", cond * (1.0 - 1e-10)):
+        with pytest.raises(SingularSystemError, match="ill-conditioned"):
+            axis_eigenbasis(b)
