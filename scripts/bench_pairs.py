@@ -9,7 +9,8 @@ change.  Every run's perfbench output is kept as printed: its environment
 record and its last-line JSON.  This script measures nothing itself; it only
 orders the runs and summarises the medians perfbench reports, per metric and
 side, as min, quartiles and median, with the number of pairs each side won
-and the number tied.  Directions (lower or higher is better) come from the
+and the number tied, whether the gap between the medians is resolved and
+whether it is a gain.  Directions (lower or higher is better) come from the
 parent's ``BENCHMARK.json``.
 
 perfbench's ``wall_s`` starts after the package import, so the record also
@@ -44,6 +45,9 @@ CLI_ARGV = ("-c", "import sys; from etdsplit.cli import main; sys.exit(main())")
 # Two values of a pair within this relative distance are a tie, not a win:
 # far below every metric's bound, above the rounding moves of a computed error.
 TIE_RTOL = 1e-6
+
+# Share of the untied pairs the change must win for a resolved gap to be a gain.
+GAIN_SHARE = 0.9
 
 
 def src_digest(root: Path) -> str:
@@ -145,7 +149,12 @@ def metric(run: dict, name: str):
 
 
 def summarise(pairs: list, better: dict) -> dict:
-    """Per metric: each side's spread over runs, the pairs each side won and the ties."""
+    """Per metric: each side's spread over runs, the pairs each side won and the ties.
+
+    resolved: the medians differ by more than the parent's interquartile
+    spread and by more than a tie.  gain: resolved, in the change's favour,
+    and the change won at least GAIN_SHARE of the pairs that were not tied.
+    """
     summary = {}
     for name, direction in better.items():
         sides = {side: [v for p in pairs if (v := metric(p[side], name)) is not None]
@@ -162,8 +171,15 @@ def summarise(pairs: list, better: dict) -> dict:
             else:
                 improved = new < old if direction == "lower" else new > old
                 wins["change" if improved else "parent"] += 1
+        spread = {side: quartiles(values) for side, values in sides.items()}
+        gap = spread["change"]["median"] - spread["parent"]["median"]
+        resolved = abs(gap) > max(spread["parent"]["q3"] - spread["parent"]["q1"],
+                                  TIE_RTOL * abs(spread["parent"]["median"]))
+        decided = wins["parent"] + wins["change"]
+        gain = (resolved and (gap < 0 if direction == "lower" else gap > 0)
+                and decided > 0 and wins["change"] >= GAIN_SHARE * decided)
         summary[name] = {"better": direction, "wins": wins, "ties": ties,
-                         **{side: quartiles(values) for side, values in sides.items()}}
+                         "resolved": resolved, "gain": gain, **spread}
     return summary
 
 

@@ -1,19 +1,22 @@
-"""Time one 2-D type-1 transform as two dense matrix products and by pocketfft.
+"""Time one warm split step in grid space and through pocketfft, per grid size.
 
-    python3 scripts/transform_crossover.py [--species 2] [--repeats 7] \
-        [--p-min 39] [--p-max 161] [--p-step 2] [--out FILE]
+    python3 scripts/transform_crossover.py [--repeats 5] [--p-min 39] \
+        [--p-max 199] [--p-step 8] [--out FILE]
 
 For each boundary kind (Dirichlet: sine transform, Neumann: cosine
-transform) and each p in the range, this times ``AxisTransformBasis.forward``
-followed by ``inverse`` on a (species, p, p) field with ``overwrite_x=True``,
-as the split step calls them, once on the dense path and once on scipy.fft's
-dstn/dctn, switched by the basis's ``dense`` flag.  Each repeat runs such
-pairs in a loop of about 20 ms and the two paths alternate repeat by repeat.
-The record gives each path's microseconds per transform (half a pair; min
-and median over repeats), the ratio of the medians, the crossover
-``DENSE_TRANSFORM_MAX_P`` the package uses, and the core count, CPU and BLAS
-it ran on.  BLAS runs on one thread, as in the benchmark: the variables below
-are set before numpy is imported.
+transform), one and two species, and each p in the range, this builds the
+split plan on a grid of p unknowns per axis and times ``etdrk4p22if_step``
+as a run makes it, carrying its state through one ``SplitWork``, once with
+the basis in grid space (every axis map one dense p x p matrix) and once
+through scipy.fft's pocketfft, switched by the basis's ``grid_space`` flag.
+One species runs the model problem of its boundary kind, two the
+Brusselator.  Each repeat times a loop of steps of about 30 ms, after two
+warm steps, and the two paths alternate repeat by repeat.  The record gives
+each path's milliseconds per step (min and median over repeats), the ratio
+of the medians, for each case the largest p up to which grid space won at
+every swept p, the ``GRID_SPACE_MAX_P`` the package uses, and the core
+count, CPU and BLAS it ran on.  BLAS runs on one thread, as in the
+benchmark: the variables below are set before numpy is imported.
 """
 
 import os
@@ -36,64 +39,98 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 from invoke import environment  # noqa: E402
 
-from etdsplit.linsolve import DENSE_TRANSFORM_MAX_P, axis_transform_basis  # noqa: E402
-from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D  # noqa: E402
+from etdsplit.linsolve import GRID_SPACE_MAX_P  # noqa: E402
+from etdsplit.problems import discretize, make_problem  # noqa: E402
+from etdsplit.spatial import DIRICHLET, NEUMANN  # noqa: E402
+from etdsplit.steppers import ETDRK4P22IF, SplitWork, build_plan, etdrk4p22if_step  # noqa: E402
 
-TARGET_S = 0.02  # length of one timed loop
+TARGET_S = 0.03  # length of one timed loop
+K = 0.01
+PATHS = ("grid_space", "pocketfft")
 
 
-def grid_with_p(bc: str, p: int) -> Grid2D:
-    return Grid2D(a=0.0, b=1.0, m=p if bc == DIRICHLET else p - 2, bc=bc)
+def problem(bc: str, species: int):
+    spec = make_problem("brusselator" if species == 2 else
+                        "model_dirichlet" if bc == DIRICHLET else "model_neumann")
+    return replace(spec, bc=bc)
 
 
-def time_paths(bc: str, p: int, species: int, repeats: int) -> dict:
-    basis = axis_transform_basis(grid_with_p(bc, p))
-    paths = {"dense": replace(basis, dense=True), "pocketfft": replace(basis, dense=False)}
-    buf = np.random.default_rng(p).normal(size=(species, p, p))
+def time_paths(bc: str, species: int, p: int, repeats: int) -> dict:
+    disc = discretize(problem(bc, species), p if bc == DIRICHLET else p - 2)
+    plan = build_plan(ETDRK4P22IF, disc, K)
+    runs = {}
+    for name in PATHS:
+        basis = replace(plan.solvers["c1"].basis, grid_space=name == "grid_space")
+        path_plan = replace(plan, solvers={pole: replace(s, basis=basis)
+                                           for pole, s in plan.solvers.items()})
+        runs[name] = [path_plan, SplitWork(path_plan), disc.initial()]
 
-    def loop(b, calls):
+    def loop(name, steps):
+        path_plan, work, u = runs[name]
         t0 = time.perf_counter()
-        for _ in range(calls):
-            b.inverse(b.forward(buf, overwrite_x=True), overwrite_x=True)
-        return (time.perf_counter() - t0) / (2 * calls)
+        for _ in range(steps):
+            u = etdrk4p22if_step(path_plan, u, 0.0, work)
+        seconds = (time.perf_counter() - t0) / steps
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError(f"non-finite state on {bc} p={p} species={species}")
+        runs[name][2] = u
+        return seconds
 
-    calls = {}
-    for name, b in paths.items():  # warm up and size each loop to about TARGET_S
-        calls[name] = max(1, int(TARGET_S / loop(b, 3)))
-    samples = {name: [] for name in paths}
-    for _ in range(repeats):
-        for name, b in paths.items():
-            samples[name].append(loop(b, calls[name]) * 1e6)
-    row = {"bc": bc, "p": p}
-    for name, us in samples.items():
-        row[name] = {"min_us": min(us), "median_us": statistics.median(us)}
-    row["pocketfft_over_dense"] = row["pocketfft"]["median_us"] / row["dense"]["median_us"]
+    steps = {}
+    for name in PATHS:  # warm up and size each loop to about TARGET_S
+        steps[name] = max(1, int(TARGET_S / loop(name, 2)))
+    samples = {name: [] for name in PATHS}
+    for index in range(repeats):
+        for name in PATHS if index % 2 == 0 else PATHS[::-1]:
+            samples[name].append(loop(name, steps[name]) * 1e3)
+    row = {"bc": bc, "species": species, "p": p}
+    for name, ms in samples.items():
+        row[name] = {"min_ms": min(ms), "median_ms": statistics.median(ms)}
+    row["pocketfft_over_grid_space"] = (row["pocketfft"]["median_ms"]
+                                        / row["grid_space"]["median_ms"])
     return row
+
+
+def grid_space_wins_up_to(rows: list) -> dict:
+    """Per case, the largest swept p up to which grid space won at every p."""
+    out = {}
+    for bc, species in sorted({(row["bc"], row["species"]) for row in rows}):
+        best = None
+        for row in sorted((r for r in rows if (r["bc"], r["species"]) == (bc, species)),
+                          key=lambda r: r["p"]):
+            if row["pocketfft_over_grid_space"] <= 1.0:
+                break
+            best = row["p"]
+        out[f"{bc}-{species}"] = best
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--species", type=int, default=2)
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--p-min", type=int, default=39)
-    parser.add_argument("--p-max", type=int, default=161)
-    parser.add_argument("--p-step", type=int, default=2)
+    parser.add_argument("--p-max", type=int, default=199)
+    parser.add_argument("--p-step", type=int, default=8)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("need --repeats >= 5")
+    if args.p_min < 5:
+        parser.error("need --p-min >= 5")
 
     rows = []
     for p in range(args.p_min, args.p_max + 1, args.p_step):
         for bc in (DIRICHLET, NEUMANN):
-            row = time_paths(bc, p, args.species, args.repeats)
-            rows.append(row)
-            print(f"{bc:9s} p={p:4d}  dense {row['dense']['median_us']:8.1f} us  "
-                  f"pocketfft {row['pocketfft']['median_us']:8.1f} us  "
-                  f"ratio {row['pocketfft_over_dense']:.2f}", flush=True)
+            for species in (1, 2):
+                row = time_paths(bc, species, p, args.repeats)
+                rows.append(row)
+                print(f"{bc:9s} species={species} p={p:4d}  grid space "
+                      f"{row['grid_space']['median_ms']:8.3f} ms  pocketfft "
+                      f"{row['pocketfft']['median_ms']:8.3f} ms  "
+                      f"ratio {row['pocketfft_over_grid_space']:.2f}", flush=True)
     record = {"environment": {**environment(), "affinity_cores": len(os.sched_getaffinity(0))},
-              "species": args.species, "repeats": args.repeats,
-              "dense_transform_max_p": DENSE_TRANSFORM_MAX_P, "rows": rows}
+              "repeats": args.repeats, "k": K, "grid_space_max_p": GRID_SPACE_MAX_P,
+              "grid_space_wins_up_to": grid_space_wins_up_to(rows), "rows": rows}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -77,14 +78,39 @@ def _config_tokens(path: str, command: argparse.ArgumentParser) -> list:
 
 def _check_writable(path: str) -> None:
     """Reject an output path that cannot be written, before any compute."""
-    parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise ValidationError(f"cannot write {path}: it is a directory")
-    if not os.path.isdir(parent):
-        raise ValidationError(f"cannot write {path}: no directory {parent}")
-    target = path if os.path.exists(path) else parent
-    if not os.access(target, os.W_OK):
+    needed = [path] if os.path.exists(path) else []
+    if not needed or os.path.isfile(path):  # _output writes a new file and renames it
+        parent = os.path.dirname(os.path.realpath(path))
+        if not os.path.isdir(parent):
+            raise ValidationError(f"cannot write {path}: no directory {parent}")
+        needed.append(parent)
+    if not all(os.access(target, os.W_OK) for target in needed):
         raise ValidationError(f"cannot write {path}: permission denied")
+
+
+@contextmanager
+def _output(path: str):
+    """Open path for text that lands whole or not at all.
+
+    A regular file goes to a temporary file beside it (symlinks resolved,
+    umask mode), which then replaces it; a FIFO or device is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _pick_m(spec, cfg) -> Optional[int]:
@@ -110,10 +136,10 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
         smoothing_steps=cfg.smoothing_steps, h_target=cfg.h, m=m)
     print(report.format_table())
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        with _output(cfg.out) as fh:
             report.write_csv(fh)
     if cfg.plot_out:
-        with open(cfg.plot_out, "w", encoding="utf-8", newline="") as fh:
+        with _output(cfg.plot_out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "error"])
             for row in report.rows:
@@ -165,14 +191,14 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     def snapshot(step, t, field):
         base, ext = os.path.splitext(cfg.out)
         path = f"{base}_step{step:06d}{ext or '.csv'}"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _output(path) as fh:
             _write_field_csv(fh, disc.grid, field)
 
     u = integrate(disc, cfg.scheme, k, T, smoothing_steps=cfg.smoothing_steps,
                   snapshot_every=cfg.snapshot_every,
                   snapshot_cb=snapshot if cfg.snapshot_every else None)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        with _output(cfg.out) as fh:
             _write_field_csv(fh, disc.grid, u)
     else:
         _write_field_csv(sys.stdout, disc.grid, u)

@@ -14,11 +14,10 @@ Three solve paths exist, matching the scheme families:
   the grid and the stencil constants of spatial; B itself is never built.
   A solver is applied only as an axis map, axis_map(axis, w, shift): the
   real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed
-  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.  The
-  2-D transforms themselves run two ways, picked once per grid from p: up
-  to DENSE_TRANSFORM_MAX_P as two BLAS products with the transform's dense
-  p x p matrix, which at small p beats pocketfft's FFT-based type-1
-  transforms by 2-8x; above it as scipy.fft's dstn/dctn.
+  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product; the 2-D
+  transforms are scipy.fft's dstn/dctn.  Up to GRID_SPACE_MAX_P unknowns per
+  axis no field is transformed: each map is one dense p x p matrix in grid
+  space (Trefethen, Spectral Methods in MATLAB, SIAM 2000).
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -39,13 +38,13 @@ Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-# Imported with the module even where only the dense transforms run: on first
-# use the import (about 0.2 s) would land inside a run's set-up.
+# Imported with the module even where the split step runs in grid space: on
+# first use the import (about 0.2 s) would land inside a run's set-up.
 import scipy.fft
 
 from .errors import ShapeError, SingularSystemError, ValidationError
@@ -68,16 +67,14 @@ _EIG_IMAG_TOL = 1e-10
 # 1.41-1.63 for m = 3..319 on both boundary kinds.
 EIGEN_COND_MAX = 1e3
 
-# Largest p1d whose 2-D type-1 transforms run as two dense p x p matrix
-# products; above it scipy.fft's pocketfft runs them.  Measured by
-# scripts/transform_crossover.py (BENCH_dense_transform.json, "crossover":
-# 2-core Xeon, one OpenBLAS thread, two species, forward plus inverse): the
-# products win at every p from 39 to 149, by 2-8x at most p but only by
-# 1.05-1.25x at the FFT-friendly lengths above p = 100 (p = 107, 109, 119,
-# 127, 139, 143, 149), and pocketfft wins by up to 1.4x from p = 151 on.
-# Other sweeps on that host put p = 119 and 127 within 4% and pocketfft
-# ahead by 1.3x at p = 143, so the bound stays below 143.
-DENSE_TRANSFORM_MAX_P = 128
+# Largest p1d on which the split step runs in grid space: its basis is the
+# identity and each axis map one dense p x p matrix product.  Above it the
+# step runs in transform space through scipy.fft's pocketfft.  Measured by
+# scripts/transform_crossover.py (BENCH_grid_space.json, "crossover": warm
+# steps, 2-core Xeon, one OpenBLAS thread, three passes): grid space won at
+# every swept p up to 139 in every case and pass, mostly by 1.5-3x; above,
+# pocketfft tied or won at some FFT-friendly lengths (p = 143, 179, 191, 215).
+GRID_SPACE_MAX_P = 139
 
 
 @dataclass(frozen=True)
@@ -93,21 +90,17 @@ class AxisTransformBasis:
     from the reflected rows, (9, -10, 5, -1)/(12 h^2) for m >= 4.  The
     low-rank term is kept transformed: u_hat = F U and v_hat = F^-T V.
 
-    F is scipy.fft's unnormalized type-1 transform, applied along both axes
-    of every species at once in one of two ways, chosen once from p.  With
-    dense (p at most DENSE_TRANSFORM_MAX_P) a 2-D transform is two BLAS
-    matrix products with the p x p arrays of dense_transform_matrices,
-    F X F^T, and its inverse (F / n^2) X F^T.  Otherwise scipy.fft's
-    dstn/dctn run it.  Both keep scipy's scaling, so lam, u_hat and v_hat
-    serve either.  Every array is read-only: one basis serves every plan
-    on its grid.
+    forward and inverse take (species, p, p) fields to the space the axis
+    maps act in: with grid_space (p at most GRID_SPACE_MAX_P) grid space
+    itself, else F, scipy.fft's unnormalized dstn/dctn along both axes.
+    Every array is read-only: one basis serves every plan on its grid.
     """
 
     bc: str
     lam: np.ndarray                  # (p,)
     u_hat: Optional[np.ndarray]      # (p, 2); None when B is exactly reflected
     v_hat: Optional[np.ndarray]      # (p, 2)
-    dense: bool = False
+    grid_space: bool = False
 
     def forward(self, field: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Transform a (species, p, p) field along both axes.
@@ -115,62 +108,17 @@ class AxisTransformBasis:
         With overwrite_x, a C-contiguous float64 field is transformed in
         place: the result is a view of it.
         """
-        if self.dense:
-            f, f_t, _ = dense_transform_matrices(self.bc, len(self.lam))
-            return _dense_transform(f, f_t, field, overwrite_x)
-        if self.bc == DIRICHLET:
-            return scipy.fft.dstn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
-        return scipy.fft.dctn(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+        return self._apply(field, overwrite_x, scipy.fft.dstn, scipy.fft.dctn)
 
     def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of forward."""
-        if self.dense:
-            _, f_t, f_inv = dense_transform_matrices(self.bc, len(self.lam))
-            return _dense_transform(f_inv, f_t, coeffs, overwrite_x)
-        if self.bc == DIRICHLET:
-            return scipy.fft.idstn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
-        return scipy.fft.idctn(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+        return self._apply(coeffs, overwrite_x, scipy.fft.idstn, scipy.fft.idctn)
 
-
-def _dense_transform(left: np.ndarray, right: np.ndarray, x: np.ndarray,
-                     overwrite_x: bool) -> np.ndarray:
-    """left @ x @ right over every (p, p) block of x, into x itself with overwrite_x.
-
-    A contiguous right factor, not a transposed view, keeps the first
-    product about a fifth faster at p = 79.
-    """
-    x = np.asarray(x)
-    return np.matmul(left, x @ right, out=x if overwrite_x else None)
-
-
-@lru_cache(maxsize=8)
-def dense_transform_matrices(bc: str, p: int) -> tuple:
-    """(F, F^T, F / n^2): scipy.fft's unnormalized type-1 transform as p x p arrays.
-
-    F is the sine transform, 2 sin(pi (j+1)(k+1) / (p+1)), for Dirichlet
-    and the cosine one, 2 cos(pi j k / (p-1)) with the first and last
-    columns halved, for Neumann; F F = n I.  Each entry is read from a
-    table of the n angles of one period by its integer numerator modulo n,
-    so large products lose no accuracy and only n sines or cosines are
-    evaluated.  The sine transform is symmetric: its F^T is F itself.
-
-    Built at a boundary kind and size's first transform and cached,
-    read-only, as scipy.fft caches its plans: a process pays it once.
-    """
-    idx = np.arange(1, p + 1) if bc == DIRICHLET else np.arange(p)
-    n = 2 * (p + 1) if bc == DIRICHLET else 2 * (p - 1)
-    angles = np.pi * np.arange(n) / (n // 2)
-    table = 2.0 * (np.sin(angles) if bc == DIRICHLET else np.cos(angles))
-    numerators = np.outer(idx, idx)
-    f = table[np.remainder(numerators, n, out=numerators)]
-    if bc == DIRICHLET:
-        f_t = f
-    else:
-        f[:, [0, -1]] *= 0.5
-        f_t = np.ascontiguousarray(f.T)
-    f_inv = f / float(n * n)
-    _read_only(f, f_t, f_inv)
-    return f, f_t, f_inv
+    def _apply(self, x, overwrite_x, dst, dct):
+        if self.grid_space:
+            return x if overwrite_x else np.array(x)
+        transform = dst if self.bc == DIRICHLET else dct
+        return transform(x, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
 
 
 def _read_only(*arrays):
@@ -211,22 +159,25 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
         v_hat = scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0)
     _read_only(lam, u_hat, v_hat)
     return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat,
-                              dense=p <= DENSE_TRANSFORM_MAX_P)
+                              grid_space=p <= GRID_SPACE_MAX_P)
 
 
 @dataclass(frozen=True)
 class AxisMap:
-    """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed fields.
+    """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on fields in a basis's space.
 
-    diag * f plus, for Dirichlet, the edge term as a real rank-4 product with
-    w folded into edge_out: f @ edge_in @ edge_out along x, else reversed.
+    In transform space diag * f plus, for Dirichlet, the edge term as a real
+    rank-4 product with w folded into edge_out: f @ edge_in @ edge_out along
+    x, else reversed.  In grid space one real matrix: f @ matrix along x,
+    else reversed.
     """
 
     axis: str
     shape: tuple                          # (species, p, p)
-    diag: np.ndarray                      # (species, 1, p) along x, (species, p, 1) along y
+    diag: Optional[np.ndarray] = None     # (species, 1, p) along x, (species, p, 1) along y
     edge_in: Optional[np.ndarray] = None  # (species, p, 4) along x, (species, 4, p) along y
     edge_out: Optional[np.ndarray] = None  # (species, 4, p) along x, (species, p, 4) along y
+    matrix: Optional[np.ndarray] = None   # (species, p, p), read-only
 
     def __call__(self, f: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                  add: bool = False) -> np.ndarray:
@@ -235,6 +186,11 @@ class AxisMap:
             if g.shape != self.shape:
                 raise ShapeError(f"field shape {g.shape}, expected {self.shape}")
         along_x = self.axis == AXIS_X
+        if self.matrix is not None:
+            left, right = (f, self.matrix) if along_x else (self.matrix, f)
+            if add:
+                return np.add(out, np.matmul(left, right, out=scratch), out=out)
+            return np.matmul(left, right, out=out)  # numpy buffers f when out is f
         if self.edge_in is not None:  # z reads f before out (which may be f) changes
             z = f @ self.edge_in if along_x else self.edge_in @ f
         if add:
@@ -249,14 +205,14 @@ class AxisMap:
 
 @dataclass(frozen=True)
 class AxisTransformSolver:
-    """(k*A_axis - pole*I)^-1 along either axis, applied in transform space.
+    """(k*A_axis - pole*I)^-1 along either axis, applied in its basis's space.
 
     With mu = -k d lam - pole, the Woodbury identity gives, in transform
     space, M^-1 = diag(1/mu) - a q^T, a = diag(1/mu) Uk G, q = diag(1/mu)
     v_hat, where Uk = -k d u_hat and G = (I + v_hat^T diag(1/mu) Uk)^-1 is
     the 2 x 2 capacitance inverse.  edge_in = [Re q, Im q] projects a real
     field f to [Re; Im] of q^T f, and edge_a is a.  basis carries the
-    transform that fields must be in.
+    space that fields must be in.
     """
 
     basis: AxisTransformBasis
@@ -265,22 +221,39 @@ class AxisTransformSolver:
     edge_a: Optional[np.ndarray] = None   # (species, p, 2) complex
 
     def axis_map(self, axis: str, w, shift: float = 0.0) -> AxisMap:
-        """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as one AxisMap."""
+        """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as one AxisMap.
+
+        On a grid-space basis, the matrix F^-1 T F (transposed along x) of
+        the transform-space map T, with F the 1-D type-1 transform.
+        """
         if axis not in (AXIS_X, AXIS_Y):
             raise ValidationError(f"unknown axis {axis!r}")
         species, p = self.inv_symbol.shape
         diag = shift + 2.0 * (w * self.inv_symbol).real
         diag = diag[:, np.newaxis, :] if axis == AXIS_X else diag[:, :, np.newaxis]
         if self.edge_a is None:
-            return AxisMap(axis, (species, p, p), diag)
-        # -2*Re(w a z) with z = q^T f = [Re z; Im z] = edge_in's projection of f
-        wa = w * self.edge_a
-        edge_in, edge_out = self.edge_in, np.concatenate([-2.0 * wa.real, 2.0 * wa.imag], axis=-1)
-        if axis == AXIS_X:
-            edge_out = np.ascontiguousarray(np.swapaxes(edge_out, 1, 2))
+            amap = AxisMap(axis, (species, p, p), diag)
         else:
-            edge_in = np.ascontiguousarray(np.swapaxes(edge_in, 1, 2))
-        return AxisMap(axis, (species, p, p), diag, edge_in, edge_out)
+            # -2*Re(w a z) with z = q^T f = [Re z; Im z] = edge_in's projection of f
+            wa = w * self.edge_a
+            edge_in = self.edge_in
+            edge_out = np.concatenate([-2.0 * wa.real, 2.0 * wa.imag], axis=-1)
+            if axis == AXIS_X:
+                edge_out = np.ascontiguousarray(np.swapaxes(edge_out, 1, 2))
+            else:
+                edge_in = np.ascontiguousarray(np.swapaxes(edge_in, 1, 2))
+            amap = AxisMap(axis, (species, p, p), diag, edge_in, edge_out)
+        if not self.basis.grid_space:
+            return amap
+        # shift*I is added exactly: the transforms round relative to the rest
+        dim = -1 if axis == AXIS_X else -2
+        fwd, inv = ((scipy.fft.dst, scipy.fft.idst) if self.basis.bc == DIRICHLET
+                    else (scipy.fft.dct, scipy.fft.idct))
+        f = fwd(np.broadcast_to(np.eye(p), amap.shape), type=1, axis=dim)
+        f = replace(amap, diag=diag - shift)(f, f, np.empty(amap.shape))
+        matrix = inv(f, type=1, axis=dim, overwrite_x=True) + shift * np.eye(p)
+        _read_only(matrix)
+        return AxisMap(axis, amap.shape, matrix=matrix)
 
 
 def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,

@@ -18,7 +18,9 @@ Schemes:
   subscript's axis are each one real axis map of linsolve, all species at
   once.  A run's first split step makes five forward and four inverse 2-D
   transforms; every later one starts from the transform the previous step
-  kept and makes four of each.  The step's maps and field buffers
+  kept and makes four of each.  Up to linsolve.GRID_SPACE_MAX_P unknowns
+  per axis the transforms are the identity and each map is a dense matrix,
+  so the step runs in grid space.  The step's maps and field buffers
   (SplitWork) are made once per run, for that run and its plan only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
@@ -42,9 +44,7 @@ and gives its step count.  integrate is the one function that runs a
 scheme: every scheme steps through its one loop, _march.
 
 Every kernel runs on one thread; the only parallelism is whatever BLAS
-uses inside its matrix products.  On grids up to
-linsolve.DENSE_TRANSFORM_MAX_P unknowns per axis those include the split
-step's 2-D transforms, which run there as dense matrix products.
+uses inside its matrix products, the split step's grid-space maps included.
 """
 
 import math

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -20,6 +22,7 @@ def test_rounding_level_move_is_a_tie():
         _pairs("max_error", 1.14233677584e-6, 1.14233680781e-6), {"max_error": "lower"})
     assert summary["max_error"]["wins"] == {"parent": 0, "change": 0}
     assert summary["max_error"]["ties"] == 10
+    assert not summary["max_error"]["resolved"] and not summary["max_error"]["gain"]
 
 
 def test_higher_steps_per_s_is_a_change_win():
@@ -34,6 +37,37 @@ def test_lower_wall_s_is_a_change_win():
     assert summary["wall_s"]["wins"] == {"parent": 0, "change": 4}
     assert summary["wall_s"]["ties"] == 0
     assert summary["wall_s"]["change"]["median"] == 3.1
+
+
+def _paired(name, parents, changes):
+    def run(value):
+        return {"result": {"metrics": {name: {"value": value}}}}
+    return [{"parent": run(a), "change": run(b)} for a, b in zip(parents, changes)]
+
+
+def test_wins_inside_the_parent_spread_are_unresolved():
+    # the change reads 1 higher in every pair, but the parent's own runs
+    # spread over 90
+    parents = [100.0 + 10 * i for i in range(10)]
+    summary = bench_pairs.summarise(
+        _paired("steps_per_s", parents, [v + 1.0 for v in parents]), {"steps_per_s": "higher"})
+    s = summary["steps_per_s"]
+    assert s["wins"] == {"parent": 0, "change": 10}
+    assert not s["resolved"] and not s["gain"]
+
+
+@pytest.mark.parametrize("losses, gain", [(1, True), (2, False)])
+def test_a_resolved_gap_is_a_gain_with_nine_of_ten_pairs(losses, gain):
+    parents = [100.0 + i for i in range(10)]
+    changes = [v + 20.0 for v in parents[:10 - losses]] + [90.0] * losses
+    summary = bench_pairs.summarise(_paired("steps_per_s", parents, changes),
+                                    {"steps_per_s": "higher"})
+    s = summary["steps_per_s"]
+    assert s["wins"] == {"parent": losses, "change": 10 - losses}
+    assert s["resolved"] and s["gain"] == gain
+    # the same runs read as wall seconds, where lower is better, are no gain
+    assert not bench_pairs.summarise(_paired("wall_s", parents, changes),
+                                     {"wall_s": "lower"})["wall_s"]["gain"]
 
 
 def _cold(seconds, rss, exit_code=0):

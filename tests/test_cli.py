@@ -4,9 +4,11 @@ import io
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 
@@ -139,6 +141,76 @@ def test_output_path_that_is_a_directory_rejected(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 1
     assert "directory" in capsys.readouterr().err
+
+
+_SOLVE_9 = ["solve", "--problem", "enzyme", "--m", "9", "--k", "0.25", "--T", "1"]
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130), (OSError, 1)])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_field_write_leaves_no_partial_file(error, code, existing, tmp_path,
+                                                   monkeypatch, capsys):
+    # a write that fails after the whole field went out leaves no --out
+    # file, or the one that was there untouched, and no temporary file
+    out = tmp_path / "u.csv"
+    if existing:
+        out.write_text("old\n")
+    write = cli._write_field_csv
+
+    def failing(fileobj, grid, u):
+        write(fileobj, grid, u)
+        raise error("write failed")
+
+    monkeypatch.setattr(cli, "_write_field_csv", failing)
+    assert cli.main(_SOLVE_9 + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == "etdsplit: write failed\n"
+    assert [path.name for path in tmp_path.iterdir()] == (["u.csv"] if existing else [])
+    assert not existing or out.read_text() == "old\n"
+
+
+def test_output_replaces_the_file_a_symlink_names(tmp_path):
+    # the field lands whole in the link's target, with the mode a new file
+    # gets from the umask, and the link stays a link
+    plain, target, link = tmp_path / "plain.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert cli.main(_SOLVE_9 + ["--out", str(plain)]) == 0
+    assert cli.main(_SOLVE_9 + ["--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (target.stat().st_mode & 0o777) == 0o666 & ~umask
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "plain.csv",
+                                                                "target.csv"]
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    # an existing target that is not a regular file is written as it stands
+    plain, fifo = tmp_path / "plain.csv", tmp_path / "fifo"
+    assert cli.main(_SOLVE_9 + ["--out", str(plain)]) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert cli.main(_SOLVE_9 + ["--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive() and got == [plain.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_existing_output_needs_a_writable_directory(tmp_path, monkeypatch, capsys):
+    # the file is replaced, not rewritten, so its directory must take a new file
+    out = tmp_path / "u.csv"
+    out.write_text("old\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        os.fspath(path) != str(tmp_path) and access(path, mode)))
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: pytest.fail("computed"))
+    assert cli.main(_SOLVE_9 + ["--out", str(out)]) == 1
+    assert "permission denied" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
 
 
 def test_config_file_merging(tmp_path):

@@ -12,8 +12,8 @@ import etdsplit.linsolve as linsolve
 import etdsplit.spatial as spatial
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
-    DENSE_TRANSFORM_MAX_P,
     EIGEN_COND_MAX,
+    GRID_SPACE_MAX_P,
     FullOperator,
     TensorEigenSolver,
     assemble_full,
@@ -162,14 +162,15 @@ def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axi
        pole=st.sampled_from(ALL_POLES), axis=st.sampled_from((AXIS_X, AXIS_Y)),
        k=st.floats(0.01, 1.0), w=st.complex_numbers(max_magnitude=10.0),
        shift=st.floats(-2.0, 2.0), call=st.sampled_from(("new", "add", "aliased")),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, axis, k, w, shift, call, seed):
-    # axis_map(axis, w, shift) on transformed fields is, on grid values, the
-    # dense shift*I + 2*Re(w (k*A_axis - pole*I)^-1), into out, added to it,
-    # or written over its own input
+       grid_space=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, axis, k, w, shift, call,
+                                       grid_space, seed):
+    # axis_map(axis, w, shift) on fields in the basis's space, grid or
+    # pocketfft, is on grid values the dense shift*I + 2*Re(w (k*A_axis -
+    # pole*I)^-1), into out, added to it, or written over its own input
     grid = _grid(bc=bc, m=m)
     p = grid.p1d
-    basis = axis_transform_basis(grid)
+    basis = replace(axis_transform_basis(grid), grid_space=grid_space)
     amap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
     rng = np.random.default_rng(seed)
     f, start = rng.normal(size=(2, len(diffusion), p, p))
@@ -234,30 +235,62 @@ def test_transform_basis_oracle_sees_a_perturbed_dirichlet_edge(module, monkeypa
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
-@pytest.mark.parametrize("p", [5, 40, DENSE_TRANSFORM_MAX_P, DENSE_TRANSFORM_MAX_P + 1])
+@pytest.mark.parametrize("p", [5, 40, 128, 129])
 @pytest.mark.parametrize("species", [1, 2])
 def test_transform_paths_match_scipy(bc, p, species):
-    # the basis picks dense products up to the crossover and pocketfft above
-    # it; either way of applying F is scipy.fft's type-1 transform, in place
-    # with overwrite_x and leaving the input alone without it
-    grid = _grid(bc=bc, m=p if bc == DIRICHLET else p - 2)
-    basis = axis_transform_basis(grid)
-    assert basis.dense == (p <= DENSE_TRANSFORM_MAX_P)
+    # the basis works in grid space up to the crossover and through pocketfft
+    # above it.  In grid space forward and inverse are the identity, the
+    # field itself with overwrite_x and a copy without; through pocketfft they
+    # are scipy.fft's type-1 transforms, in place with overwrite_x and
+    # leaving the input alone without it
+    def basis_of(p):
+        return axis_transform_basis(_grid(bc=bc, m=p if bc == DIRICHLET else p - 2))
+
+    for q in (p, GRID_SPACE_MAX_P, GRID_SPACE_MAX_P + 1):
+        assert basis_of(q).grid_space == (q <= GRID_SPACE_MAX_P)
+    basis = basis_of(p)
     fwd, inv = (scipy.fft.dstn, scipy.fft.idstn) if bc == DIRICHLET else \
         (scipy.fft.dctn, scipy.fft.idctn)
     x = np.random.default_rng(p).normal(size=(species, p, p))
-    for dense in (True, False):
-        path = replace(basis, dense=dense)
+    for grid_space in (True, False):
+        path = replace(basis, grid_space=grid_space)
         for method, ref in ((path.forward, fwd), (path.inverse, inv)):
-            want = ref(x, type=1, axes=(-2, -1))
+            want = x if grid_space else ref(x, type=1, axes=(-2, -1))
             kept = x.copy()
             got = method(x)
-            assert np.array_equal(x, kept), dense
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dense
+            assert np.array_equal(x, kept) and not np.shares_memory(got, x), grid_space
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), grid_space
             buf = x.copy()
             got = method(buf, overwrite_x=True)
-            assert np.shares_memory(got, buf) and got.shape == buf.shape, dense
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), dense
+            assert np.shares_memory(got, buf) and got.shape == buf.shape, grid_space
+            assert got is buf or not grid_space
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), grid_space
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 40),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
+       pole=st.sampled_from(ALL_POLES), k=st.floats(0.01, 1.0),
+       w=st.complex_numbers(max_magnitude=10.0), shift=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_space_maps_match_pocketfft_maps(bc, m, diffusion, pole, k, w, shift, seed):
+    # a grid-space map is one read-only matrix that acts as pocketfft's
+    # inverse(map(forward(f))) along either axis, into out or added to it
+    grid = _grid(bc=bc, m=m)
+    p = grid.p1d
+    basis = axis_transform_basis(grid)
+    fft = replace(basis, grid_space=False)
+    assert basis.grid_space
+    f, start = np.random.default_rng(seed).normal(size=(2, len(diffusion), p, p))
+    scratch = np.empty(f.shape)
+    for axis in (AXIS_X, AXIS_Y):
+        gmap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
+        tmap = axis_transform_solver(fft, diffusion, k, pole).axis_map(axis, w, shift)
+        assert gmap.matrix.shape == f.shape and not gmap.matrix.flags.writeable
+        for add in (False, True):
+            got = gmap(f, start.copy(), scratch, add=add)
+            want = fft.inverse(tmap(fft.forward(f), fft.forward(start), scratch, add=add))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (axis, add)
 
 
 def test_full_solve_matches_dense():

@@ -19,7 +19,7 @@ from etdsplit.linsolve import (
     FullOperator,
     SparseFactorization,
     TensorEigenSolver,
-    dense_transform_matrices,
+    axis_transform_basis,
     factorize_full,
 )
 from etdsplit.problems import ProblemSpec, discretize, make_problem
@@ -463,9 +463,16 @@ def test_integrate_equals_manual_steps():
         assert np.array_equal(got, u), (scheme, smoothing)
 
 
+@pytest.fixture
+def pocketfft_plans(monkeypatch):
+    """Split plans built from here on transform through pocketfft, whatever p."""
+    monkeypatch.setattr(steppers, "axis_transform_basis",
+                        lambda grid: replace(axis_transform_basis(grid), grid_space=False))
+
+
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
 @pytest.mark.parametrize("smoothing", [0, 2])
-def test_carried_split_state_matches_grid_value_steps(name, smoothing):
+def test_carried_split_state_matches_grid_value_steps(pocketfft_plans, name, smoothing):
     # starting each step from the kept transform in place of fwd(u) changes
     # the result by rounding only
     disc = discretize(make_problem(name), 9)
@@ -482,7 +489,7 @@ def test_carried_split_state_matches_grid_value_steps(name, smoothing):
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
-def test_split_step_transform_count(monkeypatch, name):
+def test_split_step_transform_count(monkeypatch, pocketfft_plans, name):
     # nine 2-D transforms from grid values, eight from the carried state
     calls = []
 
@@ -530,13 +537,14 @@ def test_split_step_transform_count(monkeypatch, name):
 
 @pytest.mark.parametrize("name,m", [("model_dirichlet", 9), ("brusselator", 7)])
 def test_dense_and_pocketfft_split_steps_agree(name, m):
-    # the grid picks the dense transform; the same plan stepped with
-    # pocketfft's transforms gives the same states to rounding
+    # the grid picks grid space, where each map is a dense matrix; the same
+    # plan stepped in pocketfft's transform space gives the same states to
+    # rounding
     disc = discretize(make_problem(name), m)
     plan = build_plan(ETDRK4P22IF, disc, 0.05)
     basis = plan.solvers["c1"].basis
-    assert basis.dense
-    fft_basis = replace(basis, dense=False)
+    assert basis.grid_space
+    fft_basis = replace(basis, grid_space=False)
     fft_plan = replace(plan, solvers={pole: replace(s, basis=fft_basis)
                                       for pole, s in plan.solvers.items()})
     states = []
@@ -550,12 +558,16 @@ def test_dense_and_pocketfft_split_steps_agree(name, m):
 
 
 def test_split_plans_on_one_grid_share_a_read_only_basis():
-    # two equal grids, two step sizes: one basis, which no plan can change
+    # two equal grids, two step sizes: one basis, which no plan can change,
+    # and a run's grid-space matrices, which no step can change
     disc, again = (discretize(make_problem("brusselator"), 7) for _ in range(2))
     assert disc.grid == again.grid and disc.grid is not again.grid
-    basis = build_plan(ETDRK4P22IF, disc, 0.05).solvers["c1"].basis
+    plan = build_plan(ETDRK4P22IF, disc, 0.05)
+    basis = plan.solvers["c1"].basis
     assert build_plan(ETDRK4P22IF, again, 0.1).solvers["c1"].basis is basis
-    for a in (basis.lam, *dense_transform_matrices(disc.grid.bc, disc.grid.p1d)):
+    matrices = [m.matrix for m in SplitWork(plan).maps]
+    assert basis.grid_space and len(matrices) == 10
+    for a in (basis.lam, *matrices):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
@@ -607,15 +619,21 @@ def test_runs_from_one_plan_keep_their_own_state(scheme):
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
 def test_split_step_axis_map_budget(monkeypatch, name):
     # the four stage equations apply fifteen axis maps per step, and those
-    # are the step's only applications of an axis operator
+    # are the step's only applications of an axis operator; counting starts
+    # once the run's SplitWork has built its maps
     calls = []
-    original = AxisMap.__call__
+    original, made = AxisMap.__call__, SplitWork.__init__
 
     def counting(self, *args, **kwargs):
         calls.append(self.axis)
         return original(self, *args, **kwargs)
 
+    def make_work(self, plan):
+        made(self, plan)
+        calls.clear()
+
     monkeypatch.setattr(AxisMap, "__call__", counting)
+    monkeypatch.setattr(SplitWork, "__init__", make_work)
     per_step = []
 
     def count_step(step, t, u):
