@@ -19,7 +19,10 @@ of ``import etdsplit.cli`` and of each requested workload's whole CLI
 command (its argv read from the parent's ``perfbench/workloads.py``), with
 one BLAS thread, the sides interleaved.  Each process's wall seconds, from
 spawn to exit, and its own peak RSS, from ``os.wait4``, are kept, and
-summarised per side as min, quartiles and median.
+summarised per side as min, quartiles and median.  Each process also names,
+as the last line of its stderr, the public scipy modules (scipy.fft,
+scipy.sparse, ...) it loaded; the record keeps them per run and their union
+per side.
 """
 
 import argparse
@@ -39,8 +42,16 @@ SIDES = ("parent", "change")
 # Fresh processes per side for each cold-start command.
 COLD_RUNS = 5
 
-IMPORT_ARGV = ("-c", "import etdsplit.cli")
-CLI_ARGV = ("-c", "import sys; from etdsplit.cli import main; sys.exit(main())")
+# The last stderr line of every cold process: this prefix, then the public
+# top-level scipy modules (scipy.fft, ...) in sys.modules at exit.
+SCIPY_PREFIX = "scipy modules loaded:"
+_REPORT_SCIPY = (f"print({SCIPY_PREFIX!r}, *sorted({{'.'.join(m.split('.')[:2]) "
+                 "for m in sys.modules if m.startswith('scipy.') "
+                 "and not m.split('.')[1].startswith('_')}), file=sys.stderr)")
+
+IMPORT_ARGV = ("-c", "import sys; import etdsplit.cli; " + _REPORT_SCIPY)
+CLI_ARGV = ("-c", "import sys; from etdsplit.cli import main; code = main(); "
+            + _REPORT_SCIPY + "; sys.exit(code)")
 
 # Two values of a pair within this relative distance are a tie, not a win:
 # far below every metric's bound, above the rounding moves of a computed error.
@@ -103,9 +114,17 @@ def run_cold(root: Path, args: list) -> dict:
         seconds = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
         err.seek(0)
-        stderr = err.read().decode(errors="replace").strip()[-2000:]
+        stderr, scipy = split_scipy_report(err.read().decode(errors="replace"))
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-            "exit_code": proc.returncode, "stderr": stderr or None}
+            "exit_code": proc.returncode, "stderr": stderr[-2000:] or None, "scipy": scipy}
+
+
+def split_scipy_report(stderr: str) -> tuple:
+    """(the rest of stderr, the scipy modules its last line names, or None without one)."""
+    head, _, last = stderr.strip().rpartition("\n")
+    if not last.startswith(SCIPY_PREFIX):
+        return stderr.strip(), None
+    return head.strip(), last[len(SCIPY_PREFIX):].split()
 
 
 def cold_start(roots: dict, workloads: list) -> dict:
@@ -124,12 +143,13 @@ def cold_start(roots: dict, workloads: list) -> dict:
 
 
 def summarise_cold(runs: list) -> dict:
-    """One side's cold-start runs with the spread of those that exited 0."""
+    """One side's cold-start runs, with the spread of those that exited 0 and their scipy parts."""
     ok = [r for r in runs if r["exit_code"] == 0]
     summary = {"runs": runs, "failed": len(runs) - len(ok)}
     if ok:
         summary.update({key: quartiles([r[key] for r in ok])
                         for key in ("seconds", "peak_rss_mb")})
+        summary["scipy"] = sorted(set().union(*(r.get("scipy") or () for r in ok)))
     return summary
 
 
@@ -220,8 +240,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, sides in record["cold_start"].items():
         print(f"cold {name}: " + "  ".join(
-            f"{side} seconds={sides[side].get('seconds', {}).get('median')}" for side in SIDES),
-            flush=True)
+            f"{side} seconds={sides[side].get('seconds', {}).get('median')} "
+            f"scipy={sides[side].get('scipy')}" for side in SIDES), flush=True)
     return 0
 
 

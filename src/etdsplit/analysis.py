@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DivergenceError, ShapeError, ValidationError
 from .problems import ProblemSpec, discretize, interior_count_for_h
 from .spatial import Grid2D
-from .steppers import check_run, integrate
+from .steppers import check_run, import_transforms, integrate
 
 MODE_EXACT = "exact"
 MODE_SELF = "self"
@@ -161,8 +161,8 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
         check_run(scheme, k, T, smoothing_steps)
 
     ms = _grid_schedule(spec, coupling, levels, k0, h_target, m, m_schedule)
-    for mi in ms:
-        Grid2D(a=spec.a, b=spec.b, m=mi, bc=spec.bc)  # checks every level's m before any grid
+    # checks every level's m before any grid is discretized
+    import_transforms(scheme, *(Grid2D(a=spec.a, b=spec.b, m=mi, bc=spec.bc) for mi in ms))
     solutions = []
     seconds = []
     discs = []

@@ -38,7 +38,15 @@ from .analysis import (
 )
 from .errors import DivergenceError, SingularSystemError, ValidationError
 from .problems import PROBLEM_NAMES, discretize, interior_count_for_h, make_problem
-from .steppers import ETDRK4P22, ETDRK4P22IF, SBDF4, SCHEMES, check_run, integrate
+from .steppers import (
+    ETDRK4P22,
+    ETDRK4P22IF,
+    SBDF4,
+    SCHEMES,
+    check_run,
+    import_transforms,
+    integrate,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,27 +155,23 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
     return 0
 
 
-# Rows formatted by one %-operation in the field CSV writer.
-_CSV_BLOCK_ROWS = 1024
-
-
 def _write_field_csv(fileobj, grid, u) -> None:
     """Write an (x, y, species...) CSV row per node, y-major, x fastest.
 
-    Values carry 17 significant digits, the same text as _fmt.  Rows go out
-    in blocks, each formatted by a single %-operation.
+    Values carry 17 significant digits, the same text as _fmt.  Each node
+    coordinate is formatted once; a grid row goes out as one %-operation
+    that formats only its u values, on a template joined from the row's x
+    and y text.
     """
     species = u.shape[0]
     names = ["u"] if species == 1 else [f"u{i + 1}" for i in range(species)]
     fileobj.write(",".join(["x", "y"] + names) + "\n")
-    x, y = grid.meshgrid()
-    table = np.column_stack([x.ravel(), y.ravel()] + [u[s].ravel() for s in range(species)])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    full_block = row * _CSV_BLOCK_ROWS
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        fmt = full_block if len(block) == _CSV_BLOCK_ROWS else row * len(block)
-        fileobj.write(fmt % tuple(block.ravel().tolist()))
+    nodes = ["%.17g" % v for v in grid.axis_nodes().tolist()]
+    values = ",%.17g" * species + "\n"
+    rows = np.moveaxis(u, 0, -1).reshape(len(nodes), -1)  # row iy: x-major, species fastest
+    for y, row in zip(nodes, rows):
+        tail = f",{y}{values}"
+        fileobj.write((tail.join(nodes) + tail) % tuple(row.tolist()))
 
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
@@ -187,6 +191,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.snapshot_every and not cfg.out:
         raise ValidationError("--snapshot-every needs --out to name the files")
     disc = discretize(spec, m)
+    import_transforms(cfg.scheme, disc.grid)
 
     def snapshot(step, t, field):
         base, ext = os.path.splitext(cfg.out)

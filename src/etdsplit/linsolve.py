@@ -14,10 +14,14 @@ Three solve paths exist, matching the scheme families:
   the grid and the stencil constants of spatial; B itself is never built.
   A solver is applied only as an axis map, axis_map(axis, w, shift): the
   real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed
-  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product; the 2-D
-  transforms are scipy.fft's dstn/dctn.  Up to GRID_SPACE_MAX_P unknowns per
-  axis no field is transformed: each map is one dense p x p matrix in grid
-  space (Trefethen, Spectral Methods in MATLAB, SIAM 2000).
+  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.  Up to
+  GRID_SPACE_MAX_P unknowns per axis no field is transformed: each map is
+  one dense p x p matrix in grid space (Trefethen, Spectral Methods in
+  MATLAB, SIAM 2000), built with the explicit transform matrix
+  type1_matrix.  Above it the 2-D transforms are scipy.fft's pocketfft
+  dstn/dctn, imported when a field is first transformed.  The edge terms
+  are closed-form columns of the transform matrix, so a plan is built, and
+  a grid-space run steps, with numpy alone.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -32,7 +36,11 @@ Three solve paths exist, matching the scheme families:
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
   is measured against.  assemble_full converts the dense B to CSR.  Only
   this family uses scipy.sparse: assemble_full and factorize_full import it
-  when first called, so a run of any other scheme never loads it.
+  when first called.
+
+No scipy module is imported with this module: a run loads scipy.sparse or
+scipy.fft only when its path needs them, and an eigen-family or grid-space
+run loads neither.
 
 Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.
@@ -43,9 +51,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-# Imported with the module even where the split step runs in grid space: on
-# first use the import (about 0.2 s) would land inside a run's set-up.
-import scipy.fft
 
 from .errors import ShapeError, SingularSystemError, ValidationError
 from .spatial import (
@@ -92,7 +97,8 @@ class AxisTransformBasis:
 
     forward and inverse take (species, p, p) fields to the space the axis
     maps act in: with grid_space (p at most GRID_SPACE_MAX_P) grid space
-    itself, else F, scipy.fft's unnormalized dstn/dctn along both axes.
+    itself, else F, scipy.fft's unnormalized dstn/dctn along both axes,
+    imported on the first such call.
     Every array is read-only: one basis serves every plan on its grid.
     """
 
@@ -108,16 +114,23 @@ class AxisTransformBasis:
         With overwrite_x, a C-contiguous float64 field is transformed in
         place: the result is a view of it.
         """
-        return self._apply(field, overwrite_x, scipy.fft.dstn, scipy.fft.dctn)
+        return self._apply(field, overwrite_x, inverse=False)
 
     def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of forward."""
-        return self._apply(coeffs, overwrite_x, scipy.fft.idstn, scipy.fft.idctn)
+        return self._apply(coeffs, overwrite_x, inverse=True)
 
-    def _apply(self, x, overwrite_x, dst, dct):
+    def _apply(self, x, overwrite_x, inverse):
         if self.grid_space:
             return x if overwrite_x else np.array(x)
-        transform = dst if self.bc == DIRICHLET else dct
+        # The package's one scipy.fft import: only this path runs pocketfft,
+        # and loading it costs about 0.2 s and 27 MB.
+        import scipy.fft
+
+        if self.bc == DIRICHLET:
+            transform = scipy.fft.idstn if inverse else scipy.fft.dstn
+        else:
+            transform = scipy.fft.idctn if inverse else scipy.fft.dctn
         return transform(x, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
 
 
@@ -125,6 +138,40 @@ def _read_only(*arrays):
     for a in arrays:
         if a is not None:
             a.flags.writeable = False
+
+
+def type1_matrix(bc: str, p: int, cols=None) -> np.ndarray:
+    """Columns cols (default all) of the unnormalized 1-D type-1 transform F of length p.
+
+    Dirichlet: the DST-I, F[j, k] = 2 sin(pi (j+1)(k+1) / (p+1)), symmetric.
+    Neumann: the DCT-I, F[j, k] = 2 cos(pi j k / (p-1)) with its first and
+    last columns halved.  These are scipy.fft's dst and dct of type 1, and
+    F F = type1_norm(bc, p) I.  Every entry is the sine of an exact integer
+    multiple of pi / (2(p-1)) or pi / (p+1), reduced by _sin_pi.
+    """
+    j = np.arange(p)[:, np.newaxis]
+    k = np.arange(p) if cols is None else np.asarray(cols)
+    if bc == DIRICHLET:
+        return 2.0 * _sin_pi((j + 1) * (k + 1), p + 1)
+    f = 2.0 * _sin_pi(p - 1 - 2 * j * k, 2 * (p - 1))  # cos x = sin(pi/2 - x)
+    f[:, (k == 0) | (k == p - 1)] *= 0.5
+    return f
+
+
+def _sin_pi(t: np.ndarray, d: int) -> np.ndarray:
+    """sin(pi t / d) for integer t, the angle reduced to [-pi/2, pi/2] before scaling by pi.
+
+    Each entry is then within about an ulp of 2 of the exact value, where
+    the unreduced angle would round up to 8 times worse near 2 pi.
+    """
+    t = t % (2 * d)
+    t = np.where(t > 1.5 * d, t - 2 * d, np.where(t > 0.5 * d, d - t, t))
+    return np.sin(np.pi * t / d)
+
+
+def type1_norm(bc: str, p: int) -> int:
+    """The type-1 transform's inverse is F / type1_norm: 2(p+1) (DST-I) or 2(p-1) (DCT-I)."""
+    return 2 * (p + 1 if bc == DIRICHLET else p - 1)
 
 
 @lru_cache(maxsize=16)
@@ -145,18 +192,17 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
         # V's first column: B's first row minus the oddly reflected stencil's,
         # whose -2 tap folds onto the first unknown with its sign flipped:
         # (-29, 16, -1, 0).  Both truncate to p; the last column is the mirror.
+        # Only F's first and last n columns are formed, so the basis stays O(p).
         c = 12.0 * h * h
         s = INTERIOR_STENCIL
         n = min(p, 4)
-        reflected, edge = np.zeros(p), np.zeros(p)
-        reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
-        edge[:n] = _DIRICHLET_EDGE[:n]
-        first = (-reflected / c) + (edge / c)
-        unit = np.zeros((p, 2))
-        unit[0, 0] = unit[p - 1, 1] = 1.0
-        u_hat = scipy.fft.dst(unit, type=1, axis=0)
+        reflected = np.array((s[2] - s[0], s[3], s[4], 0.0)[:n])
+        first = (-reflected / c) + (np.array(_DIRICHLET_EDGE[:n]) / c)
+        ends = type1_matrix(bc, p, np.r_[0:n, p - n:p])
+        u_hat = ends[:, [0, -1]]
         # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
-        v_hat = scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0)
+        v_hat = np.stack([ends[:, :n] @ first, ends[:, n:] @ first[::-1]], axis=1)
+        v_hat /= type1_norm(bc, p)
     _read_only(lam, u_hat, v_hat)
     return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat,
                               grid_space=p <= GRID_SPACE_MAX_P)
@@ -224,7 +270,7 @@ class AxisTransformSolver:
         """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as one AxisMap.
 
         On a grid-space basis, the matrix F^-1 T F (transposed along x) of
-        the transform-space map T, with F the 1-D type-1 transform.
+        the transform-space map T, with F the 1-D type-1 transform matrix.
         """
         if axis not in (AXIS_X, AXIS_Y):
             raise ValidationError(f"unknown axis {axis!r}")
@@ -245,13 +291,14 @@ class AxisTransformSolver:
             amap = AxisMap(axis, (species, p, p), diag, edge_in, edge_out)
         if not self.basis.grid_space:
             return amap
-        # shift*I is added exactly: the transforms round relative to the rest
-        dim = -1 if axis == AXIS_X else -2
-        fwd, inv = ((scipy.fft.dst, scipy.fft.idst) if self.basis.bc == DIRICHLET
-                    else (scipy.fft.dct, scipy.fft.idct))
-        f = fwd(np.broadcast_to(np.eye(p), amap.shape), type=1, axis=dim)
+        # The identity transformed along the axis (I F^T along x, F I along
+        # y), mapped, transformed back; shift*I is added exactly, as the
+        # transforms round relative to the rest.
+        t = type1_matrix(self.basis.bc, p)
+        f = np.array(np.broadcast_to(t.T if axis == AXIS_X else t, amap.shape))
         f = replace(amap, diag=diag - shift)(f, f, np.empty(amap.shape))
-        matrix = inv(f, type=1, axis=dim, overwrite_x=True) + shift * np.eye(p)
+        f = f @ t.T if axis == AXIS_X else t @ f
+        matrix = f / type1_norm(self.basis.bc, p) + shift * np.eye(p)
         _read_only(matrix)
         return AxisMap(axis, amap.shape, matrix=matrix)
 

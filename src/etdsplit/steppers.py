@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .linsolve import (
+    GRID_SPACE_MAX_P,
     assemble_full,
     axis_eigenbasis,
     axis_transform_basis,
@@ -65,7 +66,7 @@ from .linsolve import (
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
-from .spatial import AXIS_X, AXIS_Y, axis_matrix
+from .spatial import AXIS_X, AXIS_Y, Grid2D, axis_matrix
 
 ETDRK4P22IF = "etdrk4p22if"
 ETDRK4P22 = "etdrk4p22"
@@ -365,6 +366,19 @@ def check_run(scheme: str, k: float, T: float, smoothing_steps: int = 0) -> int:
     if scheme == SBDF4 and 0 < n < 4:
         raise ValidationError(f"need T/k >= 4 for the multistep scheme, got {n}")
     return n
+
+
+def import_transforms(scheme: str, *grids: Grid2D) -> None:
+    """Import scipy.fft now if a run of scheme on any of grids transforms with pocketfft.
+
+    That is a split run with more than GRID_SPACE_MAX_P unknowns per axis;
+    every other run steps with numpy alone.  The package imports scipy.fft
+    on its first transform anyway; a caller that times plan build and
+    stepping calls this first, after validating the run, so the import
+    (about 0.2 s) is charged to neither.
+    """
+    if scheme_entry(scheme)[0] == "transform" and any(g.p1d > GRID_SPACE_MAX_P for g in grids):
+        import scipy.fft  # noqa: F401
 
 
 def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None) -> np.ndarray:

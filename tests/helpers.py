@@ -9,7 +9,8 @@ exponential step with true matrix exponentials, the published
 22-entry split-step sequence, and dense-solve stand-ins for a plan's
 solvers, so the step functions run against numpy.linalg.solve instead of
 the transform, sparse or eigenbasis solves.  Also a convergence report's CSV
-text and its parse back to rows.
+text and its parse back to rows, and a field CSV written in blocks of whole
+rows, the way the CLI once wrote it.
 """
 
 import csv
@@ -338,3 +339,24 @@ def parse_report_csv(text: str) -> list:
             "seconds": float(rec["seconds"]),
         })
     return out
+
+
+# Rows formatted by one %-operation in block_field_csv.
+_CSV_BLOCK_ROWS = 1024
+
+
+def block_field_csv(grid: Grid2D, u: np.ndarray) -> str:
+    """The field CSV with every cell of every node formatted, _CSV_BLOCK_ROWS rows at a time."""
+    buf = io.StringIO()
+    species = u.shape[0]
+    names = ["u"] if species == 1 else [f"u{i + 1}" for i in range(species)]
+    buf.write(",".join(["x", "y"] + names) + "\n")
+    x, y = grid.meshgrid()
+    table = np.column_stack([x.ravel(), y.ravel()] + [u[s].ravel() for s in range(species)])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    full_block = row * _CSV_BLOCK_ROWS
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        fmt = full_block if len(block) == _CSV_BLOCK_ROWS else row * len(block)
+        buf.write(fmt % tuple(block.ravel().tolist()))
+    return buf.getvalue()

@@ -96,3 +96,26 @@ def test_cold_start_commands_read_perfbench_workloads():
     argv = workloads["sbdf4-startup"].argv("out.csv")
     assert argv[:3] == ["solve", "--problem", "model_dirichlet"]
     assert argv[-2:] == ["--out", "out.csv"]
+
+
+def test_cold_run_records_the_scipy_modules_it_loaded():
+    # a cold process names what it loaded on stderr's last line; the record
+    # keeps that list apart from the rest of stderr
+    root = Path(__file__).resolve().parent.parent
+    pocketfft = bench_pairs.run_cold(root, [*bench_pairs.CLI_ARGV, "solve", "--problem",
+                                            "model_dirichlet", "--m", "140", "--k", "0.05",
+                                            "--T", "0.05", "--out", "u.csv"])
+    assert pocketfft["exit_code"] == 0 and pocketfft["stderr"] is None
+    assert "scipy.fft" in pocketfft["scipy"]
+    assert not any(m.startswith("scipy._") for m in pocketfft["scipy"])
+    bare = bench_pairs.run_cold(root, list(bench_pairs.IMPORT_ARGV))
+    assert bare["exit_code"] == 0 and bare["stderr"] is None and bare["scipy"] == []
+    warned = bench_pairs.run_cold(root, ["-c", "import sys; sys.stderr.write('warning\\n'); "
+                                         + bench_pairs._REPORT_SCIPY])
+    assert warned["stderr"] == "warning" and warned["scipy"] == []
+    assert bench_pairs.split_scipy_report("Traceback ...\nValueError: x\n") == (
+        "Traceback ...\nValueError: x", None)
+    summary = bench_pairs.summarise_cold([
+        dict(_cold(0.5, 30.0), scipy=[]), dict(_cold(0.6, 31.0), scipy=["scipy.fft"]),
+        dict(_cold(0.7, 32.0, exit_code=1), scipy=["scipy.sparse"])])
+    assert summary["scipy"] == ["scipy.fft"]

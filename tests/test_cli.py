@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import signal
@@ -25,6 +26,7 @@ from etdsplit.analysis import _fmt
 from etdsplit.errors import DivergenceError, SingularSystemError
 from etdsplit.problems import PROBLEM_NAMES, discretize, make_problem
 from etdsplit.spatial import DIRICHLET, NEUMANN, Grid2D
+from helpers import block_field_csv
 
 
 def test_converge_writes_csv_and_table(tmp_path, capsys):
@@ -431,6 +433,54 @@ def test_only_the_sparse_baseline_imports_scipy_sparse(scheme, loads_sparse, tmp
     assert (modules.strip() != "[]") == loads_sparse, modules
 
 
+@pytest.mark.parametrize("argv,fft_at_integrate", [
+    pytest.param(None, None, id="import-only"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--scheme", "sbdf4", "--m", "9",
+                  "--k", "0.25", "--T", "1"], False, id="sbdf4"),
+    pytest.param(["solve", "--problem", "brusselator", "--scheme", "smoother-only", "--m", "9",
+                  "--k", "0.25", "--T", "0.5"], False, id="smoother-only"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "139", "--k", "0.05",
+                  "--T", "0.05"], False, id="grid-space-dirichlet-p139"),
+    pytest.param(["converge", "--problem", "model_neumann", "--scheme", "etdrk4p22if",
+                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "137",
+                  "--T", "0.05"], False, id="grid-space-neumann-p139"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "140", "--k", "0.05",
+                  "--T", "0.05"], True, id="pocketfft-p140"),
+])
+def test_only_pocketfft_runs_import_scipy_fft(argv, fft_at_integrate, tmp_path):
+    # a fresh interpreter imports the CLI and runs one command, recording at
+    # each entry to cli.integrate or analysis.integrate whether scipy.fft is
+    # loaded, then lists the scipy modules it holds.  Only a split run above
+    # GRID_SPACE_MAX_P loads scipy at all, and it has scipy.fft before its
+    # run starts, so plan build and stepping never carry the import
+    script = ("import json, sys\n"
+              "import etdsplit.analysis as analysis\n"
+              "import etdsplit.cli as cli\n"
+              "seen = []\n"
+              "def recording(integrate):\n"
+              "    def wrapper(*args, **kwargs):\n"
+              "        seen.append('scipy.fft' in sys.modules)\n"
+              "        return integrate(*args, **kwargs)\n"
+              "    return wrapper\n"
+              "cli.integrate = recording(cli.integrate)\n"
+              "analysis.integrate = recording(analysis.integrate)\n"
+              f"argv = {argv!r}\n"
+              "code = None if argv is None else cli.main(argv + ['--out', sys.argv[1]])\n"
+              "print(json.dumps([code, seen, sorted(m for m in sys.modules\n"
+              "                                     if m.split('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    code, seen, modules = json.loads(proc.stdout.splitlines()[-1])
+    if argv is None:
+        assert (code, seen, modules) == (None, [], [])
+        return
+    assert code == 0 and seen == [fft_at_integrate]
+    assert "scipy.fft" in modules if fft_at_integrate else modules == [], modules
+
+
 def test_interrupt_exits_130_with_one_line(tmp_path):
     # SIGINT once the first snapshot is written: one stderr line naming the
     # step and t reached, exit 130 and no final --out file
@@ -636,7 +686,7 @@ def test_threads_option_is_gone(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
-# ---- field CSV: the block writer against the one-row-at-a-time form ----
+# ---- field CSV: the writer against the one-row-at-a-time and block forms ----
 
 def _row_by_row_field_csv(grid, u) -> str:
     """The field CSV as csv.writer writes it from _fmt-formatted cells."""
@@ -665,6 +715,24 @@ def test_field_csv_matches_row_by_row_form(grid, species):
     got = io.StringIO()
     cli._write_field_csv(got, grid, u)
     assert got.getvalue() == _row_by_row_field_csv(grid, u)
+
+
+@pytest.mark.parametrize("species", [1, 2])
+@pytest.mark.parametrize("grid", [Grid2D(a=-1.5, b=2.0, m=33, bc=DIRICHLET),
+                                  Grid2D(a=0.0, b=1.0, m=40, bc=NEUMANN),
+                                  Grid2D(a=0.0, b=1.0, m=3, bc=DIRICHLET)])
+def test_field_csv_matches_the_block_writer(grid, species):
+    # m=33 Dirichlet (1089 rows) and m=40 Neumann (1764) pass one full
+    # 1024-row block of the block writer and end in a partial one
+    p = grid.p1d
+    rng = np.random.default_rng(7 * p + species)
+    u = rng.normal(size=(species, p, p)) * 10.0 ** rng.integers(-300, 300, size=(species, p, p))
+    u.flat[-4:] = [-0.0, 5e-324, np.nextafter(1.0, 2.0), -1e300]
+    got = io.StringIO()
+    cli._write_field_csv(got, grid, u)
+    text, want = got.getvalue(), block_field_csv(grid, u)
+    bad = [i for i, (a, b) in enumerate(zip(text.split("\n"), want.split("\n"))) if a != b]
+    assert not bad and text == want, f"{len(bad)} lines differ, the first is line {bad[:1]}"
 
 
 def test_field_csv_value_text_is_fmt():

@@ -267,6 +267,51 @@ def test_transform_paths_match_scipy(bc, p, species):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), grid_space
 
 
+def _scipy_edge_terms(grid):
+    """u_hat and v_hat as scipy.fft's DST-I of the edge unit vectors and edge rows builds them."""
+    p, c, s = grid.p1d, 12.0 * grid.h * grid.h, spatial.INTERIOR_STENCIL
+    n = min(p, 4)
+    reflected, edge = np.zeros(p), np.zeros(p)
+    reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
+    edge[:n] = spatial._DIRICHLET_EDGE[:n]
+    first = (-reflected / c) + (edge / c)
+    unit = np.zeros((p, 2))
+    unit[0, 0] = unit[p - 1, 1] = 1.0
+    return (scipy.fft.dst(unit, type=1, axis=0),
+            scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), p=st.integers(3, 300),
+       width=st.floats(0.01, 100.0))
+@example(bc=DIRICHLET, p=3, width=1.0)
+@example(bc=NEUMANN, p=3, width=1.0)
+@example(bc=DIRICHLET, p=300, width=1.0)
+@example(bc=NEUMANN, p=300, width=1.0)
+def test_closed_form_transforms_match_scipy(bc, p, width):
+    # the explicit type-1 matrix (and its inverse, over type1_norm) is
+    # scipy.fft's dst/dct of the identity, any subset of its columns is
+    # those columns, and the Dirichlet basis's closed-form edge terms are
+    # the scipy.fft construction they replace
+    fwd, inv = (scipy.fft.dst, scipy.fft.idst) if bc == DIRICHLET else \
+        (scipy.fft.dct, scipy.fft.idct)
+    f = linsolve.type1_matrix(bc, p)
+    for got, want in ((f, fwd(np.eye(p), type=1, axis=0)),
+                      (f / linsolve.type1_norm(bc, p), inv(np.eye(p), type=1, axis=0))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    cols = np.r_[0:min(p, 4), p - min(p, 4):p]
+    assert np.array_equal(linsolve.type1_matrix(bc, p, cols), f[:, cols])
+    if bc == NEUMANN:
+        if p >= 5:
+            assert axis_transform_basis(_grid(bc=bc, m=p - 2, b=width)).u_hat is None
+        return
+    grid = _grid(bc=bc, m=p, b=width)
+    basis = axis_transform_basis(grid)
+    for got, want in zip((basis.u_hat, basis.v_hat), _scipy_edge_terms(grid)):
+        assert got.shape == want.shape == (p, 2) and not got.flags.writeable
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 40),
        diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
