@@ -161,12 +161,20 @@ def type1_matrix(bc: str, p: int, cols=None) -> np.ndarray:
 def _sin_pi(t: np.ndarray, d: int) -> np.ndarray:
     """sin(pi t / d) for integer t, the angle reduced to [-pi/2, pi/2] before scaling by pi.
 
-    Each entry is then within about an ulp of 2 of the exact value, where
-    the unreduced angle would round up to 8 times worse near 2 pi.
+    Each entry is then within about an ulp of 2 of the exact value; an
+    unreduced angle near 2 pi rounds to up to 8 times that.
     """
     t = t % (2 * d)
     t = np.where(t > 1.5 * d, t - 2 * d, np.where(t > 0.5 * d, d - t, t))
     return np.sin(np.pi * t / d)
+
+
+@lru_cache(maxsize=16)
+def _square_type1_matrix(bc: str, p: int) -> np.ndarray:
+    """type1_matrix(bc, p), read-only and cached: a grid-space run builds its ten maps from it."""
+    f = type1_matrix(bc, p)
+    _read_only(f)
+    return f
 
 
 def type1_norm(bc: str, p: int) -> int:
@@ -192,17 +200,20 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
         # V's first column: B's first row minus the oddly reflected stencil's,
         # whose -2 tap folds onto the first unknown with its sign flipped:
         # (-29, 16, -1, 0).  Both truncate to p; the last column is the mirror.
-        # Only F's first and last n columns are formed, so the basis stays O(p).
         c = 12.0 * h * h
         s = INTERIOR_STENCIL
         n = min(p, 4)
         reflected = np.array((s[2] - s[0], s[3], s[4], 0.0)[:n])
         first = (-reflected / c) + (np.array(_DIRICHLET_EDGE[:n]) / c)
-        ends = type1_matrix(bc, p, np.r_[0:n, p - n:p])
-        u_hat = ends[:, [0, -1]]
-        # The type-1 sine transform's matrix is symmetric, so F^-T = F^-1.
-        v_hat = np.stack([ends[:, :n] @ first, ends[:, n:] @ first[::-1]], axis=1)
-        v_hat /= type1_norm(bc, p)
+        # Only F's first n columns are formed, so the basis stays O(p).  F's
+        # column p-1-k is (-1)^j times its column k, so the last unit vector
+        # and the mirrored row follow from the first ones by row signs.  F is
+        # symmetric, so F^-T = F^-1 = F / type1_norm.
+        head = type1_matrix(bc, p, np.arange(n))
+        signs = np.ones((p, 2))
+        signs[1::2, 1] = -1.0
+        u_hat = signs * head[:, :1]
+        v_hat = signs * (head @ first / type1_norm(bc, p))[:, np.newaxis]
     _read_only(lam, u_hat, v_hat)
     return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat,
                               grid_space=p <= GRID_SPACE_MAX_P)
@@ -294,10 +305,10 @@ class AxisTransformSolver:
         # The identity transformed along the axis (I F^T along x, F I along
         # y), mapped, transformed back; shift*I is added exactly, as the
         # transforms round relative to the rest.
-        t = type1_matrix(self.basis.bc, p)
-        f = np.array(np.broadcast_to(t.T if axis == AXIS_X else t, amap.shape))
+        fmat = _square_type1_matrix(self.basis.bc, p)
+        f = np.array(np.broadcast_to(fmat.T if axis == AXIS_X else fmat, amap.shape))
         f = replace(amap, diag=diag - shift)(f, f, np.empty(amap.shape))
-        f = f @ t.T if axis == AXIS_X else t @ f
+        f = f @ fmat.T if axis == AXIS_X else fmat @ f
         matrix = f / type1_norm(self.basis.bc, p) + shift * np.eye(p)
         _read_only(matrix)
         return AxisMap(axis, amap.shape, matrix=matrix)
