@@ -143,7 +143,7 @@ def cold_start(roots: dict, workloads: list) -> dict:
 
 
 def summarise_cold(runs: list) -> dict:
-    """One side's cold-start runs, with the spread of those that exited 0 and their scipy parts."""
+    """One side's cold-start runs, with the spread and scipy modules of those that exited 0."""
     ok = [r for r in runs if r["exit_code"] == 0]
     summary = {"runs": runs, "failed": len(runs) - len(ok)}
     if ok:

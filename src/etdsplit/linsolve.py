@@ -123,8 +123,8 @@ class AxisTransformBasis:
     def _apply(self, x, overwrite_x, inverse):
         if self.grid_space:
             return x if overwrite_x else np.array(x)
-        # The package's one scipy.fft import: only this path runs pocketfft,
-        # and loading it costs about 0.2 s and 27 MB.
+        # Imported on first use: only this path runs pocketfft, and loading
+        # scipy.fft costs about 0.3 s and 27 MB.
         import scipy.fft
 
         if self.bc == DIRICHLET:

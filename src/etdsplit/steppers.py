@@ -375,7 +375,7 @@ def import_transforms(scheme: str, *grids: Grid2D) -> None:
     every other run steps with numpy alone.  The package imports scipy.fft
     on its first transform anyway; a caller that times plan build and
     stepping calls this first, after validating the run, so the import
-    (about 0.2 s) is charged to neither.
+    (about 0.3 s) is charged to neither.
     """
     if scheme_entry(scheme)[0] == "transform" and any(g.p1d > GRID_SPACE_MAX_P for g in grids):
         import scipy.fft  # noqa: F401
