@@ -19,7 +19,9 @@ of ``import etdsplit.cli`` and of each requested workload's whole CLI
 command (its argv read from the parent's ``perfbench/workloads.py``), with
 one BLAS thread, the sides interleaved.  Each process's wall seconds, from
 spawn to exit, and its own peak RSS, from ``os.wait4``, are kept, and
-summarised per side as min, quartiles and median.  Each process also names,
+summarised per side as min, quartiles and median, with whether the sides'
+medians differ by more than the parent's spread (``resolved``, the rule
+``summarise`` applies to perfbench's metrics).  Each process also names,
 as the last line of its stderr, the public scipy modules (scipy.fft,
 scipy.sparse, ...) it loaded; the record keeps them per run and their union
 per side.
@@ -39,8 +41,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-# Fresh processes per side for each cold-start command.
-COLD_RUNS = 5
+# Fresh processes per side for each cold-start command.  Five could not
+# resolve a 0.15 s difference: one pair of checkouts read +0.46 s, then -0.25 s.
+COLD_RUNS = 10
 
 # The last stderr line of every cold process: this prefix, then the public
 # top-level scipy modules (scipy.fft, ...) in sys.modules at exit.
@@ -137,9 +140,13 @@ def cold_start(roots: dict, workloads: list) -> dict:
         for name, args in commands.items():
             for side in SIDES if index % 2 == 0 else SIDES[::-1]:
                 runs[name][side].append(run_cold(roots[side], args))
-    return {name: {"argv": commands[name],
-                   **{side: summarise_cold(runs[name][side]) for side in SIDES}}
-            for name in commands}
+    record = {}
+    for name, args in commands.items():
+        sides = {side: summarise_cold(runs[name][side]) for side in SIDES}
+        record[name] = {"argv": args, **sides, "resolved": {
+            key: resolved(sides["parent"][key], sides["change"][key])
+            for key in ("seconds", "peak_rss_mb") if all(key in s for s in sides.values())}}
+    return record
 
 
 def summarise_cold(runs: list) -> dict:
@@ -161,6 +168,16 @@ def quartiles(values: list) -> dict:
         q1 = median = q3 = values[0]
     return {"min": values[0], "q1": q1, "median": median, "q3": q3, "max": values[-1],
             "n": len(values)}
+
+
+def resolved(parent: dict, change: dict) -> bool:
+    """Whether two sides' quartiles() differ.
+
+    Their medians must be further apart than the parent's interquartile
+    spread and than a tie.
+    """
+    return abs(change["median"] - parent["median"]) > max(
+        parent["q3"] - parent["q1"], TIE_RTOL * abs(parent["median"]))
 
 
 def metric(run: dict, name: str):
@@ -193,13 +210,12 @@ def summarise(pairs: list, better: dict) -> dict:
                 wins["change" if improved else "parent"] += 1
         spread = {side: quartiles(values) for side, values in sides.items()}
         gap = spread["change"]["median"] - spread["parent"]["median"]
-        resolved = abs(gap) > max(spread["parent"]["q3"] - spread["parent"]["q1"],
-                                  TIE_RTOL * abs(spread["parent"]["median"]))
+        apart = resolved(spread["parent"], spread["change"])
         decided = wins["parent"] + wins["change"]
-        gain = (resolved and (gap < 0 if direction == "lower" else gap > 0)
+        gain = (apart and (gap < 0 if direction == "lower" else gap > 0)
                 and decided > 0 and wins["change"] >= GAIN_SHARE * decided)
         summary[name] = {"better": direction, "wins": wins, "ties": ties,
-                         "resolved": resolved, "gain": gain, **spread}
+                         "resolved": apart, "gain": gain, **spread}
     return summary
 
 
@@ -241,7 +257,8 @@ def main(argv=None) -> int:
     for name, sides in record["cold_start"].items():
         print(f"cold {name}: " + "  ".join(
             f"{side} seconds={sides[side].get('seconds', {}).get('median')} "
-            f"scipy={sides[side].get('scipy')}" for side in SIDES), flush=True)
+            f"scipy={sides[side].get('scipy')}" for side in SIDES)
+            + f"  resolved={sides['resolved']}", flush=True)
     return 0
 
 

@@ -157,12 +157,12 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
         raise ValidationError("self-reference mode requires the fixed_h coupling")
     ks = [k0 / (2 ** j) for j in range(levels)]
     run_ks = ks + [ks[-1] / 2] if mode == MODE_SELF else ks
-    for k in run_ks:
-        check_run(scheme, k, T, smoothing_steps)
+    steps = max(check_run(scheme, k, T, smoothing_steps) for k in run_ks)
 
     ms = _grid_schedule(spec, coupling, levels, k0, h_target, m, m_schedule)
     # checks every level's m before any grid is discretized
-    import_transforms(scheme, *(Grid2D(a=spec.a, b=spec.b, m=mi, bc=spec.bc) for mi in ms))
+    if steps > smoothing_steps:
+        import_transforms(scheme, *(Grid2D(a=spec.a, b=spec.b, m=mi, bc=spec.bc) for mi in ms))
     solutions = []
     seconds = []
     discs = []

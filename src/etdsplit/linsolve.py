@@ -28,9 +28,9 @@ Three solve paths exist, matching the scheme families:
   Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).  With the real
   eigendecomposition B = V diag(lam) V^-1 of the dense spatial.axis_matrix,
   assembled from the eigenproblems of its even and odd halves (B is
-  centrosymmetric), a species block solves as
-  V ((V^-1 R V^-T) / (-k d (lam_i + lam_j) - shift)) V^T: four real p x p
-  matrix products.
+  centrosymmetric), forward is V^-1 R V^-T and inverse V X V^T per species
+  block, and a solve is forward, times 1 / (-k d (lam_i + lam_j) - shift),
+  then inverse: four real p x p matrix products.
 
 * Sparse LU of the full 2-D operator, block-diagonal over species, for the
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
@@ -408,9 +408,10 @@ def factorize_full(op: FullOperator, k: float, shift) -> SparseFactorization:
 class AxisEigenbasis:
     """Real eigendecomposition B = V diag(lam) V^-1 of the 1-D operator.
 
-    All four matrices are stored C-contiguous, the transposes too: a product
-    with a contiguous right factor runs about a third faster than with a
-    transposed view at p = 79.
+    forward and inverse, the one way an eigen solve applies, take fields to
+    and from it.  All four matrices are stored C-contiguous, the transposes
+    too: a product with a contiguous right factor runs about a third faster
+    than with a transposed view at p = 79.
     """
 
     lam: np.ndarray
@@ -418,6 +419,14 @@ class AxisEigenbasis:
     v_t: np.ndarray
     v_inv: np.ndarray
     v_inv_t: np.ndarray
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """V^-1 x V^-T over every (p, p) block of x."""
+        return self.v_inv @ x @ self.v_inv_t
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """V x V^T over every (p, p) block of x: the inverse of forward."""
+        return self.v @ x @ self.v_t
 
 
 def axis_eigenbasis(b: np.ndarray) -> AxisEigenbasis:
@@ -481,13 +490,6 @@ def _butterfly(even: np.ndarray, odd: np.ndarray, pair: float) -> np.ndarray:
     return np.ascontiguousarray(np.vstack([top, middle, bottom]))  # vstack keeps F order
 
 
-def _congruence(m: np.ndarray, m_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x @ m.T over every (p, p) block of x, with real products only."""
-    if np.iscomplexobj(x):
-        return _congruence(m, m_t, x.real) + 1j * _congruence(m, m_t, x.imag)
-    return m @ x @ m_t
-
-
 @dataclass(frozen=True)
 class TensorEigenSolver:
     """(k*A - shift*I)^-1 for the full 2-D operator, applied in B's eigenbasis.
@@ -507,9 +509,7 @@ class TensorEigenSolver:
         rhs = np.asarray(rhs)
         if rhs.shape != self.shape:
             raise ShapeError(f"rhs shape {rhs.shape}, expected {self.shape}")
-        b = self.basis
-        w = _congruence(b.v_inv, b.v_inv_t, rhs) * self.inv_symbol
-        return _congruence(b.v, b.v_t, w)
+        return self.basis.inverse(self.basis.forward(rhs) * self.inv_symbol)
 
 
 def tensor_eigen_solver(basis: AxisEigenbasis, diffusion, k: float,

@@ -24,17 +24,26 @@ Schemes:
   (SplitWork) are made once per run, for that run and its plan only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
-* ``smoother-only`` / presmoothing -- a third-order step built from the
-  L-damping Pade(0,3) rational, used for a few initial steps to kill
-  oscillations from non-smooth initial data.  Always unsplit; its 2-D
-  solves run in the eigenbasis of the 1-D operator.
+* ``smoother-only`` / presmoothing -- a third-order L-damping Pade(0,3)
+  step, used for a few initial steps to damp the oscillations of non-smooth
+  data.  Unsplit: four stage equations in the 1-D operator's real eigenbasis
+  V, x^ = V^-1 x V^-T (linsolve.AxisEigenbasis.forward):
+
+      a^ = H u^ + P N(u)^,   b^ = H u^ + P N(a)^,   c^ = H a^ + P (2 N(b) - N(u))^
+      u'^ = R u^ + Q2 N(u)^ + Q3 (N(a) + N(b))^ + Q4 N(c)^
+
+  V is real, so 2Re(w (kA - pole)^-1) is the real symbol 2Re(w sig), with sig the
+  pole's inverse eigenvalue grid.  (w1, w2) means w1 sig(f1) + 2Re(w2 sig(f2)) for
+  H = (2 s11, 2 s12) and P = (k s51, k s52), and the same over e1, e2 for R =
+  (s11, s12), Q2 = (k s21, k s22), Q3 = (2k s31, 2k s32), Q4 = (k s41, k s42).
+  A step makes five forward and four inverse transforms and no solve.
 * ``sbdf4``       -- fourth-order semi-implicit BDF baseline with a
   first-order semi-implicit startup (sbdf1_step) run at a 2000x finer
   substep; its 2-D solves also run in the 1-D eigenbasis.
 
-All rational functions are applied through partial fractions: each becomes
-"solve a shifted system at a complex pole, combine as U + 2*Re(...)", so a
-step is a fixed sequence of factorized solves.  States stay real throughout.
+All rational functions are applied through partial fractions, as U plus
+2*Re(w (kA - c)^-1) terms at complex poles c: axis maps (split), sparse
+solves (etdrk4p22) or symbols in B's eigenbasis.  States stay real throughout.
 One table, scheme_entry, maps each of the four scheme names to its solver
 family, its shifted systems and start(plan), which begins one run and
 returns its step(u, t); the step holds what the run carries between steps,
@@ -160,7 +169,8 @@ class StepPlan:
     species (split scheme; each carries the shared transform as .basis and
     applies as .axis_map), a sparse LU factorization (etdrk4p22) or an
     eigen-solver sharing one 1-D eigenbasis (presmoother and SBDF schemes).
-    The last two solve with .solve(rhs).  Plans are immutable.
+    The last two solve with .solve(rhs), but the presmoother steps with the
+    eigen-solvers' .basis and .inv_symbol.  Plans are immutable.
     """
 
     k: float
@@ -307,31 +317,20 @@ def etdrk4p22_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
 
 
 def smoother_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """Advance one third-order presmoothing step: the 12-entry solve/set sequence.
-
-    The f1/e1 solves are real (real pole, real weights); the f2/e2 solves
-    are complex and folded back through 2*Re.
-    """
+    """Advance one presmoothing step: the module docstring's stage equations in B's eigenbasis."""
     sm, k, reaction = SMOOTHER, plan.k, plan.disc.reaction
-    f1, f2, e1, e2 = (plan.solvers[pole].solve for pole in ("f1", "f2", "e1", "e2"))
-    fn = reaction(u, t)
-    an1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fn)
-    an2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fn)
-    an = an1.real + 2.0 * an2.real
-    fa = reaction(an, t + 0.5 * k)
-    bn1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fa)
-    bn2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fa)
-    bn = bn1.real + 2.0 * bn2.real
-    fb = reaction(bn, t + 0.5 * k)
-    gn = 2.0 * fb - fn
-    cn1 = f1(2.0 * sm.s11 * an + k * sm.s51 * gn)
-    cn2 = f2(2.0 * sm.s12 * an + k * sm.s52 * gn)
-    cn = cn1.real + 2.0 * cn2.real
-    fc = reaction(cn, t + k)
-    g = fa + fb
-    un1 = e1(sm.s11 * u + k * sm.s21 * fn + 2.0 * k * sm.s31 * g + k * sm.s41 * fc)
-    un2 = e2(sm.s12 * u + k * sm.s22 * fn + 2.0 * k * sm.s32 * g + k * sm.s42 * fc)
-    return un1.real + 2.0 * un2.real
+    f1, f2, e1, e2 = (plan.solvers[pole].inv_symbol for pole in ("f1", "f2", "e1", "e2"))
+    fwd, inv = plan.solvers["f1"].basis.forward, plan.solvers["f1"].basis.inverse
+    h, p, r, q2, q3, q4 = (w1 * sig1 + 2.0 * (w2 * sig2).real for sig1, sig2, w1, w2 in (
+        (f1, f2, 2.0 * sm.s11, 2.0 * sm.s12), (f1, f2, k * sm.s51, k * sm.s52),
+        (e1, e2, sm.s11, sm.s12), (e1, e2, k * sm.s21, k * sm.s22),
+        (e1, e2, 2.0 * k * sm.s31, 2.0 * k * sm.s32), (e1, e2, k * sm.s41, k * sm.s42)))
+    u_hat, fn = fwd(u), fwd(reaction(u, t))
+    a = h * u_hat + p * fn
+    fa = fwd(reaction(inv(a), t + 0.5 * k))
+    fb = fwd(reaction(inv(h * u_hat + p * fa), t + 0.5 * k))
+    fc = fwd(reaction(inv(h * a + p * (2.0 * fb - fn)), t + k))
+    return inv(r * u_hat + q2 * fn + q3 * (fa + fb) + q4 * fc)
 
 
 def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
@@ -374,8 +373,8 @@ def import_transforms(scheme: str, *grids: Grid2D) -> None:
     That is a split run with more than GRID_SPACE_MAX_P unknowns per axis;
     every other run steps with numpy alone.  The package imports scipy.fft
     on its first transform anyway; a caller that times plan build and
-    stepping calls this first, after validating the run, so the import
-    (about 0.3 s) is charged to neither.
+    stepping calls this first, after validating a run that takes a step, so
+    the import (about 0.3 s) is charged to neither.
     """
     if scheme_entry(scheme)[0] == "transform" and any(g.p1d > GRID_SPACE_MAX_P for g in grids):
         import scipy.fft  # noqa: F401

@@ -6,9 +6,10 @@ explicit loops, the axis operators applied as dense products of
 spatial.axis_matrix and the full operator as sparse ones, dense rational
 matrix functions from their numerator/denominator forms, a fourth-order
 exponential step with true matrix exponentials, the published
-22-entry split-step sequence, and dense-solve stand-ins for a plan's
-solvers, so the step functions run against numpy.linalg.solve instead of
-the transform, sparse or eigenbasis solves.  Also a convergence report's CSV
+22-entry split-step sequence, the 12-entry presmoothing sequence, and
+dense-solve stand-ins for a plan's solvers, so the step functions and the
+two sequences run against numpy.linalg.solve instead of the transform,
+sparse or eigenbasis solves.  Also a convergence report's CSV
 text and its parse back to rows, and a field CSV written in blocks of whole
 rows, the way the CLI once wrote it.
 """
@@ -227,6 +228,35 @@ def etdrk4p22if_kernel(u, t, k, reaction, solve_x, solve_y, pade=PADE):
     un4 = solve_y("c1", c.w11 * us1)
     un5 = solve_y("c2", 2.0 * c.w11 * us2)
     return us1 + us2 + us3 + 2.0 * un4.real + 2.0 * un5.real
+
+
+def smoother_kernel(u, t, k, reaction, solvers, sm=SMOOTHER):
+    """One third-order presmoothing step: the 12-entry solve/set sequence.
+
+    solvers maps the poles f1, f2, e1, e2 to objects whose .solve applies
+    (k*A - pole*I)^-1, such as dense_full_solvers(..., SMOOTHER_POLES).  The
+    f1/e1 solves are real (real pole, real weights); the f2/e2 solves are
+    complex and folded back through 2*Re.
+    """
+    f1, f2, e1, e2 = (solvers[pole].solve for pole in ("f1", "f2", "e1", "e2"))
+    fn = reaction(u, t)
+    an1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fn)
+    an2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fn)
+    an = an1.real + 2.0 * an2.real
+    fa = reaction(an, t + 0.5 * k)
+    bn1 = f1(2.0 * sm.s11 * u + k * sm.s51 * fa)
+    bn2 = f2(2.0 * sm.s12 * u + k * sm.s52 * fa)
+    bn = bn1.real + 2.0 * bn2.real
+    fb = reaction(bn, t + 0.5 * k)
+    gn = 2.0 * fb - fn
+    cn1 = f1(2.0 * sm.s11 * an + k * sm.s51 * gn)
+    cn2 = f2(2.0 * sm.s12 * an + k * sm.s52 * gn)
+    cn = cn1.real + 2.0 * cn2.real
+    fc = reaction(cn, t + k)
+    g = fa + fb
+    un1 = e1(sm.s11 * u + k * sm.s21 * fn + 2.0 * k * sm.s31 * g + k * sm.s41 * fc)
+    un2 = e2(sm.s12 * u + k * sm.s22 * fn + 2.0 * k * sm.s32 * g + k * sm.s42 * fc)
+    return un1.real + 2.0 * un2.real
 
 
 def _phi_matrices(m: np.ndarray):

@@ -119,3 +119,51 @@ def test_cold_run_records_the_scipy_modules_it_loaded():
         dict(_cold(0.5, 30.0), scipy=[]), dict(_cold(0.6, 31.0), scipy=["scipy.fft"]),
         dict(_cold(0.7, 32.0, exit_code=1), scipy=["scipy.sparse"])])
     assert summary["scipy"] == ["scipy.fft"]
+
+
+def test_cold_start_reports_per_command_whether_the_medians_resolved(monkeypatch):
+    # the parent's seconds spread over 0.9 s and the change is 0.05 s faster:
+    # unresolved; its peak RSS is 25 MB lower against a 0.2 MB spread: resolved
+    class Workload:
+        def argv(self, out):
+            return ["solve", "--out", out]
+
+    def fake_run(root, args):
+        runs = calls.setdefault(root.name, [])
+        runs.append(args)
+        step = (len(runs) - 1) // 2  # the import and the workload alternate
+        if root.name == "parent":
+            return _cold(1.0 + 0.1 * step, 58.8 + 0.02 * step)
+        return _cold(0.95 + 0.1 * step, 33.3)
+
+    calls = {}
+    monkeypatch.setattr(bench_pairs, "load_workloads", lambda root: {"w": Workload()})
+    monkeypatch.setattr(bench_pairs, "run_cold", fake_run)
+    record = bench_pairs.cold_start({"parent": Path("parent"), "change": Path("change")}, ["w"])
+    assert set(record) == {"import", "w"}
+    assert len(calls["parent"]) == len(calls["change"]) == 2 * bench_pairs.COLD_RUNS == 20
+    for name in record:
+        assert record[name]["parent"]["seconds"]["n"] == 10
+        assert record[name]["resolved"] == {"seconds": False, "peak_rss_mb": True}
+        parent, change = record[name]["parent"], record[name]["change"]
+        assert record[name]["resolved"]["seconds"] == bench_pairs.resolved(
+            parent["seconds"], change["seconds"])
+
+
+def test_resolved_is_the_rule_summarise_applies():
+    parents = [100.0 + i for i in range(10)]
+    for shift in (-20.0, -1.0, 0.0, 3.0, 20.0):
+        changes = [v + shift for v in parents]
+        s = bench_pairs.summarise(_paired("wall_s", parents, changes), {"wall_s": "lower"})
+        assert s["wall_s"]["resolved"] == bench_pairs.resolved(
+            bench_pairs.quartiles(parents), bench_pairs.quartiles(changes))
+        assert s["wall_s"]["resolved"] == (abs(shift) > 4.5)
+
+
+def test_cold_start_leaves_resolved_out_for_a_side_whose_runs_all_failed(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "load_workloads", lambda root: {})
+    monkeypatch.setattr(bench_pairs, "run_cold", lambda root, args: _cold(
+        0.5, 30.0, exit_code=int(root.name == "change")))
+    record = bench_pairs.cold_start({"parent": Path("parent"), "change": Path("change")}, [])
+    assert record["import"]["change"]["failed"] == bench_pairs.COLD_RUNS
+    assert record["import"]["resolved"] == {}

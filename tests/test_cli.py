@@ -446,13 +446,19 @@ def test_only_the_sparse_baseline_imports_scipy_sparse(scheme, loads_sparse, tmp
                   "--T", "0.05"], False, id="grid-space-neumann-p139"),
     pytest.param(["solve", "--problem", "model_dirichlet", "--m", "140", "--k", "0.05",
                   "--T", "0.05"], True, id="pocketfft-p140"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "140", "--k", "0.05",
+                  "--T", "0"], False, id="pocketfft-p140-no-step"),
+    pytest.param(["converge", "--problem", "model_neumann", "--scheme", "etdrk4p22if",
+                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "138",
+                  "--T", "0"], False, id="pocketfft-neumann-p140-no-step"),
 ])
 def test_only_pocketfft_runs_import_scipy_fft(argv, fft_at_integrate, tmp_path):
     # a fresh interpreter imports the CLI and runs one command, recording at
     # each entry to cli.integrate or analysis.integrate whether scipy.fft is
-    # loaded, then lists the scipy modules it holds.  Only a split run above
-    # GRID_SPACE_MAX_P loads scipy at all, and it has scipy.fft before its
-    # run starts, so plan build and stepping never carry the import
+    # loaded, then lists the scipy modules it holds.  Only a split run that
+    # takes a step above GRID_SPACE_MAX_P loads scipy at all, and it has
+    # scipy.fft before its run starts, so plan build and stepping never
+    # carry the import
     script = ("import json, sys\n"
               "import etdsplit.analysis as analysis\n"
               "import etdsplit.cli as cli\n"
@@ -688,6 +694,12 @@ def test_threads_option_is_gone(tmp_path, capsys):
 
 # ---- field CSV: the writer against the one-row-at-a-time and block forms ----
 
+def _assert_same_text(got: str, want: str) -> None:
+    """Exact equality, reported by the first differing line: a whole-text diff takes minutes."""
+    bad = [i for i, (a, b) in enumerate(zip(got.split("\n"), want.split("\n"))) if a != b]
+    assert not bad and got == want, f"{len(bad)} lines differ, the first is line {bad[:1]}"
+
+
 def _row_by_row_field_csv(grid, u) -> str:
     """The field CSV as csv.writer writes it from _fmt-formatted cells."""
     buf = io.StringIO()
@@ -714,7 +726,7 @@ def test_field_csv_matches_row_by_row_form(grid, species):
     u.flat[:6] = [0.0, -0.0, 1.0, -1e-320, 0.1, 2.0 ** 60]
     got = io.StringIO()
     cli._write_field_csv(got, grid, u)
-    assert got.getvalue() == _row_by_row_field_csv(grid, u)
+    _assert_same_text(got.getvalue(), _row_by_row_field_csv(grid, u))
 
 
 @pytest.mark.parametrize("species", [1, 2])
@@ -730,9 +742,7 @@ def test_field_csv_matches_the_block_writer(grid, species):
     u.flat[-4:] = [-0.0, 5e-324, np.nextafter(1.0, 2.0), -1e300]
     got = io.StringIO()
     cli._write_field_csv(got, grid, u)
-    text, want = got.getvalue(), block_field_csv(grid, u)
-    bad = [i for i, (a, b) in enumerate(zip(text.split("\n"), want.split("\n"))) if a != b]
-    assert not bad and text == want, f"{len(bad)} lines differ, the first is line {bad[:1]}"
+    _assert_same_text(got.getvalue(), block_field_csv(grid, u))
 
 
 def test_field_csv_value_text_is_fmt():
@@ -753,8 +763,8 @@ def test_snapshot_file_matches_row_by_row_form(tmp_path):
     assert code == 0
     disc = discretize(make_problem("brusselator"), 6)
     at_step_2 = steppers.integrate(disc, steppers.ETDRK4P22IF, 0.05, 0.1)
-    snapshot = (tmp_path / "run_step000002.csv").read_bytes()
-    assert snapshot == _row_by_row_field_csv(disc.grid, at_step_2).encode("utf-8")
+    snapshot = (tmp_path / "run_step000002.csv").read_bytes().decode("utf-8")
+    _assert_same_text(snapshot, _row_by_row_field_csv(disc.grid, at_step_2))
 
 
 # ---- input contract: misplaced grid flags, a given --k, and a fuzz ----

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import (
+    AxisEigenbasis,
     AxisMap,
     AxisTransformBasis,
     AxisTransformSolver,
@@ -54,6 +55,7 @@ from helpers import (
     exact_etdrk4_reference_step,
     rational_r03,
     rational_r22,
+    smoother_kernel,
     zero_reaction_disc,
 )
 
@@ -249,15 +251,75 @@ def test_smoother_preserves_constants_and_matches_rational():
 
 
 def test_smoother_matches_dense_12_steps():
+    # the eigen-space stage equations against the 12-entry solve sequence
+    # run on dense Kronecker solves
     disc = discretize(make_problem("enzyme_nonsmooth"), 5)
     k = 0.1
     plan = build_plan(SMOOTHER_ONLY, disc, k)
     u = disc.initial()
     got = smoother_step(plan, u, 0.0)
-    oracle = replace(plan, solvers=dense_full_solvers(disc.grid, disc.spec.diffusion, k,
-                                                      SMOOTHER_POLES))
-    want = smoother_step(oracle, u, 0.0)
+    want = smoother_kernel(u, 0.0, k, disc.reaction,
+                           dense_full_solvers(disc.grid, disc.spec.diffusion, k, SMOOTHER_POLES))
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(3, 8), bc=st.sampled_from((DIRICHLET, NEUMANN)),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
+       k=st.floats(1e-3, 0.5), t=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_smoother_step_equals_12_step_oracle(m, bc, diffusion, k, t, seed):
+    spec = ProblemSpec(name="coupled", a=0.0, b=1.0, bc=bc, species=len(diffusion),
+                       diffusion=diffusion, reaction=_coupled_reaction,
+                       initial=None, exact=None, default_T=1.0)
+    disc = discretize(spec, m)
+    plan = build_plan(SMOOTHER_ONLY, disc, k)
+    p = disc.grid.p1d
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(diffusion), p, p))
+    got = smoother_step(plan, u, t)
+    assert got.dtype == np.dtype(float) and got.shape == u.shape
+    want = smoother_kernel(u, t, k, disc.reaction,
+                           dense_full_solvers(disc.grid, diffusion, k, SMOOTHER_POLES))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 8),
+       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
+       k=st.floats(1e-3, 0.5), value=st.floats(-10.0, 10.0))
+@example(m=3, diffusion=(1.0,), k=0.5, value=5e-324)
+def test_smoother_step_preserves_constants_on_neumann_grids(m, diffusion, k, value):
+    # zero-flux walls and no reaction: every rational of kA leaves a constant
+    # be.  The absolute floor, 1e-12 * tiny, keeps the bound above the
+    # spacing of subnormal values, as in the eigen-solve constant test
+    spec = ProblemSpec(name="still", a=0.0, b=1.0, bc=NEUMANN, species=len(diffusion),
+                       diffusion=diffusion, reaction=lambda u, t: np.zeros_like(u),
+                       initial=None, exact=None, default_T=1.0)
+    disc = discretize(spec, m)
+    const = np.full((len(diffusion), disc.grid.p1d, disc.grid.p1d), value)
+    got = smoother_step(build_plan(SMOOTHER_ONLY, disc, k), const, 0.0)
+    assert np.max(np.abs(got - value)) <= 1e-12 * abs(value) + 1e-12 * np.finfo(float).tiny
+
+
+def test_smoother_step_makes_five_forward_and_four_inverse_transforms(monkeypatch):
+    # every field the step transforms, either way, is real
+    calls = []
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            assert not np.iscomplexobj(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((AxisEigenbasis, "forward"), (AxisEigenbasis, "inverse"),
+                      (TensorEigenSolver, "solve")):
+        counting(cls, name)
+    disc = discretize(make_problem("brusselator"), 5)
+    smoother_step(build_plan(SMOOTHER_ONLY, disc, 0.1), disc.initial(), 0.0)
+    assert (calls.count("forward"), calls.count("inverse"), calls.count("solve")) == (5, 4, 0)
 
 
 def test_presmoothing_benchmark_value():
