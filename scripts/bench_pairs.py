@@ -1,7 +1,8 @@
 """Run perfbench on two checkouts in interleaved pairs and write a BENCH file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \
-        --workload split-fine:10 --workload split-coupled:5 --out BENCH_label.json
+        --workload split-fine:10 --workload split-coupled:5 --out BENCH_label.json \
+        [--aa AA.json]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, with the
 same seed and ``--seconds``; even pairs run the parent first, odd pairs the
@@ -13,6 +14,13 @@ and the number tied, whether the gap between the medians is resolved and
 whether it is a gain.  Directions (lower or higher is better) come from the
 parent's ``BENCHMARK.json``.
 
+Two checkouts of the same code can read apart: a directory's path alone
+moves ``peak_rss_mb`` by 0.1-0.14 MB.  So ``--aa`` takes an A/A record, this
+script's output for the parent against a second copy of itself (``--change``
+naming the copy), and a gap is then resolved only if it also exceeds the
+A/A record's gap between the medians of the same metric and workload, or
+cold-start command, which the record keeps as ``aa_gap``.
+
 perfbench's ``wall_s`` starts after the package import, so the record also
 keeps a cold start under ``cold_start``: COLD_RUNS fresh processes per side
 of ``import etdsplit.cli`` and of each requested workload's whole CLI
@@ -20,11 +28,11 @@ command (its argv read from the parent's ``perfbench/workloads.py``), with
 one BLAS thread, the sides interleaved.  Each process's wall seconds, from
 spawn to exit, and its own peak RSS, from ``os.wait4``, are kept, and
 summarised per side as min, quartiles and median, with whether the sides'
-medians differ by more than the parent's spread (``resolved``, the rule
-``summarise`` applies to perfbench's metrics).  Each process also names,
-as the last line of its stderr, the public scipy modules (scipy.fft,
-scipy.sparse, ...) it loaded; the record keeps them per run and their union
-per side.
+medians differ by more than the parent's spread and the A/A gap
+(``resolved``, the rule ``summarise`` applies to perfbench's metrics).
+Each process also names, as the last line of its stderr, the public scipy
+modules (scipy.sparse, ...) it loaded; the record keeps them per run and
+their union per side.
 """
 
 import argparse
@@ -38,6 +46,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 SIDES = ("parent", "change")
 
@@ -46,7 +55,7 @@ SIDES = ("parent", "change")
 COLD_RUNS = 10
 
 # The last stderr line of every cold process: this prefix, then the public
-# top-level scipy modules (scipy.fft, ...) in sys.modules at exit.
+# top-level scipy modules (scipy.sparse, ...) in sys.modules at exit.
 SCIPY_PREFIX = "scipy modules loaded:"
 _REPORT_SCIPY = (f"print({SCIPY_PREFIX!r}, *sorted({{'.'.join(m.split('.')[:2]) "
                  "for m in sys.modules if m.startswith('scipy.') "
@@ -130,8 +139,11 @@ def split_scipy_report(stderr: str) -> tuple:
     return head.strip(), last[len(SCIPY_PREFIX):].split()
 
 
-def cold_start(roots: dict, workloads: list) -> dict:
-    """COLD_RUNS fresh processes per side and command, interleaved, each summarised."""
+def cold_start(roots: dict, workloads: list, aa: Optional[dict] = None) -> dict:
+    """COLD_RUNS fresh processes per side and command, interleaved, each summarised.
+
+    aa is an A/A record's cold_start, whose medians' gaps resolved must exceed.
+    """
     table = load_workloads(roots["parent"])
     commands = {"import": list(IMPORT_ARGV)}
     commands.update({w: [*CLI_ARGV, *table[w].argv("out.csv")] for w in workloads})
@@ -143,9 +155,13 @@ def cold_start(roots: dict, workloads: list) -> dict:
     record = {}
     for name, args in commands.items():
         sides = {side: summarise_cold(runs[name][side]) for side in SIDES}
-        record[name] = {"argv": args, **sides, "resolved": {
-            key: resolved(sides["parent"][key], sides["change"][key])
-            for key in ("seconds", "peak_rss_mb") if all(key in s for s in sides.values())}}
+        keys = [key for key in ("seconds", "peak_rss_mb") if all(key in s for s in sides.values())]
+        same = (aa or {}).get(name, {})
+        gaps = {key: median_gap(same.get("parent", {}).get(key), same.get("change", {}).get(key))
+                for key in keys}
+        record[name] = {"argv": args, **sides, "aa_gap": gaps, "resolved": {
+            key: resolved(sides["parent"][key], sides["change"][key], gaps[key])
+            for key in keys}}
     return record
 
 
@@ -170,14 +186,21 @@ def quartiles(values: list) -> dict:
             "n": len(values)}
 
 
-def resolved(parent: dict, change: dict) -> bool:
+def resolved(parent: dict, change: dict, aa_gap: float = 0.0) -> bool:
     """Whether two sides' quartiles() differ.
 
     Their medians must be further apart than the parent's interquartile
-    spread and than a tie.
+    spread, than a tie and than aa_gap, the medians' gap of an A/A record.
     """
     return abs(change["median"] - parent["median"]) > max(
-        parent["q3"] - parent["q1"], TIE_RTOL * abs(parent["median"]))
+        parent["q3"] - parent["q1"], TIE_RTOL * abs(parent["median"]), aa_gap)
+
+
+def median_gap(parent: Optional[dict], change: Optional[dict]) -> float:
+    """|change median - parent median| of two quartiles(), 0 when either is missing."""
+    if not parent or not change:
+        return 0.0
+    return abs(change["median"] - parent["median"])
 
 
 def metric(run: dict, name: str):
@@ -185,12 +208,14 @@ def metric(run: dict, name: str):
     return ((run["result"] or {}).get("metrics", {}).get(name) or {}).get("value")
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def summarise(pairs: list, better: dict, aa: Optional[dict] = None) -> dict:
     """Per metric: each side's spread over runs, the pairs each side won and the ties.
 
     resolved: the medians differ by more than the parent's interquartile
-    spread and by more than a tie.  gain: resolved, in the change's favour,
-    and the change won at least GAIN_SHARE of the pairs that were not tied.
+    spread, by more than a tie and by more than aa_gap, the medians' gap in
+    aa, an A/A record's summary of the same workload.  gain: resolved, in
+    the change's favour, and the change won at least GAIN_SHARE of the
+    pairs that were not tied.
     """
     summary = {}
     for name, direction in better.items():
@@ -210,11 +235,13 @@ def summarise(pairs: list, better: dict) -> dict:
                 wins["change" if improved else "parent"] += 1
         spread = {side: quartiles(values) for side, values in sides.items()}
         gap = spread["change"]["median"] - spread["parent"]["median"]
-        apart = resolved(spread["parent"], spread["change"])
+        same = (aa or {}).get(name, {})
+        aa_gap = median_gap(same.get("parent"), same.get("change"))
+        apart = resolved(spread["parent"], spread["change"], aa_gap)
         decided = wins["parent"] + wins["change"]
         gain = (apart and (gap < 0 if direction == "lower" else gap > 0)
                 and decided > 0 and wins["change"] >= GAIN_SHARE * decided)
-        summary[name] = {"better": direction, "wins": wins, "ties": ties,
+        summary[name] = {"better": direction, "wins": wins, "ties": ties, "aa_gap": aa_gap,
                          "resolved": apart, "gain": gain, **spread}
     return summary
 
@@ -229,7 +256,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="per run; default BENCHMARK.json's run_seconds")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--aa", type=Path, default=None,
+                        help="A/A record: this script's output for the parent against a copy")
     args = parser.parse_args(argv)
+    aa = json.loads(args.aa.read_text(encoding="utf-8")) if args.aa else {}
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -237,7 +267,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
     record = {"seconds": seconds, "seed": args.seed,
               "src_sha256": {side: src_digest(root) for side, root in roots.items()},
-              "workloads": {}}
+              "aa": str(args.aa) if args.aa else None, "workloads": {}}
     for spec in args.workload:
         workload, _, count = spec.partition(":")
         pairs = []
@@ -250,9 +280,11 @@ def main(argv=None) -> int:
             print(f"{workload} pair {index + 1}: " + "  ".join(
                 f"{side} steps_per_s={metric(pair[side], 'steps_per_s')}" for side in SIDES),
                 flush=True)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarise(pairs, better)}
+        aa_summary = aa.get("workloads", {}).get(workload, {}).get("summary")
+        record["workloads"][workload] = {"pairs": pairs,
+                                         "summary": summarise(pairs, better, aa_summary)}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    record["cold_start"] = cold_start(roots, list(record["workloads"]))
+    record["cold_start"] = cold_start(roots, list(record["workloads"]), aa.get("cold_start"))
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, sides in record["cold_start"].items():
         print(f"cold {name}: " + "  ".join(

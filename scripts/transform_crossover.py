@@ -1,19 +1,19 @@
-"""Time one warm split step in grid space and through pocketfft, per grid size.
+"""Time one warm split step with one-block and with two-block axis maps, per grid size.
 
-    python3 scripts/transform_crossover.py [--repeats 5] [--p-min 39] \
-        [--p-max 199] [--p-step 8] [--out FILE]
+    python3 scripts/transform_crossover.py [--repeats 5] [--p-min 79] \
+        [--p-max 239] [--p-step 8] [--out FILE]
 
-For each boundary kind (Dirichlet: sine transform, Neumann: cosine
-transform), one and two species, and each p in the range, this builds the
-split plan on a grid of p unknowns per axis and times ``etdrk4p22if_step``
-as a run makes it, carrying its state through one ``SplitWork``, once with
-the basis in grid space (every axis map one dense p x p matrix) and once
-through scipy.fft's pocketfft, switched by the basis's ``grid_space`` flag.
-One species runs the model problem of its boundary kind, two the
+For each boundary kind, one and two species, and each p in the range, this
+builds the split plan on a grid of p unknowns per axis and times
+``etdrk4p22if_step`` as a run makes it, carrying its state through one
+``SplitWork``, once in grid space (every axis map one dense p x p block)
+and once in its even/odd basis (every map an even and an odd half-size
+block, every 2-D transform a butterfly), switched by the basis's ``parity``
+flag.  One species runs the model problem of its boundary kind, two the
 Brusselator.  Each repeat times a loop of steps of about 30 ms, after two
 warm steps, and the two paths alternate repeat by repeat.  The record gives
 each path's milliseconds per step (min and median over repeats), the ratio
-of the medians, for each case the largest p up to which grid space won at
+of the medians, for each case the largest p up to which one block won at
 every swept p, the ``GRID_SPACE_MAX_P`` the package uses, and the core
 count, CPU and BLAS it ran on.  BLAS runs on one thread, as in the
 benchmark: the variables below are set before numpy is imported.
@@ -46,7 +46,7 @@ from etdsplit.steppers import ETDRK4P22IF, SplitWork, build_plan, etdrk4p22if_st
 
 TARGET_S = 0.03  # length of one timed loop
 K = 0.01
-PATHS = ("grid_space", "pocketfft")
+PATHS = ("one_block", "two_blocks")
 
 
 def problem(bc: str, species: int):
@@ -60,7 +60,7 @@ def time_paths(bc: str, species: int, p: int, repeats: int) -> dict:
     plan = build_plan(ETDRK4P22IF, disc, K)
     runs = {}
     for name in PATHS:
-        basis = replace(plan.solvers["c1"].basis, grid_space=name == "grid_space")
+        basis = replace(plan.solvers["c1"].basis, parity=name == "two_blocks")
         path_plan = replace(plan, solvers={pole: replace(s, basis=basis)
                                            for pole, s in plan.solvers.items()})
         runs[name] = [path_plan, SplitWork(path_plan), disc.initial()]
@@ -86,19 +86,18 @@ def time_paths(bc: str, species: int, p: int, repeats: int) -> dict:
     row = {"bc": bc, "species": species, "p": p}
     for name, ms in samples.items():
         row[name] = {"min_ms": min(ms), "median_ms": statistics.median(ms)}
-    row["pocketfft_over_grid_space"] = (row["pocketfft"]["median_ms"]
-                                        / row["grid_space"]["median_ms"])
+    row["two_over_one"] = row["two_blocks"]["median_ms"] / row["one_block"]["median_ms"]
     return row
 
 
-def grid_space_wins_up_to(rows: list) -> dict:
-    """Per case, the largest swept p up to which grid space won at every p."""
+def one_block_wins_up_to(rows: list) -> dict:
+    """Per case, the largest swept p up to which one block won at every p."""
     out = {}
     for bc, species in sorted({(row["bc"], row["species"]) for row in rows}):
         best = None
         for row in sorted((r for r in rows if (r["bc"], r["species"]) == (bc, species)),
                           key=lambda r: r["p"]):
-            if row["pocketfft_over_grid_space"] <= 1.0:
+            if row["two_over_one"] <= 1.0:
                 break
             best = row["p"]
         out[f"{bc}-{species}"] = best
@@ -108,8 +107,8 @@ def grid_space_wins_up_to(rows: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--p-min", type=int, default=39)
-    parser.add_argument("--p-max", type=int, default=199)
+    parser.add_argument("--p-min", type=int, default=79)
+    parser.add_argument("--p-max", type=int, default=239)
     parser.add_argument("--p-step", type=int, default=8)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
@@ -124,13 +123,13 @@ def main(argv=None) -> int:
             for species in (1, 2):
                 row = time_paths(bc, species, p, args.repeats)
                 rows.append(row)
-                print(f"{bc:9s} species={species} p={p:4d}  grid space "
-                      f"{row['grid_space']['median_ms']:8.3f} ms  pocketfft "
-                      f"{row['pocketfft']['median_ms']:8.3f} ms  "
-                      f"ratio {row['pocketfft_over_grid_space']:.2f}", flush=True)
+                print(f"{bc:9s} species={species} p={p:4d}  one block "
+                      f"{row['one_block']['median_ms']:8.3f} ms  two blocks "
+                      f"{row['two_blocks']['median_ms']:8.3f} ms  "
+                      f"ratio {row['two_over_one']:.2f}", flush=True)
     record = {"environment": {**environment(), "affinity_cores": len(os.sched_getaffinity(0))},
               "repeats": args.repeats, "k": K, "grid_space_max_p": GRID_SPACE_MAX_P,
-              "grid_space_wins_up_to": grid_space_wins_up_to(rows), "rows": rows}
+              "one_block_wins_up_to": one_block_wins_up_to(rows), "rows": rows}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError, ValidationError
 from .problems import ProblemSpec, discretize, interior_count_for_h
-from .spatial import Grid2D
-from .steppers import check_run, import_transforms, integrate
+from .steppers import check_run, integrate
 
 MODE_EXACT = "exact"
 MODE_SELF = "self"
@@ -157,12 +156,11 @@ def run_study(spec: ProblemSpec, scheme: str, k0: float, levels: int,
         raise ValidationError("self-reference mode requires the fixed_h coupling")
     ks = [k0 / (2 ** j) for j in range(levels)]
     run_ks = ks + [ks[-1] / 2] if mode == MODE_SELF else ks
-    steps = max(check_run(scheme, k, T, smoothing_steps) for k in run_ks)
+    for k in run_ks:
+        check_run(scheme, k, T, smoothing_steps)
 
-    ms = _grid_schedule(spec, coupling, levels, k0, h_target, m, m_schedule)
     # checks every level's m before any grid is discretized
-    if steps > smoothing_steps:
-        import_transforms(scheme, *(Grid2D(a=spec.a, b=spec.b, m=mi, bc=spec.bc) for mi in ms))
+    ms = _grid_schedule(spec, coupling, levels, k0, h_target, m, m_schedule)
     solutions = []
     seconds = []
     discs = []

@@ -44,7 +44,6 @@ from .steppers import (
     SBDF4,
     SCHEMES,
     check_run,
-    import_transforms,
     integrate,
 )
 
@@ -182,7 +181,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if T != 0 and cfg.k is None:
         raise ValidationError("solve needs --k (unless --T 0)")
     k = cfg.k if cfg.k is not None else 1.0
-    steps = check_run(cfg.scheme, k, T, cfg.smoothing_steps)
+    check_run(cfg.scheme, k, T, cfg.smoothing_steps)
     m = _pick_m(spec, cfg)
     if m is None:
         raise ValidationError("solve needs a grid: give --m or --h")
@@ -191,8 +190,6 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.snapshot_every and not cfg.out:
         raise ValidationError("--snapshot-every needs --out to name the files")
     disc = discretize(spec, m)
-    if steps > cfg.smoothing_steps:
-        import_transforms(cfg.scheme, disc.grid)
 
     def snapshot(step, t, field):
         base, ext = os.path.splitext(cfg.out)

@@ -13,15 +13,17 @@ Three solve paths exist, matching the scheme families:
   SIAM J. Numer. Anal. 8 (1971)).  The symbol and the edge rows come from
   the grid and the stencil constants of spatial; B itself is never built.
   A solver is applied only as an axis map, axis_map(axis, w, shift): the
-  real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on transformed
-  fields, a diagonal scaling plus, for Dirichlet, a rank-4 product.  Up to
-  GRID_SPACE_MAX_P unknowns per axis no field is transformed: each map is
-  one dense p x p matrix in grid space (Trefethen, Spectral Methods in
-  MATLAB, SIAM 2000), built with the explicit transform matrix
-  type1_matrix.  Above it the 2-D transforms are scipy.fft's pocketfft
-  dstn/dctn, imported when a field is first transformed.  The edge terms
-  are closed-form columns of the transform matrix, so a plan is built, and
-  a grid-space run steps, with numpy alone.
+  real map f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as a dense
+  grid-space matrix, built once with the explicit transform matrix
+  type1_matrix (Trefethen, Spectral Methods in MATLAB, SIAM 2000).  Up to
+  GRID_SPACE_MAX_P unknowns per axis each map is that p x p matrix and no
+  field is transformed.  Above it fields live in grid space's even/odd
+  basis: B is centrosymmetric, so the map is too, and the butterfly that
+  pairs entry j with entry p-1-j splits it into an even and an odd
+  half-size block (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+  275-288).  Only the blocks are built; applying them takes half the flops
+  of one p x p product, and a 2-D transform is an O(p^2) butterfly.  A
+  split plan is built, and steps, with numpy alone.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -38,15 +40,14 @@ Three solve paths exist, matching the scheme families:
   this family uses scipy.sparse: assemble_full and factorize_full import it
   when first called.
 
-No scipy module is imported with this module: a run loads scipy.sparse or
-scipy.fft only when its path needs them, and an eigen-family or grid-space
-run loads neither.
+No scipy module is imported with this module: only the sparse baseline
+loads scipy.sparse, and no path uses scipy.fft.
 
 Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -72,14 +73,14 @@ _EIG_IMAG_TOL = 1e-10
 # 1.41-1.63 for m = 3..319 on both boundary kinds.
 EIGEN_COND_MAX = 1e3
 
-# Largest p1d on which the split step runs in grid space: its basis is the
-# identity and each axis map one dense p x p matrix product.  Above it the
-# step runs in transform space through scipy.fft's pocketfft.  Measured by
-# scripts/transform_crossover.py (BENCH_grid_space.json, "crossover": warm
-# steps, 2-core Xeon, one OpenBLAS thread, three passes): grid space won at
-# every swept p up to 139 in every case and pass, mostly by 1.5-3x; above,
-# pocketfft tied or won at some FFT-friendly lengths (p = 143, 179, 191, 215).
-GRID_SPACE_MAX_P = 139
+# Largest p1d on which the split step's basis is grid space itself and each
+# axis map one dense p x p matrix product.  Above it the basis is grid
+# space's even/odd butterfly and each map two half-size blocks.  Measured by
+# scripts/transform_crossover.py (BENCH_parity_maps.json, "crossover": warm
+# steps, 2-core Xeon, one OpenBLAS thread): one block won or tied at every
+# swept p up to 103 in two passes over p = 79..239, and two blocks won at
+# every p from 111 to 143 in every case of a third, by 6-22%.
+GRID_SPACE_MAX_P = 103
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,11 @@ class AxisTransformBasis:
     low-rank term is kept transformed: u_hat = F U and v_hat = F^-T V.
 
     forward and inverse take (species, p, p) fields to the space the axis
-    maps act in: with grid_space (p at most GRID_SPACE_MAX_P) grid space
-    itself, else F, scipy.fft's unnormalized dstn/dctn along both axes,
-    imported on the first such call.
+    maps act in: grid space itself, or with parity (p above
+    GRID_SPACE_MAX_P) its even/odd basis.  There, along each axis, entry
+    j < p//2 holds x_j + x_(p-1-j), entry p-1-j holds x_j - x_(p-1-j) and
+    the middle entry of odd p is doubled: the even part fills the first
+    p - p//2 entries, the odd part the rest.
     Every array is read-only: one basis serves every plan on its grid.
     """
 
@@ -106,32 +109,48 @@ class AxisTransformBasis:
     lam: np.ndarray                  # (p,)
     u_hat: Optional[np.ndarray]      # (p, 2); None when B is exactly reflected
     v_hat: Optional[np.ndarray]      # (p, 2)
-    grid_space: bool = False
+    parity: bool = False
 
     def forward(self, field: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-        """Transform a (species, p, p) field along both axes.
-
-        With overwrite_x, a C-contiguous float64 field is transformed in
-        place: the result is a view of it.
-        """
-        return self._apply(field, overwrite_x, inverse=False)
+        """Take a (species, p, p) field to the basis; with overwrite_x, in place."""
+        x = field if overwrite_x else np.array(field)
+        if self.parity:
+            p = x.shape[-1]
+            middle = slice(p // 2, p - p // 2)  # empty for even p
+            _pair(x)
+            x[..., middle, :] *= 2.0
+            x[..., middle] *= 2.0
+        return x
 
     def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of forward."""
-        return self._apply(coeffs, overwrite_x, inverse=True)
+        x = coeffs if overwrite_x else np.array(coeffs)
+        if self.parity:
+            _pair(x)
+            x *= 0.25
+        return x
 
-    def _apply(self, x, overwrite_x, inverse):
-        if self.grid_space:
-            return x if overwrite_x else np.array(x)
-        # Imported on first use: only this path runs pocketfft, and loading
-        # scipy.fft costs about 0.3 s and 27 MB.
-        import scipy.fft
 
-        if self.bc == DIRICHLET:
-            transform = scipy.fft.idstn if inverse else scipy.fft.dstn
-        else:
-            transform = scipy.fft.idctn if inverse else scipy.fft.dctn
-        return transform(x, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
+def _pair(x: np.ndarray) -> np.ndarray:
+    """Entries j and p-1-j, j < p//2, to their sum and difference along both last axes, in place.
+
+    The sum goes to entry j and the difference to entry p-1-j.  Applied
+    twice it gives twice the input, but for the middle of odd p.
+    """
+    n = x.shape[-1] // 2
+    # Along y the reversed rows are contiguous, so the difference is written
+    # to them directly; along x numpy writes a reversed view fastest by a
+    # plain copy, so the difference goes through a contiguous temporary.
+    head, tail = x[..., :n, :], x[..., ::-1, :][..., :n, :]
+    kept = tail.copy()
+    np.subtract(head, kept, out=tail)
+    head += kept
+    head, tail = x[..., :n], x[..., ::-1][..., :n]
+    kept = tail.copy()
+    diff = head - kept
+    head += kept
+    tail[...] = diff
+    return x
 
 
 def _read_only(*arrays):
@@ -171,7 +190,7 @@ def _sin_pi(t: np.ndarray, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _square_type1_matrix(bc: str, p: int) -> np.ndarray:
-    """type1_matrix(bc, p), read-only and cached: a grid-space run builds its ten maps from it."""
+    """type1_matrix(bc, p), read-only and cached: a split run builds its ten maps from it."""
     f = type1_matrix(bc, p)
     _read_only(f)
     return f
@@ -216,25 +235,23 @@ def axis_transform_basis(grid: Grid2D) -> AxisTransformBasis:
         v_hat = signs * (head @ first / type1_norm(bc, p))[:, np.newaxis]
     _read_only(lam, u_hat, v_hat)
     return AxisTransformBasis(bc=bc, lam=lam, u_hat=u_hat, v_hat=v_hat,
-                              grid_space=p <= GRID_SPACE_MAX_P)
+                              parity=p > GRID_SPACE_MAX_P)
 
 
 @dataclass(frozen=True)
 class AxisMap:
     """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) on fields in a basis's space.
 
-    In transform space diag * f plus, for Dirichlet, the edge term as a real
-    rank-4 product with w folded into edge_out: f @ edge_in @ edge_out along
-    x, else reversed.  In grid space one real matrix: f @ matrix along x,
-    else reversed.
+    blocks holds the map's real matrix by its diagonal blocks, read-only:
+    one (species, p, p) block in grid space, or in the even/odd basis an
+    even block (species, h, h) and an odd block (species, n, n), with
+    n = p//2 and h = p - n.  Each block maps its part of the field along
+    the axis: f @ block along x, else block @ f.
     """
 
     axis: str
-    shape: tuple                          # (species, p, p)
-    diag: Optional[np.ndarray] = None     # (species, 1, p) along x, (species, p, 1) along y
-    edge_in: Optional[np.ndarray] = None  # (species, p, 4) along x, (species, 4, p) along y
-    edge_out: Optional[np.ndarray] = None  # (species, 4, p) along x, (species, p, 4) along y
-    matrix: Optional[np.ndarray] = None   # (species, p, p), read-only
+    shape: tuple    # (species, p, p)
+    blocks: tuple
 
     def __call__(self, f: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                  add: bool = False) -> np.ndarray:
@@ -243,26 +260,24 @@ class AxisMap:
             if g.shape != self.shape:
                 raise ShapeError(f"field shape {g.shape}, expected {self.shape}")
         along_x = self.axis == AXIS_X
-        if self.matrix is not None:
-            left, right = (f, self.matrix) if along_x else (self.matrix, f)
+        parts = [(f, out, scratch)]
+        if len(self.blocks) == 2:  # the even part leads along the axis, the odd part follows
+            h = self.blocks[0].shape[-1]
+            halves = (slice(None, h), slice(h, None))
+            parts = [tuple(g[..., half] if along_x else g[..., half, :] for g in parts[0])
+                     for half in halves]
+        for (f_part, out_part, scratch_part), block in zip(parts, self.blocks):
+            left, right = (f_part, block) if along_x else (block, f_part)
             if add:
-                return np.add(out, np.matmul(left, right, out=scratch), out=out)
-            return np.matmul(left, right, out=out)  # numpy buffers f when out is f
-        if self.edge_in is not None:  # z reads f before out (which may be f) changes
-            z = f @ self.edge_in if along_x else self.edge_in @ f
-        if add:
-            out += np.multiply(f, self.diag, out=scratch)
-        else:
-            np.multiply(f, self.diag, out=out)
-        if self.edge_in is not None:
-            out += np.matmul(z, self.edge_out, out=scratch) if along_x else \
-                np.matmul(self.edge_out, z, out=scratch)
+                np.add(out_part, np.matmul(left, right, out=scratch_part), out=out_part)
+            else:
+                np.matmul(left, right, out=out_part)  # numpy buffers f when out is f
         return out
 
 
 @dataclass(frozen=True)
 class AxisTransformSolver:
-    """(k*A_axis - pole*I)^-1 along either axis, applied in its basis's space.
+    """(k*A_axis - pole*I)^-1 along either axis, as axis maps in its basis's space.
 
     With mu = -k d lam - pole, the Woodbury identity gives, in transform
     space, M^-1 = diag(1/mu) - a q^T, a = diag(1/mu) Uk G, q = diag(1/mu)
@@ -280,38 +295,68 @@ class AxisTransformSolver:
     def axis_map(self, axis: str, w, shift: float = 0.0) -> AxisMap:
         """f -> shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) as one AxisMap.
 
-        On a grid-space basis, the matrix F^-1 T F (transposed along x) of
-        the transform-space map T, with F the 1-D type-1 transform matrix.
+        Its grid-space matrix is F^-1 T F (transposed along x), with F the
+        1-D type-1 transform matrix and T the transform-space map:
+        diag(shift + 2 Re(w / mu)) plus, for Dirichlet, -2 Re(w a q^T) as
+        a real rank-4 product.  On a parity basis only the blocks are
+        formed, each from one half of F.  F's column p-1-j is (-1)^i times
+        its column j in row i, and its row p-1-i is (-1)^j times its row i
+        in column j.  So even wavenumbers (rows i = 0, 2, ...) see only the
+        even part of a field and odd ones only the odd part.  The even block
+        is then 2 F[:h, 0::2] T_ee F[0::2, :h] / norm and the odd block
+        2 F[h:, 1::2] T_oo F[1::2, h:] / norm, with the middle column of
+        F[0::2, :h] halved for odd p, where forward doubles that entry.
         """
         if axis not in (AXIS_X, AXIS_Y):
             raise ValidationError(f"unknown axis {axis!r}")
         species, p = self.inv_symbol.shape
+        along_x = axis == AXIS_X
         diag = shift + 2.0 * (w * self.inv_symbol).real
-        diag = diag[:, np.newaxis, :] if axis == AXIS_X else diag[:, :, np.newaxis]
-        if self.edge_a is None:
-            amap = AxisMap(axis, (species, p, p), diag)
-        else:
+        diag = (diag - shift)[:, np.newaxis, :] if along_x else (diag - shift)[:, :, np.newaxis]
+        if self.edge_a is not None:
             # -2*Re(w a z) with z = q^T f = [Re z; Im z] = edge_in's projection of f
             wa = w * self.edge_a
             edge_in = self.edge_in
             edge_out = np.concatenate([-2.0 * wa.real, 2.0 * wa.imag], axis=-1)
-            if axis == AXIS_X:
+            if along_x:
                 edge_out = np.ascontiguousarray(np.swapaxes(edge_out, 1, 2))
             else:
                 edge_in = np.ascontiguousarray(np.swapaxes(edge_in, 1, 2))
-            amap = AxisMap(axis, (species, p, p), diag, edge_in, edge_out)
-        if not self.basis.grid_space:
-            return amap
-        # The identity transformed along the axis (I F^T along x, F I along
-        # y), mapped, transformed back; shift*I is added exactly, as the
-        # transforms round relative to the rest.
-        fmat = _square_type1_matrix(self.basis.bc, p)
-        f = np.array(np.broadcast_to(fmat.T if axis == AXIS_X else fmat, amap.shape))
-        f = replace(amap, diag=diag - shift)(f, f, np.empty(amap.shape))
-        f = f @ fmat.T if axis == AXIS_X else fmat @ f
-        matrix = f / type1_norm(self.basis.bc, p) + shift * np.eye(p)
-        _read_only(matrix)
-        return AxisMap(axis, amap.shape, matrix=matrix)
+        fmat, norm = _square_type1_matrix(self.basis.bc, p), type1_norm(self.basis.bc, p)
+        if self.basis.parity:  # (positions, wavenumbers, halve the middle) per block
+            h = p - p // 2
+            parts = ((slice(0, h), slice(0, p, 2), p % 2 == 1), (slice(h, p), slice(1, p, 2), False))
+            norm /= 2.0
+        else:
+            parts = ((slice(0, p), slice(0, p), False),)
+        blocks = []
+        for cols, waves, middle in parts:
+            # The identity transformed along the axis (I F^T along x, F I
+            # along y), mapped by T less shift*I, transformed back; shift*I
+            # is added exactly, as the transforms round relative to the rest.
+            fin, fout = fmat[waves, cols], np.ascontiguousarray(fmat[cols, waves])
+            if middle:
+                fin = fin.copy()
+                fin[:, -1] *= 0.5
+            if along_x:
+                f = np.array(np.broadcast_to(fin.T, (species, *fin.T.shape)))
+                if self.edge_a is not None:
+                    z = f @ np.ascontiguousarray(edge_in[:, waves])
+                np.multiply(f, diag[..., waves], out=f)
+                if self.edge_a is not None:
+                    f += z @ np.ascontiguousarray(edge_out[..., waves])
+                f = f @ fout.T
+            else:
+                f = np.array(np.broadcast_to(fin, (species, *fin.shape)))
+                if self.edge_a is not None:
+                    z = np.ascontiguousarray(edge_in[..., waves]) @ f
+                np.multiply(f, diag[:, waves], out=f)
+                if self.edge_a is not None:
+                    f += np.ascontiguousarray(edge_out[:, waves]) @ z
+                f = fout @ f
+            blocks.append(f / norm + shift * np.eye(f.shape[-1]))
+        _read_only(*blocks)
+        return AxisMap(axis, (species, p, p), tuple(blocks))
 
 
 def axis_transform_solver(basis: AxisTransformBasis, diffusion, k: float,

@@ -5,8 +5,8 @@ Schemes:
 * ``etdrk4p22if`` -- fourth-order exponential Runge-Kutta step whose matrix
   exponentials are replaced by Pade(2,2) rationals, with dimensional
   splitting so every linear solve is a family of 1-D systems along one
-  axis.  The step is four stage equations in sine/cosine-transform space,
-  with N the reaction at grid values:
+  axis.  The step is four stage equations in the basis of
+  linsolve.AxisTransformBasis, with N the reaction at grid values:
 
       a  = Hy(Hx u + Px N(u))
       b  = Hy Hx u + Px N(a)
@@ -19,9 +19,11 @@ Schemes:
   once.  A run's first split step makes five forward and four inverse 2-D
   transforms; every later one starts from the transform the previous step
   kept and makes four of each.  Up to linsolve.GRID_SPACE_MAX_P unknowns
-  per axis the transforms are the identity and each map is a dense matrix,
-  so the step runs in grid space.  The step's maps and field buffers
-  (SplitWork) are made once per run, for that run and its plan only.
+  per axis the transforms are the identity and each map is one dense
+  matrix, so the step runs in grid space.  Above it the transforms are
+  grid space's even/odd butterfly, O(p^2), and each map is two half-size
+  blocks.  The step's maps and field buffers (SplitWork) are made once per
+  run, for that run and its plan only.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order L-damping Pade(0,3)
@@ -66,7 +68,6 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .linsolve import (
-    GRID_SPACE_MAX_P,
     assemble_full,
     axis_eigenbasis,
     axis_transform_basis,
@@ -75,7 +76,7 @@ from .linsolve import (
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
-from .spatial import AXIS_X, AXIS_Y, Grid2D, axis_matrix
+from .spatial import AXIS_X, AXIS_Y, axis_matrix
 
 ETDRK4P22IF = "etdrk4p22if"
 ETDRK4P22 = "etdrk4p22"
@@ -246,7 +247,7 @@ class SplitWork:
 
 def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
                      work: Optional[SplitWork] = None) -> np.ndarray:
-    """Advance one step of the split scheme in transform space.
+    """Advance one step of the split scheme in its basis's space.
 
     The module docstring's four stage equations: fifteen applications of
     ten axis maps.  Every field is transformed along both axes, so x and y
@@ -367,19 +368,6 @@ def check_run(scheme: str, k: float, T: float, smoothing_steps: int = 0) -> int:
     return n
 
 
-def import_transforms(scheme: str, *grids: Grid2D) -> None:
-    """Import scipy.fft now if a run of scheme on any of grids transforms with pocketfft.
-
-    That is a split run with more than GRID_SPACE_MAX_P unknowns per axis;
-    every other run steps with numpy alone.  The package imports scipy.fft
-    on its first transform anyway; a caller that times plan build and
-    stepping calls this first, after validating a run that takes a step, so
-    the import (about 0.3 s) is charged to neither.
-    """
-    if scheme_entry(scheme)[0] == "transform" and any(g.p1d > GRID_SPACE_MAX_P for g in grids):
-        import scipy.fft  # noqa: F401
-
-
 def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None) -> np.ndarray:
     """The one step loop of every scheme.
 
@@ -442,15 +430,17 @@ def integrate(disc: DiscretizedProblem, scheme: str, k: float, T: float,
 
     The first `smoothing_steps` steps use the third-order presmoother at the
     same step size k and count toward T/k; the rest use `scheme`.  Each part
-    is one run, begun by its table row's start.  snapshot_cb(step, t, u) gets
+    that takes a step is one run, begun by its table row's start; a part
+    that takes none builds no plan.  snapshot_cb(step, t, u) gets
     a read-only view of a new array, which it may keep.
     """
     n_steps = check_run(scheme, k, T, smoothing_steps)
-    if n_steps == 0:
+    if n_steps == 0:  # any smoothing_steps is accepted at T = 0
         return disc.initial()
-    plan = build_plan(scheme, disc, k)
-    steps = repeat(scheme_entry(scheme)[2](plan), n_steps - smoothing_steps)
-    if smoothing_steps:
-        smoother = plan if scheme == SMOOTHER_ONLY else build_plan(SMOOTHER_ONLY, disc, k)
-        steps = chain(repeat(scheme_entry(SMOOTHER_ONLY)[2](smoother), smoothing_steps), steps)
-    return _march(disc.initial(), k, steps, snapshot_every, snapshot_cb)
+    plans, runs = {}, []
+    for name, count in ((SMOOTHER_ONLY, smoothing_steps), (scheme, n_steps - smoothing_steps)):
+        if count:  # a part that takes no step builds no plan
+            if name not in plans:
+                plans[name] = build_plan(name, disc, k)
+            runs.append(repeat(scheme_entry(name)[2](plans[name]), count))
+    return _march(disc.initial(), k, chain(*runs), snapshot_every, snapshot_cb)

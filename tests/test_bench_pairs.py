@@ -102,12 +102,12 @@ def test_cold_run_records_the_scipy_modules_it_loaded():
     # a cold process names what it loaded on stderr's last line; the record
     # keeps that list apart from the rest of stderr
     root = Path(__file__).resolve().parent.parent
-    pocketfft = bench_pairs.run_cold(root, [*bench_pairs.CLI_ARGV, "solve", "--problem",
-                                            "model_dirichlet", "--m", "140", "--k", "0.05",
-                                            "--T", "0.05", "--out", "u.csv"])
-    assert pocketfft["exit_code"] == 0 and pocketfft["stderr"] is None
-    assert "scipy.fft" in pocketfft["scipy"]
-    assert not any(m.startswith("scipy._") for m in pocketfft["scipy"])
+    sparse = bench_pairs.run_cold(root, [*bench_pairs.CLI_ARGV, "solve", "--problem",
+                                         "model_dirichlet", "--scheme", "etdrk4p22", "--m", "9",
+                                         "--k", "0.05", "--T", "0.05", "--out", "u.csv"])
+    assert sparse["exit_code"] == 0 and sparse["stderr"] is None
+    assert "scipy.sparse" in sparse["scipy"]
+    assert not any(m.startswith("scipy._") for m in sparse["scipy"])
     bare = bench_pairs.run_cold(root, list(bench_pairs.IMPORT_ARGV))
     assert bare["exit_code"] == 0 and bare["stderr"] is None and bare["scipy"] == []
     warned = bench_pairs.run_cold(root, ["-c", "import sys; sys.stderr.write('warning\\n'); "
@@ -167,3 +167,37 @@ def test_cold_start_leaves_resolved_out_for_a_side_whose_runs_all_failed(monkeyp
     record = bench_pairs.cold_start({"parent": Path("parent"), "change": Path("change")}, [])
     assert record["import"]["change"]["failed"] == bench_pairs.COLD_RUNS
     assert record["import"]["resolved"] == {}
+
+
+def _aa_cold_start(monkeypatch, parent_rss, change_rss, aa=None):
+    # every run of a side reads the same seconds and peak RSS
+    class Workload:
+        def argv(self, out):
+            return ["solve", "--out", out]
+
+    monkeypatch.setattr(bench_pairs, "load_workloads", lambda root: {"w": Workload()})
+    monkeypatch.setattr(bench_pairs, "run_cold", lambda root, args: _cold(
+        1.0, parent_rss if root.name == "parent" else change_rss))
+    return bench_pairs.cold_start({"parent": Path("parent"), "change": Path("change")}, ["w"],
+                                  aa)
+
+
+def test_an_offset_the_aa_record_matches_is_unresolved(monkeypatch):
+    # two copies of one checkout read 0.14 MB apart in peak RSS; a change
+    # that reads the same offset is no change, and a 16 MB drop still is
+    parents = [64.10 + 0.001 * i for i in range(10)]
+    aa = bench_pairs.summarise(_paired("peak_rss_mb", parents, [v - 0.14 for v in parents]),
+                               {"peak_rss_mb": "lower"})
+    assert aa["peak_rss_mb"]["resolved"] and aa["peak_rss_mb"]["aa_gap"] == 0.0
+    for drop, want in ((0.14, False), (16.0, True)):
+        pairs = _paired("peak_rss_mb", parents, [v - drop for v in parents])
+        s = bench_pairs.summarise(pairs, {"peak_rss_mb": "lower"}, aa)["peak_rss_mb"]
+        assert s["aa_gap"] == pytest.approx(0.14)
+        assert s["resolved"] == want and s["gain"] == want, drop
+    aa_cold = _aa_cold_start(monkeypatch, 64.1, 64.1 - 0.14)
+    assert aa_cold["w"]["resolved"]["peak_rss_mb"]
+    for drop, want in ((0.14, False), (16.0, True)):
+        record = _aa_cold_start(monkeypatch, 64.1, 64.1 - drop, aa_cold)
+        assert record["w"]["aa_gap"]["peak_rss_mb"] == pytest.approx(0.14)
+        assert record["w"]["resolved"]["peak_rss_mb"] == want, drop
+        assert record["import"]["resolved"]["peak_rss_mb"] == want, drop

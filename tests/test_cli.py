@@ -433,58 +433,44 @@ def test_only_the_sparse_baseline_imports_scipy_sparse(scheme, loads_sparse, tmp
     assert (modules.strip() != "[]") == loads_sparse, modules
 
 
-@pytest.mark.parametrize("argv,fft_at_integrate", [
-    pytest.param(None, None, id="import-only"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(None, id="import-only"),
     pytest.param(["solve", "--problem", "model_dirichlet", "--scheme", "sbdf4", "--m", "9",
-                  "--k", "0.25", "--T", "1"], False, id="sbdf4"),
+                  "--k", "0.25", "--T", "1"], id="sbdf4"),
     pytest.param(["solve", "--problem", "brusselator", "--scheme", "smoother-only", "--m", "9",
-                  "--k", "0.25", "--T", "0.5"], False, id="smoother-only"),
-    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "139", "--k", "0.05",
-                  "--T", "0.05"], False, id="grid-space-dirichlet-p139"),
+                  "--k", "0.25", "--T", "0.5"], id="smoother-only"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "103", "--k", "0.05",
+                  "--T", "0.05"], id="grid-space-dirichlet-p103"),
     pytest.param(["converge", "--problem", "model_neumann", "--scheme", "etdrk4p22if",
-                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "137",
-                  "--T", "0.05"], False, id="grid-space-neumann-p139"),
-    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "140", "--k", "0.05",
-                  "--T", "0.05"], True, id="pocketfft-p140"),
-    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "140", "--k", "0.05",
-                  "--T", "0"], False, id="pocketfft-p140-no-step"),
+                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "101",
+                  "--T", "0.05"], id="grid-space-neumann-p103"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "104", "--k", "0.05",
+                  "--T", "0.05"], id="parity-p104"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "319", "--k", "0.05",
+                  "--T", "0.05"], id="parity-p319"),
+    pytest.param(["solve", "--problem", "model_dirichlet", "--m", "104", "--k", "0.05",
+                  "--T", "0"], id="parity-p104-no-step"),
     pytest.param(["converge", "--problem", "model_neumann", "--scheme", "etdrk4p22if",
-                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "138",
-                  "--T", "0"], False, id="pocketfft-neumann-p140-no-step"),
+                  "--k0", "0.05", "--levels", "1", "--coupling", "fixed_h", "--m", "102",
+                  "--T", "0"], id="parity-neumann-p104-no-step"),
 ])
-def test_only_pocketfft_runs_import_scipy_fft(argv, fft_at_integrate, tmp_path):
-    # a fresh interpreter imports the CLI and runs one command, recording at
-    # each entry to cli.integrate or analysis.integrate whether scipy.fft is
-    # loaded, then lists the scipy modules it holds.  Only a split run that
-    # takes a step above GRID_SPACE_MAX_P loads scipy at all, and it has
-    # scipy.fft before its run starts, so plan build and stepping never
-    # carry the import
+def test_no_run_imports_scipy_fft(argv, tmp_path):
+    # a fresh interpreter imports the CLI and runs one command, then lists
+    # the scipy modules it holds: none, as every split run, in grid space or
+    # in its even/odd basis above GRID_SPACE_MAX_P, steps with numpy alone
     script = ("import json, sys\n"
-              "import etdsplit.analysis as analysis\n"
               "import etdsplit.cli as cli\n"
-              "seen = []\n"
-              "def recording(integrate):\n"
-              "    def wrapper(*args, **kwargs):\n"
-              "        seen.append('scipy.fft' in sys.modules)\n"
-              "        return integrate(*args, **kwargs)\n"
-              "    return wrapper\n"
-              "cli.integrate = recording(cli.integrate)\n"
-              "analysis.integrate = recording(analysis.integrate)\n"
               f"argv = {argv!r}\n"
               "code = None if argv is None else cli.main(argv + ['--out', sys.argv[1]])\n"
-              "print(json.dumps([code, seen, sorted(m for m in sys.modules\n"
-              "                                     if m.split('.')[0] == 'scipy')]))\n")
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.split('.')[0] == 'scipy')]))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    code, seen, modules = json.loads(proc.stdout.splitlines()[-1])
-    if argv is None:
-        assert (code, seen, modules) == (None, [], [])
-        return
-    assert code == 0 and seen == [fft_at_integrate]
-    assert "scipy.fft" in modules if fft_at_integrate else modules == [], modules
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == (None if argv is None else 0) and modules == [], modules
 
 
 def test_interrupt_exits_130_with_one_line(tmp_path):

@@ -25,7 +25,7 @@ from etdsplit.linsolve import (
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
 from etdsplit.steppers import PADE, SMOOTHER
-from helpers import dense_axis_operator, dense_reference_solve
+from helpers import PocketfftSolver, dense_axis_operator, dense_reference_solve
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
 
@@ -162,15 +162,16 @@ def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axi
        pole=st.sampled_from(ALL_POLES), axis=st.sampled_from((AXIS_X, AXIS_Y)),
        k=st.floats(0.01, 1.0), w=st.complex_numbers(max_magnitude=10.0),
        shift=st.floats(-2.0, 2.0), call=st.sampled_from(("new", "add", "aliased")),
-       grid_space=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       parity=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, axis, k, w, shift, call,
-                                       grid_space, seed):
-    # axis_map(axis, w, shift) on fields in the basis's space, grid or
-    # pocketfft, is on grid values the dense shift*I + 2*Re(w (k*A_axis -
-    # pole*I)^-1), into out, added to it, or written over its own input
+                                       parity, seed):
+    # axis_map(axis, w, shift) on fields in the basis's space, grid space or
+    # its even/odd basis, is on grid values the dense shift*I + 2*Re(w
+    # (k*A_axis - pole*I)^-1), into out, added to it, or written over its
+    # own input
     grid = _grid(bc=bc, m=m)
     p = grid.p1d
-    basis = replace(axis_transform_basis(grid), grid_space=grid_space)
+    basis = replace(axis_transform_basis(grid), parity=parity)
     amap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
     rng = np.random.default_rng(seed)
     f, start = rng.normal(size=(2, len(diffusion), p, p))
@@ -234,37 +235,57 @@ def test_transform_basis_oracle_sees_a_perturbed_dirichlet_edge(module, monkeypa
         axis_transform_basis.cache_clear()
 
 
+def _butterfly(p):
+    """The even/odd basis's 1-D forward as a matrix, built entry by entry."""
+    n = p // 2
+    t = np.zeros((p, p))
+    for j in range(n):
+        t[j, j] = t[j, p - 1 - j] = 1.0
+        t[p - 1 - j, j], t[p - 1 - j, p - 1 - j] = 1.0, -1.0
+    if p % 2:
+        t[n, n] = 2.0
+    return t
+
+
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("p", [5, 40, 128, 129])
 @pytest.mark.parametrize("species", [1, 2])
 def test_transform_paths_match_scipy(bc, p, species):
-    # the basis works in grid space up to the crossover and through pocketfft
-    # above it.  In grid space forward and inverse are the identity, the
-    # field itself with overwrite_x and a copy without; through pocketfft they
-    # are scipy.fft's type-1 transforms, in place with overwrite_x and
-    # leaving the input alone without it
+    # the basis is grid space up to the crossover and its even/odd basis
+    # above it.  In grid space forward and inverse are the identity; in the
+    # even/odd basis forward is T x T^T with T the butterfly, and inverse
+    # its inverse.  Either returns the field itself with overwrite_x and
+    # leaves its input alone without it.  An even/odd field's even part
+    # holds only scipy.fft's even wavenumbers, its odd part the odd ones
     def basis_of(p):
         return axis_transform_basis(_grid(bc=bc, m=p if bc == DIRICHLET else p - 2))
 
     for q in (p, GRID_SPACE_MAX_P, GRID_SPACE_MAX_P + 1):
-        assert basis_of(q).grid_space == (q <= GRID_SPACE_MAX_P)
+        assert basis_of(q).parity == (q > GRID_SPACE_MAX_P)
     basis = basis_of(p)
-    fwd, inv = (scipy.fft.dstn, scipy.fft.idstn) if bc == DIRICHLET else \
-        (scipy.fft.dctn, scipy.fft.idctn)
+    t = _butterfly(p)
+    t_inv = np.linalg.inv(t)
     x = np.random.default_rng(p).normal(size=(species, p, p))
-    for grid_space in (True, False):
-        path = replace(basis, grid_space=grid_space)
-        for method, ref in ((path.forward, fwd), (path.inverse, inv)):
-            want = x if grid_space else ref(x, type=1, axes=(-2, -1))
+    for parity in (False, True):
+        path = replace(basis, parity=parity)
+        wants = (t @ x @ t.T, t_inv @ x @ t_inv.T) if parity else (x, x)
+        for method, want in zip((path.forward, path.inverse), wants):
             kept = x.copy()
             got = method(x)
-            assert np.array_equal(x, kept) and not np.shares_memory(got, x), grid_space
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), grid_space
+            assert np.array_equal(x, kept) and not np.shares_memory(got, x), parity
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), parity
             buf = x.copy()
-            got = method(buf, overwrite_x=True)
-            assert np.shares_memory(got, buf) and got.shape == buf.shape, grid_space
-            assert got is buf or not grid_space
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), grid_space
+            assert method(buf, overwrite_x=True) is buf and np.array_equal(buf, got), parity
+    h = p - p // 2
+    dst = scipy.fft.dstn if bc == DIRICHLET else scipy.fft.dctn
+    for rows, cols in ((slice(0, h), slice(0, h)), (slice(0, h), slice(h, p)),
+                       (slice(h, p), slice(0, h)), (slice(h, p), slice(h, p))):
+        part = np.zeros_like(x)
+        part[..., rows, cols] = x[..., rows, cols]
+        spectrum = dst(replace(basis, parity=True).inverse(part), type=1, axes=(-2, -1))
+        row_parity, col_parity = int(rows.start > 0), int(cols.start > 0)
+        spectrum[..., row_parity::2, col_parity::2] = 0.0
+        assert np.max(np.abs(spectrum)) <= 1e-13 * np.max(np.abs(x)), (rows, cols)
 
 
 def _scipy_edge_terms(grid):
@@ -312,30 +333,44 @@ def test_closed_form_transforms_match_scipy(bc, p, width):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 40),
        diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
        pole=st.sampled_from(ALL_POLES), k=st.floats(0.01, 1.0),
        w=st.complex_numbers(max_magnitude=10.0), shift=st.floats(-2.0, 2.0),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(bc=DIRICHLET, m=3, diffusion=(1.0,), pole=PADE.c1, k=0.5, w=1.0, shift=1.0, seed=0)
+@example(bc=NEUMANN, m=40, diffusion=(0.5, 1.5), pole=PADE.c2, k=0.5, w=1j, shift=0.0, seed=0)
 def test_grid_space_maps_match_pocketfft_maps(bc, m, diffusion, pole, k, w, shift, seed):
-    # a grid-space map is one read-only matrix that acts as pocketfft's
-    # inverse(map(forward(f))) along either axis, into out or added to it
+    # a map of one read-only block in grid space, and of an even and an odd
+    # read-only block in the even/odd basis, acts as the transform-space
+    # oracle's inverse(map(forward(f))) along either axis, into out or added
+    # to it.  The even/odd butterfly round trip is exact to rounding
     grid = _grid(bc=bc, m=m)
     p = grid.p1d
-    basis = axis_transform_basis(grid)
-    fft = replace(basis, grid_space=False)
-    assert basis.grid_space
-    f, start = np.random.default_rng(seed).normal(size=(2, len(diffusion), p, p))
+    n, h = p // 2, p - p // 2
+    species = len(diffusion)
+    grid_basis = axis_transform_basis(grid)
+    assert not grid_basis.parity
+    oracle = PocketfftSolver(axis_transform_solver(grid_basis, diffusion, k, pole))
+    f, start = np.random.default_rng(seed).normal(size=(2, species, p, p))
     scratch = np.empty(f.shape)
-    for axis in (AXIS_X, AXIS_Y):
-        gmap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
-        tmap = axis_transform_solver(fft, diffusion, k, pole).axis_map(axis, w, shift)
-        assert gmap.matrix.shape == f.shape and not gmap.matrix.flags.writeable
-        for add in (False, True):
-            got = gmap(f, start.copy(), scratch, add=add)
-            want = fft.inverse(tmap(fft.forward(f), fft.forward(start), scratch, add=add))
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (axis, add)
+    parity_basis = replace(grid_basis, parity=True)
+    back = parity_basis.inverse(parity_basis.forward(f))
+    assert np.max(np.abs(back - f)) <= 1e-15 * np.max(np.abs(f))
+    fft = oracle.basis
+    for basis, shapes in ((grid_basis, [(species, p, p)]),
+                          (parity_basis, [(species, h, h), (species, n, n)])):
+        solver = axis_transform_solver(basis, diffusion, k, pole)
+        for axis in (AXIS_X, AXIS_Y):
+            amap, tmap = solver.axis_map(axis, w, shift), oracle.axis_map(axis, w, shift)
+            assert [b.shape for b in amap.blocks] == shapes
+            assert not any(b.flags.writeable for b in amap.blocks)
+            for add in (False, True):
+                got = basis.inverse(amap(basis.forward(f), basis.forward(start), scratch, add=add))
+                want = fft.inverse(tmap(fft.forward(f), fft.forward(start), scratch, add=add))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                    (basis.parity, axis, add)
 
 
 def test_full_solve_matches_dense():

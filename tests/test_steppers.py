@@ -53,6 +53,7 @@ from helpers import (
     dense_full_solvers,
     etdrk4p22if_kernel,
     exact_etdrk4_reference_step,
+    pocketfft_plan,
     rational_r03,
     rational_r22,
     smoother_kernel,
@@ -526,15 +527,15 @@ def test_integrate_equals_manual_steps():
 
 
 @pytest.fixture
-def pocketfft_plans(monkeypatch):
-    """Split plans built from here on transform through pocketfft, whatever p."""
+def parity_plans(monkeypatch):
+    """Split plans built from here on run in the even/odd basis, two blocks per map, whatever p."""
     monkeypatch.setattr(steppers, "axis_transform_basis",
-                        lambda grid: replace(axis_transform_basis(grid), grid_space=False))
+                        lambda grid: replace(axis_transform_basis(grid), parity=True))
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
 @pytest.mark.parametrize("smoothing", [0, 2])
-def test_carried_split_state_matches_grid_value_steps(pocketfft_plans, name, smoothing):
+def test_carried_split_state_matches_grid_value_steps(parity_plans, name, smoothing):
     # starting each step from the kept transform in place of fwd(u) changes
     # the result by rounding only
     disc = discretize(make_problem(name), 9)
@@ -551,7 +552,7 @@ def test_carried_split_state_matches_grid_value_steps(pocketfft_plans, name, smo
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
-def test_split_step_transform_count(monkeypatch, pocketfft_plans, name):
+def test_split_step_transform_count(monkeypatch, parity_plans, name):
     # nine 2-D transforms from grid values, eight from the carried state
     calls = []
 
@@ -599,24 +600,26 @@ def test_split_step_transform_count(monkeypatch, pocketfft_plans, name):
 
 @pytest.mark.parametrize("name,m", [("model_dirichlet", 9), ("brusselator", 7)])
 def test_dense_and_pocketfft_split_steps_agree(name, m):
-    # the grid picks grid space, where each map is a dense matrix; the same
-    # plan stepped in pocketfft's transform space gives the same states to
+    # the grid picks grid space, where each map is one dense matrix; the
+    # same plan stepped in the even/odd basis, two blocks per map, and in
+    # the oracle's pocketfft transform space gives the same states to
     # rounding
     disc = discretize(make_problem(name), m)
     plan = build_plan(ETDRK4P22IF, disc, 0.05)
     basis = plan.solvers["c1"].basis
-    assert basis.grid_space
-    fft_basis = replace(basis, grid_space=False)
-    fft_plan = replace(plan, solvers={pole: replace(s, basis=fft_basis)
-                                      for pole, s in plan.solvers.items()})
+    assert not basis.parity
+    parity_basis = replace(basis, parity=True)
+    parity_plan = replace(plan, solvers={pole: replace(s, basis=parity_basis)
+                                         for pole, s in plan.solvers.items()})
     states = []
-    for p in (plan, fft_plan):
+    for p in (plan, parity_plan, pocketfft_plan(plan)):
         u, work = disc.initial(), SplitWork(p)
         for step in range(4):
             u = etdrk4p22if_step(p, u, step * 0.05, work)
         states.append(u)
-    dense, fft = states
-    assert np.max(np.abs(dense - fft)) <= 1e-13 * np.max(np.abs(fft))
+    one_block, two_blocks, fft = states
+    for got in (one_block, two_blocks):
+        assert np.max(np.abs(got - fft)) <= 1e-13 * np.max(np.abs(fft))
 
 
 def test_split_plans_on_one_grid_share_a_read_only_basis():
@@ -627,8 +630,8 @@ def test_split_plans_on_one_grid_share_a_read_only_basis():
     plan = build_plan(ETDRK4P22IF, disc, 0.05)
     basis = plan.solvers["c1"].basis
     assert build_plan(ETDRK4P22IF, again, 0.1).solvers["c1"].basis is basis
-    matrices = [m.matrix for m in SplitWork(plan).maps]
-    assert basis.grid_space and len(matrices) == 10
+    matrices = [block for m in SplitWork(plan).maps for block in m.blocks]
+    assert not basis.parity and len(matrices) == 10
     for a in (basis.lam, *matrices):
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -679,7 +682,7 @@ def test_runs_from_one_plan_keep_their_own_state(scheme):
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
-def test_split_step_axis_map_budget(monkeypatch, name):
+def test_split_step_axis_map_budget(monkeypatch, parity_plans, name):
     # the four stage equations apply fifteen axis maps per step, and those
     # are the step's only applications of an axis operator; counting starts
     # once the run's SplitWork has built its maps
@@ -765,9 +768,11 @@ def test_scheme_entry_is_the_one_name_check():
 
 
 def test_integrate_t_zero_returns_initial():
+    # with or without presmoothing steps, which T = 0 accepts in any number
     disc = discretize(make_problem("brusselator"), 4)
-    np.testing.assert_array_equal(integrate(disc, ETDRK4P22IF, 0.1, 0.0),
-                                  disc.initial())
+    for smoothing in (0, 3):
+        np.testing.assert_array_equal(
+            integrate(disc, ETDRK4P22IF, 0.1, 0.0, smoothing_steps=smoothing), disc.initial())
 
 
 def test_integrate_t_zero_still_validates_scheme_and_k():
@@ -786,6 +791,28 @@ def test_integrate_rejects_non_finite_k_and_T(k, T):
     for scheme in (ETDRK4P22IF, SBDF4):
         with pytest.raises(ValidationError):
             integrate(disc, scheme, k, T)
+
+
+@pytest.mark.parametrize("scheme", [ETDRK4P22, ETDRK4P22IF])
+def test_presmoothing_every_step_builds_no_main_plan(monkeypatch, scheme):
+    # with smoothing_steps == T/k the main scheme takes no step, so its plan
+    # is never built nor its run started, and the field is smoother-only's
+    built = []
+    monkeypatch.setattr(steppers, "factorize_full",
+                        lambda *a, real=steppers.factorize_full: built.append(a) or real(*a))
+    made = SplitWork.__init__
+
+    def make_work(self, plan):
+        built.append(plan)
+        made(self, plan)
+
+    monkeypatch.setattr(SplitWork, "__init__", make_work)
+    disc = discretize(make_problem("enzyme_nonsmooth"), 9)
+    got = integrate(disc, scheme, 0.05, 0.15, smoothing_steps=3)
+    assert built == []
+    assert np.array_equal(got, integrate(disc, SMOOTHER_ONLY, 0.05, 0.15))
+    integrate(disc, scheme, 0.05, 0.15, smoothing_steps=2)
+    assert built
 
 
 def test_integrate_validations():
