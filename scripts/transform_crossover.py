@@ -8,10 +8,11 @@ builds the split plan on a grid of p unknowns per axis and times
 ``etdrk4p22if_step`` as a run makes it, carrying its state through one
 ``SplitWork``, once in grid space (every axis map one dense p x p block)
 and once in its even/odd basis (every map an even and an odd half-size
-block, every 2-D transform a butterfly), switched by the basis's ``parity``
-flag.  One species runs the model problem of its boundary kind, two the
-Brusselator.  Each repeat times a loop of steps of about 30 ms, after two
-warm steps, and the two paths alternate repeat by repeat.  The record gives
+block, every 2-D transform a butterfly), switched by the ``parity`` field
+of the plan's axis solvers.  One species runs the model problem of its
+boundary kind, two the Brusselator.  Each repeat times a loop of steps of
+about 30 ms, after two warm steps, and the two paths alternate repeat by
+repeat.  The record gives
 each path's milliseconds per step (min and median over repeats), the ratio
 of the medians, for each case the largest p up to which one block won at
 every swept p, the ``GRID_SPACE_MAX_P`` the package uses, and the core
@@ -60,8 +61,7 @@ def time_paths(bc: str, species: int, p: int, repeats: int) -> dict:
     plan = build_plan(ETDRK4P22IF, disc, K)
     runs = {}
     for name in PATHS:
-        basis = replace(plan.solvers["c1"].basis, parity=name == "two_blocks")
-        path_plan = replace(plan, solvers={pole: replace(s, basis=basis)
+        path_plan = replace(plan, solvers={pole: replace(s, parity=name == "two_blocks")
                                            for pole, s in plan.solvers.items()})
         runs[name] = [path_plan, SplitWork(path_plan), disc.initial()]
 

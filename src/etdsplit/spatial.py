@@ -20,9 +20,9 @@ applies B along x (contiguous runs).
 
 The grid is the discretization: B depends on nothing but the grid, and
 axis_matrix is the one place its entries are written.  No operator object
-is built per run; each solver family derives what it needs from the grid
-(the split scheme only B's transform symbol and its Dirichlet edge rows,
-see linsolve), and the diffusion coefficients stay with the problem.
+is built per run; every solver family builds the dense B from the grid
+when it needs it (the split scheme when a run starts, see linsolve), and
+the diffusion coefficients stay with the problem.
 """
 
 import mmap
@@ -40,7 +40,7 @@ AXIS_X = "x"
 AXIS_Y = "y"
 
 # 1-D stencil rows, in units of 1/(12 h^2).
-INTERIOR_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)   # centered, offsets -2..2
+_INTERIOR_STENCIL = (-1.0, 16.0, -30.0, 16.0, -1.0)  # centered, offsets -2..2
 _DIRICHLET_EDGE = (-20.0, 6.0, 4.0, -1.0)            # first unknown row, offsets 0..3
 _NEUMANN_CORNER = (-30.0, 32.0, -2.0)                # boundary node row, offsets 0..2
 _NEUMANN_EDGE = (16.0, -31.0, 16.0, -1.0)            # next-to-boundary row, offsets -1..2
@@ -131,8 +131,8 @@ def axis_matrix(grid: Grid2D) -> np.ndarray:
 
 
 def _set_interior_rows(dense, rows) -> None:
-    """dense[i, i-2:i+3] = INTERIOR_STENCIL for every i in rows, clipped to the matrix."""
+    """dense[i, i-2:i+3] = _INTERIOR_STENCIL for every i in rows, clipped to the matrix."""
     rows, cols = np.broadcast_arrays(rows[:, np.newaxis], rows[:, np.newaxis] + np.arange(-2, 3))
-    coeffs = np.broadcast_to(INTERIOR_STENCIL, cols.shape)
+    coeffs = np.broadcast_to(_INTERIOR_STENCIL, cols.shape)
     inside = (cols >= 0) & (cols < dense.shape[1])
     dense[rows[inside], cols[inside]] = coeffs[inside]

@@ -5,8 +5,8 @@ Schemes:
 * ``etdrk4p22if`` -- fourth-order exponential Runge-Kutta step whose matrix
   exponentials are replaced by Pade(2,2) rationals, with dimensional
   splitting so every linear solve is a family of 1-D systems along one
-  axis.  The step is four stage equations in the basis of
-  linsolve.AxisTransformBasis, with N the reaction at grid values:
+  axis.  The step is four stage equations in the basis of its plan's
+  linsolve.AxisSolver, with N the reaction at grid values:
 
       a  = Hy(Hx u + Px N(u))
       b  = Hy Hx u + Px N(a)
@@ -23,7 +23,8 @@ Schemes:
   matrix, so the step runs in grid space.  Above it the transforms are
   grid space's even/odd butterfly, O(p^2), and each map is two half-size
   blocks.  The step's maps and field buffers (SplitWork) are made once per
-  run, for that run and its plan only.
+  run, for that run and its plan only: the maps from one dense inverse per
+  pole, species and folded half of B.
 * ``etdrk4p22``   -- the same one-step scheme without splitting (8 steps,
   sparse 2-D solves).
 * ``smoother-only`` / presmoothing -- a third-order L-damping Pade(0,3)
@@ -70,9 +71,9 @@ from .errors import DivergenceError, ValidationError
 from .linsolve import (
     assemble_full,
     axis_eigenbasis,
-    axis_transform_basis,
-    axis_transform_solver,
+    axis_solver,
     factorize_full,
+    fold_halves,
     tensor_eigen_solver,
 )
 from .problems import DiscretizedProblem
@@ -166,10 +167,11 @@ class StepPlan:
     """Cached solvers for one (scheme, step size, discretization).
 
     solvers maps each pole name of the scheme's table row to one solver of
-    the row's family: a transform-space inverse covering both axes and every
-    species (split scheme; each carries the shared transform as .basis and
-    applies as .axis_map), a sparse LU factorization (etdrk4p22) or an
-    eigen-solver sharing one 1-D eigenbasis (presmoother and SBDF schemes).
+    the row's family: an axis solver covering both axes and every species
+    (split scheme; it holds no array, carries the step's basis as .forward
+    and .inverse and applies through the axis maps a run builds), a sparse
+    LU factorization (etdrk4p22) or an eigen-solver sharing one 1-D
+    eigenbasis (presmoother and SBDF schemes).
     The last two solve with .solve(rhs), but the presmoother steps with the
     eigen-solvers' .basis and .inv_symbol.  Plans are immutable.
     """
@@ -183,7 +185,7 @@ def scheme_entry(scheme: str, k: float = 1.0) -> tuple:
     """Look a scheme up in the scheme table; the one unknown-scheme check.
 
     Returns (family, systems, start).  family is the solver of every system:
-    "transform" (split, 1-D transforms), "sparse" (SuperLU) or "eigen" (1-D
+    "axis" (split, 1-D axis maps), "sparse" (SuperLU) or "eigen" (1-D
     eigenbasis).  systems maps each pole name to the (step, shift) of its
     system (step*A - shift*I) at step size k.  start(plan) begins one run on
     a plan of this row and returns the run's step(u, t); each call starts a
@@ -195,7 +197,7 @@ def scheme_entry(scheme: str, k: float = 1.0) -> tuple:
     c, sm = PADE, SMOOTHER
     etd = {"c1": (k, c.c1), "c2": (k, c.c2)}
     return {
-        ETDRK4P22IF: ("transform", etd,
+        ETDRK4P22IF: ("axis", etd,
                       lambda plan: partial(etdrk4p22if_step, plan, work=SplitWork(plan))),
         ETDRK4P22: ("sparse", etd, lambda plan: partial(etdrk4p22_step, plan)),
         SMOOTHER_ONLY: ("eigen", {"f1": (k, sm.f1), "f2": (k, sm.f2),
@@ -212,8 +214,8 @@ def build_plan(scheme: str, disc: DiscretizedProblem, k: float) -> StepPlan:
     _check_step(k)
     family, systems, _ = scheme_entry(scheme, k)
     grid, diffusion = disc.grid, disc.spec.diffusion
-    if family == "transform":
-        solver = partial(axis_transform_solver, axis_transform_basis(grid), diffusion)
+    if family == "axis":
+        solver = partial(axis_solver, grid.p1d, diffusion)
     elif family == "sparse":
         solver = partial(factorize_full, assemble_full(grid, diffusion))
     else:
@@ -226,20 +228,23 @@ class SplitWork:
     """What one run of the split step keeps between steps.
 
     maps holds the ten axis maps the step derives from plan's two solvers
-    and fields five (species, p, p) buffers and the maps' scratch; a step on
-    another plan rejects it.  state is the array the last step returned and
-    state_hat its transform, kept in fields; a step from state starts at
-    state_hat.  Each split run makes its own, so no two runs share.
+    and the folded halves of B, and fields five (species, p, p) buffers and
+    the maps' scratch; a step on another plan rejects it.  state is the
+    array the last step returned and state_hat its transform, kept in
+    fields; a step from state starts at state_hat.  Each split run makes
+    its own, so no two runs share.
     """
 
     def __init__(self, plan: StepPlan):
         s1, s2, k = plan.solvers["c1"], plan.solvers["c2"], plan.k
+        halves = fold_halves(axis_matrix(plan.disc.grid))
         w11, w51 = PADE.w11, 24.0 * k * PADE.w51
-        self.maps = (s2.axis_map(AXIS_X, 2.0 * w11, 1.0), s2.axis_map(AXIS_Y, 2.0 * w11, 1.0),
-                     s2.axis_map(AXIS_X, w51), s2.axis_map(AXIS_X, 2.0 * w51),
-                     s1.axis_map(AXIS_X, w11, 1.0), s1.axis_map(AXIS_Y, w11, 1.0),
-                     s1.axis_map(AXIS_Y, -w11, -1.0), s1.axis_map(AXIS_X, k * PADE.w21),
-                     s1.axis_map(AXIS_X, 4.0 * k * PADE.w31), s1.axis_map(AXIS_X, k * PADE.w41))
+        self.maps = (
+            *s2.axis_maps(halves, (AXIS_X, 2.0 * w11, 1.0), (AXIS_Y, 2.0 * w11, 1.0),
+                          (AXIS_X, w51, 0.0), (AXIS_X, 2.0 * w51, 0.0)),
+            *s1.axis_maps(halves, (AXIS_X, w11, 1.0), (AXIS_Y, w11, 1.0), (AXIS_Y, -w11, -1.0),
+                          (AXIS_X, k * PADE.w21, 0.0), (AXIS_X, 4.0 * k * PADE.w31, 0.0),
+                          (AXIS_X, k * PADE.w41, 0.0)))
         p = plan.disc.grid.p1d
         self.fields = [np.empty((plan.disc.spec.species, p, p)) for _ in range(6)]
         self.plan, self.state, self.state_hat = plan, None, None
@@ -261,7 +266,8 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     Every field lives in work's buffers, transformed in place; only the
     returned state is a new array.  Without work the step makes its own.
     """
-    k, reaction, basis = plan.k, plan.disc.reaction, plan.solvers["c1"].basis
+    k, reaction = plan.k, plan.disc.reaction
+    fwd, inv = plan.solvers["c1"].forward, plan.solvers["c1"].inverse
     if work is None:
         work = SplitWork(plan)
     elif work.plan is not plan:
@@ -270,17 +276,13 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     hx, hy, px, px2, rx, ry, minus_ry, qx21, qx31, qx41 = (
         partial(m, scratch=scratch) for m in work.maps)
 
-    def fwd(buf, field):
-        np.copyto(buf, field)
-        return basis.forward(buf, overwrite_x=True)
-
     def reaction_hat(field_hat, at):
         """The transformed reaction at the grid values of field_hat, in its buffer."""
-        return fwd(field_hat, reaction(basis.inverse(field_hat, overwrite_x=True), at))
+        return fwd(reaction(inv(field_hat, field_hat), at), field_hat)
 
-    u_hat = work.state_hat if u is work.state else fwd(f0, u)
+    u_hat = work.state_hat if u is work.state else fwd(u, f0)
     work.state = None  # f0 changes next: a step that fails leaves nothing to carry
-    fn = fwd(f1, reaction(u, t))
+    fn = fwd(reaction(u, t), f1)
     hxu, pn = hx(u_hat, f2), px(fn, f3)
     us = qx21(fn, rx(u_hat, u_hat), add=True)  # u' starts as Rx u + Qx(k w21) N(u)
     a = hy(np.add(hxu, pn, out=f1), f1)
@@ -294,7 +296,7 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     fc = reaction_hat(c, t + k)
     out = hy(qx31(g, f2), ry(us, us), add=True)  # Ry(...) + Hy Qx(4k w31) (N(a) + N(b))
     out = qx41(fc, out, add=True)
-    work.state_hat, work.state = out, basis.inverse(out)
+    work.state_hat, work.state = out, inv(out)
     return work.state
 
 

@@ -8,28 +8,25 @@ matrix functions from their numerator/denominator forms, a fourth-order
 exponential step with true matrix exponentials, the published
 22-entry split-step sequence, the 12-entry presmoothing sequence, and
 dense-solve stand-ins for a plan's solvers, so the step functions and the
-two sequences run against numpy.linalg.solve instead of the transform,
-sparse or eigenbasis solves.  The split step's axis maps applied in
-transform space, between scipy.fft's type-1 transforms (pocketfft), stand
-in for a split plan's solvers.  Also a convergence report's CSV
-text and its parse back to rows, and a field CSV written in blocks of whole
-rows, the way the CLI once wrote it.
+two sequences run against numpy.linalg.solve instead of the axis-map,
+sparse or eigenbasis solves.  Also a convergence report's CSV text and its
+parse back to rows, and a field CSV written in blocks of whole rows, the
+way the CLI once wrote it.
 """
 
 import csv
 import io
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
-from etdsplit.linsolve import AxisTransformSolver, FullOperator
+from etdsplit.linsolve import FullOperator
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, Grid2D, axis_matrix
-from etdsplit.steppers import PADE, SMOOTHER, StepPlan
+from etdsplit.steppers import PADE, SMOOTHER
 
 
 _DENSE_CAP = 64 * 64
@@ -188,79 +185,6 @@ def dense_full_solvers(grid: Grid2D, diffusion, k: float, poles: dict) -> dict:
     return {name: DenseSolver(tuple(k * dense_full_operator(grid, diffusion, s) - pole * eye
                                     for s in range(len(diffusion))))
             for name, pole in poles.items()}
-
-
-@dataclass(frozen=True)
-class PocketfftBasis:
-    """The split step's basis as scipy.fft's unnormalized type-1 transforms along both axes."""
-
-    bc: str
-
-    def forward(self, field: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-        transform = scipy.fft.dstn if self.bc == DIRICHLET else scipy.fft.dctn
-        return transform(field, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
-
-    def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-        transform = scipy.fft.idstn if self.bc == DIRICHLET else scipy.fft.idctn
-        return transform(coeffs, type=1, axes=(-2, -1), overwrite_x=overwrite_x)
-
-
-@dataclass(frozen=True)
-class TransformSpaceMap:
-    """An axis map on PocketfftBasis fields: diag * f plus, for Dirichlet, a rank-4 edge term.
-
-    The edge term is f @ edge_in @ edge_out along x, else reversed.
-    """
-
-    axis: str
-    diag: np.ndarray                      # (species, 1, p) along x, (species, p, 1) along y
-    edge_in: Optional[np.ndarray] = None  # (species, p, 4) along x, (species, 4, p) along y
-    edge_out: Optional[np.ndarray] = None  # (species, 4, p) along x, (species, p, 4) along y
-
-    def __call__(self, f, out, scratch, add=False):
-        along_x = self.axis == AXIS_X
-        if self.edge_in is not None:  # z reads f before out (which may be f) changes
-            z = f @ self.edge_in if along_x else self.edge_in @ f
-        if add:
-            out += np.multiply(f, self.diag, out=scratch)
-        else:
-            np.multiply(f, self.diag, out=out)
-        if self.edge_in is not None:
-            out += z @ self.edge_out if along_x else self.edge_out @ z
-        return out
-
-
-@dataclass(frozen=True)
-class PocketfftSolver:
-    """An AxisTransformSolver's maps applied in pocketfft's transform space.
-
-    The oracle of its grid-space and even/odd maps: shift + 2 Re(w / mu) on
-    the diagonal and -2 Re(w a q^T) as the edge term, from the solver's own
-    inv_symbol and Woodbury terms.
-    """
-
-    solver: AxisTransformSolver
-
-    @property
-    def basis(self) -> PocketfftBasis:
-        return PocketfftBasis(self.solver.basis.bc)
-
-    def axis_map(self, axis: str, w, shift: float = 0.0) -> TransformSpaceMap:
-        s = self.solver
-        diag = shift + 2.0 * (w * s.inv_symbol).real
-        diag = diag[:, np.newaxis, :] if axis == AXIS_X else diag[:, :, np.newaxis]
-        if s.edge_a is None:
-            return TransformSpaceMap(axis, diag)
-        wa = w * s.edge_a
-        edge_out = np.concatenate([-2.0 * wa.real, 2.0 * wa.imag], axis=-1)
-        if axis == AXIS_X:
-            return TransformSpaceMap(axis, diag, s.edge_in, np.swapaxes(edge_out, 1, 2))
-        return TransformSpaceMap(axis, diag, np.swapaxes(s.edge_in, 1, 2), edge_out)
-
-
-def pocketfft_plan(plan: StepPlan) -> StepPlan:
-    """A split plan whose step runs in pocketfft's transform space."""
-    return replace(plan, solvers={pole: PocketfftSolver(s) for pole, s in plan.solvers.items()})
 
 
 def etdrk4p22if_kernel(u, t, k, reaction, solve_x, solve_y, pade=PADE):

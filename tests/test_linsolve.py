@@ -3,13 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.sparse as sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etdsplit.linsolve as linsolve
-import etdsplit.spatial as spatial
 from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
     EIGEN_COND_MAX,
@@ -18,20 +16,26 @@ from etdsplit.linsolve import (
     TensorEigenSolver,
     assemble_full,
     axis_eigenbasis,
-    axis_transform_basis,
-    axis_transform_solver,
+    axis_solver,
     factorize_full,
+    fold_halves,
     tensor_eigen_solver,
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
 from etdsplit.steppers import PADE, SMOOTHER
-from helpers import PocketfftSolver, dense_axis_operator, dense_reference_solve
+from helpers import dense_axis_operator, dense_reference_solve
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
 
 
 def _grid(bc=DIRICHLET, m=5, a=0.0, b=1.0):
     return Grid2D(a=a, b=b, m=m, bc=bc)
+
+
+def _maps(grid, diffusion, k, pole, *specs):
+    """The axis maps of specs, (axis, w, shift) each, as a split run builds them."""
+    solver = axis_solver(grid.p1d, diffusion, k, pole)
+    return solver, solver.axis_maps(fold_halves(axis_matrix(grid)), *specs)
 
 
 def _axis_solve(grid, diffusion, k, pole, axis, rhs):
@@ -41,15 +45,14 @@ def _axis_solve(grid, diffusion, k, pole, axis, rhs):
     recover the real and imaginary parts of the inverse applied to a real
     field.
     """
-    basis = axis_transform_basis(grid)
-    solver = axis_transform_solver(basis, diffusion, k, pole)
-    re, im = basis.forward(rhs.real), basis.forward(rhs.imag)
+    solver, (re_re, im_re, re_im, im_im) = _maps(
+        grid, diffusion, k, pole, *((axis, w, 0.0) for w in (0.5, 0.5j, -0.5j, 0.5)))
+    re, im = solver.forward(rhs.real), solver.forward(rhs.imag)
     scratch = np.empty(rhs.shape)
 
-    def part(w_re, w_im):
-        out = solver.axis_map(axis, w_re)(re, np.empty(rhs.shape), scratch)
-        return solver.axis_map(axis, w_im)(im, out, scratch, add=True)
-    return basis.inverse(part(0.5, 0.5j)) + 1j * basis.inverse(part(-0.5j, 0.5))
+    def part(on_re, on_im):
+        return on_im(im, on_re(re, np.empty(rhs.shape), scratch), scratch, add=True)
+    return solver.inverse(part(re_re, im_re)) + 1j * solver.inverse(part(re_im, im_im))
 
 
 def _dense_axis_solve(grid, diffusion, k, pole, axis, rhs):
@@ -77,14 +80,14 @@ def test_factorization_residual():
 
 
 def test_factorization_determinism():
-    basis = axis_transform_basis(_grid(m=6))
-    f1 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
-    f2 = axis_transform_solver(basis, (1.0,), 0.2, PADE.c2)
-    assert np.array_equal(f1.inv_symbol, f2.inv_symbol)
-    assert np.array_equal(f1.edge_in, f2.edge_in) and np.array_equal(f1.edge_a, f2.edge_a)
-    rhs = basis.forward(np.full((1, 6, 6), 0.3))
-    apply = lambda f: f.axis_map(AXIS_X, PADE.w11)(rhs, np.empty(rhs.shape), np.empty(rhs.shape))
-    assert np.array_equal(apply(f1), apply(f2))
+    grid = _grid(m=6)
+    spec = (AXIS_X, PADE.w11, 1.0)
+    (s1, (m1,)), (s2, (m2,)) = (_maps(grid, (1.0,), 0.2, PADE.c2, spec) for _ in range(2))
+    assert s1 == s2
+    assert all(np.array_equal(a, b) for a, b in zip(m1.blocks, m2.blocks))
+    rhs = s1.forward(np.full((1, 6, 6), 0.3))
+    apply = lambda m: m(rhs, np.empty(rhs.shape), np.empty(rhs.shape))
+    assert np.array_equal(apply(m1), apply(m2))
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
@@ -115,8 +118,7 @@ def test_axis_solve_zero_rhs_and_inverse_composition():
 
 
 def test_axis_solve_shape_mismatch():
-    solver = axis_transform_solver(axis_transform_basis(_grid(m=4)), (1.0,), 0.1, PADE.c1)
-    amap = solver.axis_map(AXIS_X, 1.0)
+    _, (amap,) = _maps(_grid(m=4), (1.0,), 0.1, PADE.c1, (AXIS_X, 1.0, 0.0))
     good = np.zeros((1, 4, 4))
     for shape in ((1, 5, 4), (1, 4, 5), (2, 4, 4), (4, 4)):
         bad = np.zeros(shape)
@@ -126,20 +128,20 @@ def test_axis_solve_shape_mismatch():
 
 
 def test_axis_validation():
-    basis = axis_transform_basis(_grid(m=4))
     with pytest.raises(ValidationError):
-        axis_transform_solver(basis, (1.0,), 0.0, PADE.c1)
-    solver = axis_transform_solver(basis, (1.0,), 0.1, PADE.c1)
+        axis_solver(4, (1.0,), 0.0, PADE.c1)
     with pytest.raises(ValidationError):
-        solver.axis_map("z", 1.0)
+        _maps(_grid(m=4), (1.0,), 0.1, PADE.c1, ("z", 1.0, 0.0))
+    with pytest.raises(SingularSystemError):  # a zero even half at a zero pole
+        axis_solver(4, (1.0,), 1.0, 0.0).axis_maps((np.zeros((2, 2)), np.eye(2)),
+                                                   (AXIS_X, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0])
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 def test_all_poles_nonsingular(k, bc):
-    basis = axis_transform_basis(_grid(bc=bc, m=5))
     for pole in ALL_POLES:
-        axis_transform_solver(basis, (1.0,), k, pole)  # must not raise
+        _maps(_grid(bc=bc, m=5), (1.0,), k, pole, (AXIS_X, 1.0, 0.0))  # must not raise
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,82 +159,50 @@ def test_transform_solve_matches_dense_shifted_solve(bc, m, diffusion, pole, axi
 
 
 @settings(max_examples=80, deadline=None)
-@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 12),
+@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 40),
        diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2, unique=True).map(tuple),
-       pole=st.sampled_from(ALL_POLES), axis=st.sampled_from((AXIS_X, AXIS_Y)),
-       k=st.floats(0.01, 1.0), w=st.complex_numbers(max_magnitude=10.0),
-       shift=st.floats(-2.0, 2.0), call=st.sampled_from(("new", "add", "aliased")),
-       parity=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, axis, k, w, shift, call,
-                                       parity, seed):
-    # axis_map(axis, w, shift) on fields in the basis's space, grid space or
-    # its even/odd basis, is on grid values the dense shift*I + 2*Re(w
-    # (k*A_axis - pole*I)^-1), into out, added to it, or written over its
-    # own input
+       pole=st.sampled_from(ALL_POLES), k=st.floats(0.01, 1.0),
+       w=st.complex_numbers(max_magnitude=10.0), shift=st.floats(-2.0, 2.0),
+       call=st.sampled_from(("new", "add", "aliased")), seed=st.integers(0, 2 ** 32 - 1))
+@example(bc=DIRICHLET, m=3, diffusion=(1.0,), pole=PADE.c1, k=0.5, w=1.0, shift=1.0,
+         call="new", seed=0)
+@example(bc=NEUMANN, m=40, diffusion=(2.0,), pole=SMOOTHER.e2, k=1.0, w=1.0, shift=0.0,
+         call="new", seed=0)
+def test_axis_map_matches_dense_oracle(bc, m, diffusion, pole, k, w, shift, call, seed):
+    # axis maps on fields in the solver's space, grid space (one read-only
+    # block) and its even/odd basis (an even and an odd read-only block),
+    # are on grid values shift*f + 2*Re(w (k*A_axis - pole*I)^-1 f) along
+    # either axis, by 1-D dense solves along the axis, into out, added to
+    # it, or written over their own input
     grid = _grid(bc=bc, m=m)
-    p = grid.p1d
-    basis = replace(axis_transform_basis(grid), parity=parity)
-    amap = axis_transform_solver(basis, diffusion, k, pole).axis_map(axis, w, shift)
-    rng = np.random.default_rng(seed)
-    f, start = rng.normal(size=(2, len(diffusion), p, p))
-    want, eye = np.empty(f.shape), np.eye(p * p)
-    for s in range(len(diffusion)):
-        inv = np.linalg.inv(k * dense_axis_operator(grid, diffusion, axis, s) - pole * eye)
-        want[s] = ((shift * eye + 2.0 * (w * inv).real) @ f[s].ravel()).reshape(p, p)
-    f_hat, scratch = basis.forward(f), np.empty(f.shape)
-    if call == "new":
-        got = amap(f_hat, np.empty(f.shape), scratch)
-    elif call == "add":
-        want += start
-        got = amap(f_hat, basis.forward(start), scratch, add=True)
-    else:
-        got = amap(f_hat, f_hat, scratch)
-        assert got is f_hat
-    assert np.max(np.abs(basis.inverse(got) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def _transform_residual(grid):
-    """max |F^-1 diag(lam) F + U V^T - B| / max |B| for the grid's basis and B.
-
-    F is the type-1 transform as a matrix; U and V come back from the basis's
-    transformed u_hat = F U and v_hat = F^-T V.
-    """
-    basis = axis_transform_basis(grid)
-    p = grid.p1d
-    fwd, inv = (scipy.fft.dst, scipy.fft.idst) if grid.bc == DIRICHLET else \
-        (scipy.fft.dct, scipy.fft.idct)
-    f, f_inv = fwd(np.eye(p), type=1, axis=0), inv(np.eye(p), type=1, axis=0)
-    rebuilt = f_inv @ (basis.lam[:, np.newaxis] * f)
-    if basis.u_hat is not None:
-        rebuilt += (f_inv @ basis.u_hat) @ (f.T @ basis.v_hat).T
+    p, species = grid.p1d, len(diffusion)
+    n, h = p // 2, p - p // 2
     b = axis_matrix(grid)
-    return np.max(np.abs(rebuilt - b)) / np.max(np.abs(b))
-
-
-@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
-def test_transform_basis_rebuilds_the_axis_matrix(bc):
-    # the transform path never builds B; this oracle checks what it derives
-    # from the grid against spatial.axis_matrix, which it matches to a few
-    # rounding errors
-    for m in range(3, 41):
-        assert _transform_residual(_grid(bc=bc, m=m, a=-0.3, b=2.1)) <= 1e-13
-
-
-@pytest.mark.parametrize("module", [spatial, linsolve])
-def test_transform_basis_oracle_sees_a_perturbed_dirichlet_edge(module, monkeypatch):
-    # B's edge row and the transform's copy of it are read from one constant;
-    # perturbing either side alone must break the identity.  The basis is
-    # cached per grid, so no basis built before or during the perturbation
-    # may outlive it.
-    edge = list(spatial._DIRICHLET_EDGE)
-    edge[1] += 1e-6
-    axis_transform_basis.cache_clear()
-    monkeypatch.setattr(module, "_DIRICHLET_EDGE", tuple(edge))
-    try:
-        assert _transform_residual(_grid(bc=DIRICHLET, m=8)) > 1e-13
-        assert _transform_residual(_grid(bc=NEUMANN, m=8)) <= 1e-13
-    finally:
-        axis_transform_basis.cache_clear()
+    rng = np.random.default_rng(seed)
+    f, start = rng.normal(size=(2, species, p, p))
+    solves = {axis: np.empty(f.shape, dtype=complex) for axis in (AXIS_X, AXIS_Y)}
+    for s, d in enumerate(diffusion):
+        mat = -k * d * b - pole * np.eye(p)
+        solves[AXIS_Y][s] = np.linalg.solve(mat, f[s])
+        solves[AXIS_X][s] = np.linalg.solve(mat, f[s].T).T
+    solver = axis_solver(p, diffusion, k, pole)
+    for parity, shapes in ((False, [(species, p, p)]), (True, [(species, h, h), (species, n, n)])):
+        solver = replace(solver, parity=parity)
+        for amap in solver.axis_maps(fold_halves(b), (AXIS_X, w, shift), (AXIS_Y, w, shift)):
+            assert [blk.shape for blk in amap.blocks] == shapes
+            assert not any(blk.flags.writeable for blk in amap.blocks)
+            want = shift * f + 2.0 * (w * solves[amap.axis]).real
+            f_hat, scratch = solver.forward(f), np.empty(f.shape)
+            if call == "new":
+                got = amap(f_hat, np.empty(f.shape), scratch)
+            elif call == "add":
+                want += start
+                got = amap(f_hat, solver.forward(start), scratch, add=True)
+            else:
+                got = amap(f_hat, f_hat, scratch)
+                assert got is f_hat
+            err = np.max(np.abs(solver.inverse(got) - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (parity, amap.axis)
 
 
 def _butterfly(p):
@@ -247,130 +217,32 @@ def _butterfly(p):
     return t
 
 
-@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("p", [5, 40, 128, 129])
 @pytest.mark.parametrize("species", [1, 2])
-def test_transform_paths_match_scipy(bc, p, species):
+def test_even_odd_paths_match_the_butterfly_matrix(p, species):
     # the basis is grid space up to the crossover and its even/odd basis
     # above it.  In grid space forward and inverse are the identity; in the
     # even/odd basis forward is T x T^T with T the butterfly, and inverse
-    # its inverse.  Either returns the field itself with overwrite_x and
-    # leaves its input alone without it.  An even/odd field's even part
-    # holds only scipy.fft's even wavenumbers, its odd part the odd ones
-    def basis_of(p):
-        return axis_transform_basis(_grid(bc=bc, m=p if bc == DIRICHLET else p - 2))
-
+    # its inverse.  Either writes a new array by default, leaving its input
+    # alone, or the out it is given, which may be its input
     for q in (p, GRID_SPACE_MAX_P, GRID_SPACE_MAX_P + 1):
-        assert basis_of(q).parity == (q > GRID_SPACE_MAX_P)
-    basis = basis_of(p)
+        assert axis_solver(q, (1.0,), 0.1, PADE.c1).parity == (q > GRID_SPACE_MAX_P)
     t = _butterfly(p)
     t_inv = np.linalg.inv(t)
     x = np.random.default_rng(p).normal(size=(species, p, p))
     for parity in (False, True):
-        path = replace(basis, parity=parity)
+        path = replace(axis_solver(p, (1.0,), 0.1, PADE.c1), parity=parity)
         wants = (t @ x @ t.T, t_inv @ x @ t_inv.T) if parity else (x, x)
         for method, want in zip((path.forward, path.inverse), wants):
             kept = x.copy()
             got = method(x)
             assert np.array_equal(x, kept) and not np.shares_memory(got, x), parity
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), parity
+            buf = np.empty_like(x)
+            assert method(x, buf) is buf and np.array_equal(buf, got), parity
+            assert np.array_equal(x, kept), parity
             buf = x.copy()
-            assert method(buf, overwrite_x=True) is buf and np.array_equal(buf, got), parity
-    h = p - p // 2
-    dst = scipy.fft.dstn if bc == DIRICHLET else scipy.fft.dctn
-    for rows, cols in ((slice(0, h), slice(0, h)), (slice(0, h), slice(h, p)),
-                       (slice(h, p), slice(0, h)), (slice(h, p), slice(h, p))):
-        part = np.zeros_like(x)
-        part[..., rows, cols] = x[..., rows, cols]
-        spectrum = dst(replace(basis, parity=True).inverse(part), type=1, axes=(-2, -1))
-        row_parity, col_parity = int(rows.start > 0), int(cols.start > 0)
-        spectrum[..., row_parity::2, col_parity::2] = 0.0
-        assert np.max(np.abs(spectrum)) <= 1e-13 * np.max(np.abs(x)), (rows, cols)
-
-
-def _scipy_edge_terms(grid):
-    """u_hat and v_hat as scipy.fft's DST-I of the edge unit vectors and edge rows builds them."""
-    p, c, s = grid.p1d, 12.0 * grid.h * grid.h, spatial.INTERIOR_STENCIL
-    n = min(p, 4)
-    reflected, edge = np.zeros(p), np.zeros(p)
-    reflected[:n] = (s[2] - s[0], s[3], s[4], 0.0)[:n]
-    edge[:n] = spatial._DIRICHLET_EDGE[:n]
-    first = (-reflected / c) + (edge / c)
-    unit = np.zeros((p, 2))
-    unit[0, 0] = unit[p - 1, 1] = 1.0
-    return (scipy.fft.dst(unit, type=1, axis=0),
-            scipy.fft.idst(np.stack([first, first[::-1]], axis=1), type=1, axis=0))
-
-
-@settings(max_examples=80, deadline=None)
-@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), p=st.integers(3, 300),
-       width=st.floats(0.01, 100.0))
-@example(bc=DIRICHLET, p=3, width=1.0)
-@example(bc=NEUMANN, p=3, width=1.0)
-@example(bc=DIRICHLET, p=300, width=1.0)
-@example(bc=NEUMANN, p=300, width=1.0)
-def test_closed_form_transforms_match_scipy(bc, p, width):
-    # the explicit type-1 matrix (and its inverse, over type1_norm) is
-    # scipy.fft's dst/dct of the identity, any subset of its columns is
-    # those columns, and the Dirichlet basis's closed-form edge terms are
-    # the scipy.fft construction they replace
-    fwd, inv = (scipy.fft.dst, scipy.fft.idst) if bc == DIRICHLET else \
-        (scipy.fft.dct, scipy.fft.idct)
-    f = linsolve.type1_matrix(bc, p)
-    for got, want in ((f, fwd(np.eye(p), type=1, axis=0)),
-                      (f / linsolve.type1_norm(bc, p), inv(np.eye(p), type=1, axis=0))):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    cols = np.r_[0:min(p, 4), p - min(p, 4):p]
-    assert np.array_equal(linsolve.type1_matrix(bc, p, cols), f[:, cols])
-    if bc == NEUMANN:
-        if p >= 5:
-            assert axis_transform_basis(_grid(bc=bc, m=p - 2, b=width)).u_hat is None
-        return
-    grid = _grid(bc=bc, m=p, b=width)
-    basis = axis_transform_basis(grid)
-    for got, want in zip((basis.u_hat, basis.v_hat), _scipy_edge_terms(grid)):
-        assert got.shape == want.shape == (p, 2) and not got.flags.writeable
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@settings(max_examples=80, deadline=None)
-@given(bc=st.sampled_from((DIRICHLET, NEUMANN)), m=st.integers(3, 40),
-       diffusion=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=2).map(tuple),
-       pole=st.sampled_from(ALL_POLES), k=st.floats(0.01, 1.0),
-       w=st.complex_numbers(max_magnitude=10.0), shift=st.floats(-2.0, 2.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(bc=DIRICHLET, m=3, diffusion=(1.0,), pole=PADE.c1, k=0.5, w=1.0, shift=1.0, seed=0)
-@example(bc=NEUMANN, m=40, diffusion=(0.5, 1.5), pole=PADE.c2, k=0.5, w=1j, shift=0.0, seed=0)
-def test_grid_space_maps_match_pocketfft_maps(bc, m, diffusion, pole, k, w, shift, seed):
-    # a map of one read-only block in grid space, and of an even and an odd
-    # read-only block in the even/odd basis, acts as the transform-space
-    # oracle's inverse(map(forward(f))) along either axis, into out or added
-    # to it.  The even/odd butterfly round trip is exact to rounding
-    grid = _grid(bc=bc, m=m)
-    p = grid.p1d
-    n, h = p // 2, p - p // 2
-    species = len(diffusion)
-    grid_basis = axis_transform_basis(grid)
-    assert not grid_basis.parity
-    oracle = PocketfftSolver(axis_transform_solver(grid_basis, diffusion, k, pole))
-    f, start = np.random.default_rng(seed).normal(size=(2, species, p, p))
-    scratch = np.empty(f.shape)
-    parity_basis = replace(grid_basis, parity=True)
-    back = parity_basis.inverse(parity_basis.forward(f))
-    assert np.max(np.abs(back - f)) <= 1e-15 * np.max(np.abs(f))
-    fft = oracle.basis
-    for basis, shapes in ((grid_basis, [(species, p, p)]),
-                          (parity_basis, [(species, h, h), (species, n, n)])):
-        solver = axis_transform_solver(basis, diffusion, k, pole)
-        for axis in (AXIS_X, AXIS_Y):
-            amap, tmap = solver.axis_map(axis, w, shift), oracle.axis_map(axis, w, shift)
-            assert [b.shape for b in amap.blocks] == shapes
-            assert not any(b.flags.writeable for b in amap.blocks)
-            for add in (False, True):
-                got = basis.inverse(amap(basis.forward(f), basis.forward(start), scratch, add=add))
-                want = fft.inverse(tmap(fft.forward(f), fft.forward(start), scratch, add=add))
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
-                    (basis.parity, axis, add)
+            assert method(buf, buf) is buf and np.array_equal(buf, got), parity
 
 
 def test_full_solve_matches_dense():

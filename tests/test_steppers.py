@@ -15,12 +15,11 @@ from etdsplit.errors import DivergenceError, ValidationError
 from etdsplit.linsolve import (
     AxisEigenbasis,
     AxisMap,
-    AxisTransformBasis,
-    AxisTransformSolver,
+    AxisSolver,
     FullOperator,
     SparseFactorization,
     TensorEigenSolver,
-    axis_transform_basis,
+    axis_solver,
     factorize_full,
 )
 from etdsplit.problems import ProblemSpec, discretize, make_problem
@@ -53,7 +52,6 @@ from helpers import (
     dense_full_solvers,
     etdrk4p22if_kernel,
     exact_etdrk4_reference_step,
-    pocketfft_plan,
     rational_r03,
     rational_r22,
     smoother_kernel,
@@ -64,13 +62,13 @@ from helpers import (
 # ---- plan construction ----
 
 def test_plan_axis_factorization_keys():
-    # one transform-space inverse per pole, covering both axes and species
+    # one axis solver per pole, covering both axes and species, in one basis
     disc = discretize(make_problem("brusselator"), 4)
     plan = build_plan(ETDRK4P22IF, disc, 0.1)
     assert set(plan.solvers) == {"c1", "c2"}
-    assert all(isinstance(f, AxisTransformSolver) for f in plan.solvers.values())
-    assert all(f.inv_symbol.shape == (2, 6) for f in plan.solvers.values())
-    assert len({id(f.basis) for f in plan.solvers.values()}) == 1
+    assert all(isinstance(f, AxisSolver) for f in plan.solvers.values())
+    assert all(f.kd == (0.1 * 2e-3,) * 2 for f in plan.solvers.values())
+    assert {f.parity for f in plan.solvers.values()} == {False}
 
 
 def test_plan_pole_sets_per_scheme():
@@ -112,8 +110,8 @@ def test_plan_rebuild_identical_pole_set():
 
 @pytest.mark.parametrize("name", ["model_dirichlet", "model_neumann"])
 def test_split_plan_memory_is_linear_in_p(name):
-    # the split plan derives B's symbol and edge rows from the grid and never
-    # builds B: a dense B alone would take 32 MB at m = 2000
+    # the split plan holds no array; a run builds B when it starts: a dense
+    # B alone would take 32 MB at m = 2000
     tracemalloc.start()
     try:
         build_plan(ETDRK4P22IF, discretize(make_problem(name), 2000), 0.1)
@@ -529,8 +527,8 @@ def test_integrate_equals_manual_steps():
 @pytest.fixture
 def parity_plans(monkeypatch):
     """Split plans built from here on run in the even/odd basis, two blocks per map, whatever p."""
-    monkeypatch.setattr(steppers, "axis_transform_basis",
-                        lambda grid: replace(axis_transform_basis(grid), parity=True))
+    monkeypatch.setattr(steppers, "axis_solver",
+                        lambda *args: replace(axis_solver(*args), parity=True))
 
 
 @pytest.mark.parametrize("name", ["enzyme", "brusselator"])
@@ -557,13 +555,13 @@ def test_split_step_transform_count(monkeypatch, parity_plans, name):
     calls = []
 
     def counting(method):
-        original = getattr(AxisTransformBasis, method)
+        original = getattr(AxisSolver, method)
 
         def wrapper(self, *args, **kwargs):
             calls.append(method)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(AxisTransformBasis, method, wrapper)
+        monkeypatch.setattr(AxisSolver, method, wrapper)
 
     counting("forward")
     counting("inverse")
@@ -599,27 +597,25 @@ def test_split_step_transform_count(monkeypatch, parity_plans, name):
 
 
 @pytest.mark.parametrize("name,m", [("model_dirichlet", 9), ("brusselator", 7)])
-def test_dense_and_pocketfft_split_steps_agree(name, m):
+def test_one_and_two_block_split_steps_match_dense_solves(name, m):
     # the grid picks grid space, where each map is one dense matrix; the
-    # same plan stepped in the even/odd basis, two blocks per map, and in
-    # the oracle's pocketfft transform space gives the same states to
-    # rounding
+    # same plan stepped in the even/odd basis, two blocks per map, gives the
+    # states of the 22-solve sequence on dense Kronecker solves to rounding
     disc = discretize(make_problem(name), m)
-    plan = build_plan(ETDRK4P22IF, disc, 0.05)
-    basis = plan.solvers["c1"].basis
-    assert not basis.parity
-    parity_basis = replace(basis, parity=True)
-    parity_plan = replace(plan, solvers={pole: replace(s, basis=parity_basis)
+    k = 0.05
+    plan = build_plan(ETDRK4P22IF, disc, k)
+    assert not any(s.parity for s in plan.solvers.values())
+    parity_plan = replace(plan, solvers={pole: replace(s, parity=True)
                                          for pole, s in plan.solvers.items()})
-    states = []
-    for p in (plan, parity_plan, pocketfft_plan(plan)):
+    solve_x, solve_y = dense_axis_solvers(disc.grid, disc.spec.diffusion, k)
+    dense = disc.initial()
+    for step in range(4):
+        dense = etdrk4p22if_kernel(dense, step * k, k, disc.reaction, solve_x, solve_y)
+    for p in (plan, parity_plan):
         u, work = disc.initial(), SplitWork(p)
         for step in range(4):
-            u = etdrk4p22if_step(p, u, step * 0.05, work)
-        states.append(u)
-    one_block, two_blocks, fft = states
-    for got in (one_block, two_blocks):
-        assert np.max(np.abs(got - fft)) <= 1e-13 * np.max(np.abs(fft))
+            u = etdrk4p22if_step(p, u, step * k, work)
+        assert np.max(np.abs(u - dense)) <= 1e-13 * np.max(np.abs(dense)), p is plan
 
 
 def test_split_plans_on_one_grid_share_a_read_only_basis():
@@ -628,11 +624,13 @@ def test_split_plans_on_one_grid_share_a_read_only_basis():
     disc, again = (discretize(make_problem("brusselator"), 7) for _ in range(2))
     assert disc.grid == again.grid and disc.grid is not again.grid
     plan = build_plan(ETDRK4P22IF, disc, 0.05)
-    basis = plan.solvers["c1"].basis
-    assert build_plan(ETDRK4P22IF, again, 0.1).solvers["c1"].basis is basis
+    solvers = [*plan.solvers.values(), *build_plan(ETDRK4P22IF, again, 0.1).solvers.values()]
+    assert {s.parity for s in solvers} == {False}
+    with pytest.raises(AttributeError):
+        solvers[0].parity = True
     matrices = [block for m in SplitWork(plan).maps for block in m.blocks]
-    assert not basis.parity and len(matrices) == 10
-    for a in (basis.lam, *matrices):
+    assert len(matrices) == 10
+    for a in matrices:
         with pytest.raises(ValueError):
             a[0] = 1.0
 
