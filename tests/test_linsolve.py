@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,14 +218,25 @@ def _butterfly(p):
     return t
 
 
+def _parity_blocks(p):
+    """Rows of the even/odd basis that hold the even part, and those that hold the odd."""
+    half = (p + 1) // 2
+    return slice(0, half), slice(half, p)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("p", [5, 40, 128, 129])
 @pytest.mark.parametrize("species", [1, 2])
-def test_even_odd_paths_match_the_butterfly_matrix(p, species):
+def test_transform_paths_match_scipy(bc, p, species):
     # the basis is grid space up to the crossover and its even/odd basis
     # above it.  In grid space forward and inverse are the identity; in the
     # even/odd basis forward is T x T^T with T the butterfly, and inverse
     # its inverse.  Either writes a new array by default, leaving its input
-    # alone, or the out it is given, which may be its input
+    # alone, or the out it is given, which may be its input.  The even/odd
+    # basis splits scipy.fft's type-1 spectrum of the boundary kind by
+    # parity: with F that transform, G = F T^-1 sends the even rows only to
+    # even modes and the odd rows only to odd modes, and F x F^T is
+    # G forward(x) G^T
     for q in (p, GRID_SPACE_MAX_P, GRID_SPACE_MAX_P + 1):
         assert axis_solver(q, (1.0,), 0.1, PADE.c1).parity == (q > GRID_SPACE_MAX_P)
     t = _butterfly(p)
@@ -243,6 +255,23 @@ def test_even_odd_paths_match_the_butterfly_matrix(p, species):
             assert np.array_equal(x, kept), parity
             buf = x.copy()
             assert method(buf, buf) is buf and np.array_equal(buf, got), parity
+
+    fwd, inv = (scipy.fft.dstn, scipy.fft.idstn) if bc == DIRICHLET else \
+        (scipy.fft.dctn, scipy.fft.idctn)
+    transform = scipy.fft.dst if bc == DIRICHLET else scipy.fft.dct
+    g = transform(np.eye(p), type=1, axis=0) @ t_inv
+    even, odd = _parity_blocks(p)
+    scale = np.max(np.abs(g))
+    assert np.max(np.abs(g[0::2, odd]), initial=0.0) <= 1e-13 * scale
+    assert np.max(np.abs(g[1::2, even]), initial=0.0) <= 1e-13 * scale
+    path = replace(axis_solver(p, (1.0,), 0.1, PADE.c1), parity=True)
+    spectrum = fwd(x, type=1, axes=(-2, -1))
+    got = g @ path.forward(x) @ g.T
+    assert np.max(np.abs(got - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
+    g_inv = np.linalg.inv(g)
+    want = inv(spectrum, type=1, axes=(-2, -1))
+    got = path.inverse(g_inv @ spectrum @ g_inv.T)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_full_solve_matches_dense():
