@@ -24,18 +24,15 @@ Three solve paths exist, matching the scheme families:
   Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).  With the real
   eigendecomposition B = V diag(lam) V^-1 of the dense spatial.axis_matrix,
   assembled from the eigenproblems of the same folded halves, forward is
-  V^-1 R V^-T and inverse V X V^T per species block, and a solve is
-  forward, times 1 / (-k d (lam_i + lam_j) - shift), then inverse: four
-  real p x p matrix products.
+  V^-1 R V^-T and inverse V X V^T per species block, two real p x p matrix
+  products each, and there the inverse is the product with the symbol
+  1 / (-k d (lam_i + lam_j) - shift).  Schemes keep fields transformed.
 
 * Sparse LU of the full 2-D operator, block-diagonal over species, for the
   unsplit fourth-order scheme, the sparse-direct baseline the split scheme
-  is measured against.  assemble_full converts the dense B to CSR.  Only
-  this family uses scipy.sparse: assemble_full and factorize_full import it
-  when first called.
-
-No scipy module is imported with this module: only the sparse baseline
-loads scipy.sparse.
+  is measured against.  assemble_full converts the dense B to CSR.  No
+  scipy module is imported with this module: only this family uses
+  scipy.sparse, and assemble_full and factorize_full import it when called.
 
 Solvers are built once per (step size, pole) and reused for every time
 step; all kinds are immutable.  A split run builds its maps once, when it
@@ -331,10 +328,10 @@ def factorize_full(op: FullOperator, k: float, shift) -> SparseFactorization:
 class AxisEigenbasis:
     """Real eigendecomposition B = V diag(lam) V^-1 of the 1-D operator.
 
-    forward and inverse, the one way an eigen solve applies, take fields to
-    and from it.  All four matrices are stored C-contiguous, the transposes
-    too: a product with a contiguous right factor runs about a third faster
-    than with a transposed view at p = 79.
+    forward and inverse, the one way an eigen-family operator applies,
+    take fields to and from it.  All four matrices are stored C-contiguous,
+    the transposes too: a product with a contiguous right factor runs about
+    a third faster than with a transposed view at p = 79.
     """
 
     lam: np.ndarray
@@ -403,28 +400,16 @@ def _butterfly(even: np.ndarray, odd: np.ndarray, pair: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorEigenSolver:
-    """(k*A - shift*I)^-1 for the full 2-D operator, applied in B's eigenbasis.
+    """(k*A - shift*I)^-1 for the full 2-D operator: in basis, the product with inv_symbol.
 
-    inv_symbol[s, i, j] = 1 / (-k d_s (lam_i + lam_j) - shift) is the
-    inverse of the operator's eigenvalue grid for species s.
+    inv_symbol[s, i, j] = 1 / (-k d_s (lam_i + lam_j) - shift), species s's inverse eigenvalues.
     """
 
     basis: AxisEigenbasis
     inv_symbol: np.ndarray  # (species, p, p), real or complex with the shift
 
-    @property
-    def shape(self) -> tuple:
-        return self.inv_symbol.shape
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs)
-        if rhs.shape != self.shape:
-            raise ShapeError(f"rhs shape {rhs.shape}, expected {self.shape}")
-        return self.basis.inverse(self.basis.forward(rhs) * self.inv_symbol)
-
-
-def tensor_eigen_solver(basis: AxisEigenbasis, diffusion, k: float,
-                        shift) -> TensorEigenSolver:
+def tensor_eigen_solver(basis: AxisEigenbasis, diffusion, k: float, shift) -> TensorEigenSolver:
     """Eigen-solver of (k*A - shift*I), one eigenvalue grid per species."""
     if not k > 0:
         raise ValidationError(f"need k > 0, got {k}")

@@ -42,7 +42,7 @@ Schemes:
   A step makes five forward and four inverse transforms and no solve.
 * ``sbdf4``       -- fourth-order semi-implicit BDF baseline with a
   first-order semi-implicit startup (sbdf1_step) run at a 2000x finer
-  substep; its 2-D solves also run in the 1-D eigenbasis.
+  substep.  A run keeps its state and history in B's eigenbasis too.
 
 All rational functions are applied through partial fractions, as U plus
 2*Re(w (kA - c)^-1) terms at complex poles c: axis maps (split), sparse
@@ -170,10 +170,9 @@ class StepPlan:
     the row's family: an axis solver covering both axes and every species
     (split scheme; it holds no array, carries the step's basis as .forward
     and .inverse and applies through the axis maps a run builds), a sparse
-    LU factorization (etdrk4p22) or an eigen-solver sharing one 1-D
-    eigenbasis (presmoother and SBDF schemes).
-    The last two solve with .solve(rhs), but the presmoother steps with the
-    eigen-solvers' .basis and .inv_symbol.  Plans are immutable.
+    LU factorization (etdrk4p22; .solve(rhs)) or an eigen-solver sharing one
+    1-D eigenbasis (presmoother and SBDF schemes; .basis and .inv_symbol).
+    Plans are immutable.
     """
 
     k: float
@@ -203,7 +202,7 @@ def scheme_entry(scheme: str, k: float = 1.0) -> tuple:
         SMOOTHER_ONLY: ("eigen", {"f1": (k, sm.f1), "f2": (k, sm.f2),
                                   "e1": (k, sm.e1), "e2": (k, sm.e2)},
                         lambda plan: partial(smoother_step, plan)),
-        # Main solve (25 I + 12 k A); startup substep solve (I + k/2000 A).
+        # Main step's (25 I + 12 k A); startup substep's (I + k/2000 A).
         SBDF4: ("eigen", {"sbdf4": (12.0 * k, -25.0),
                           "sbdf1": (k / SBDF_STARTUP_SUBSTEPS, -1.0)}, _sbdf4_run),
     }[scheme]
@@ -336,10 +335,16 @@ def smoother_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
     return inv(r * u_hat + q2 * fn + q3 * (fa + fb) + q4 * fc)
 
 
-def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float) -> np.ndarray:
-    """One sbdf4 startup substep: (I + k0 A) U' = U + k0 F(U, t), k0 = k/2000."""
-    k0 = plan.k / SBDF_STARTUP_SUBSTEPS
-    return plan.solvers["sbdf1"].solve(u + k0 * plan.disc.reaction(u, t))
+def sbdf1_step(plan: StepPlan, u: np.ndarray, t: float, u_hat: np.ndarray) -> tuple:
+    """One sbdf4 startup substep, (I + k0 A) U' = U + k0 F(U, t) with k0 = k/2000.
+
+    u'^ = sig1 (u^ + k0 N(u)^) in B's eigenbasis, sig1 the sbdf1 pole's inv_symbol and
+    u_hat u's transform.  Returns U', its transform and N(U, t)'s.
+    """
+    solver, basis = plan.solvers["sbdf1"], plan.solvers["sbdf1"].basis
+    fn = basis.forward(plan.disc.reaction(u, t))
+    u_hat = solver.inv_symbol * (u_hat + plan.k / SBDF_STARTUP_SUBSTEPS * fn)
+    return basis.inverse(u_hat), u_hat, fn
 
 
 def _check_step(k: float) -> None:
@@ -400,27 +405,35 @@ def _march(u: np.ndarray, k: float, steps, snapshot_every=None, snapshot_cb=None
 
 
 def _sbdf4_run(plan: StepPlan) -> Callable:
-    """One sbdf4 run's step(u, t); it keeps the last four states and reaction values.
+    """One sbdf4 run's step(u, t), its last four states and reaction values kept transformed.
 
     The first three steps each cross one interval in SBDF_STARTUP_SUBSTEPS
-    sbdf1 substeps; every later step is one BDF4 solve.
+    sbdf1 substeps, the first of which gives the interval's N(u)^; every
+    later step is u'^ = sig4 (48 u^_3 - 36 u^_2 + 16 u^_1 - 3 u^_0 + k (48 N^_3
+    - 72 N^_2 + 48 N^_1 - 12 N^_0)), sig4 the sbdf4 pole's inv_symbol.  A step
+    from the array the last step returned, kept[0], starts from its transform kept[1].
     """
-    hist_u, hist_f = [], []
+    sbdf4, hist_u, hist_f, kept = plan.solvers["sbdf4"], [], [], [None, None]
 
     def step(u, t):
-        hist_u.append(u)
-        hist_f.append(plan.disc.reaction(u, t))
+        u_hat = kept[1] if u is kept[0] else sbdf4.basis.forward(u)
+        hist_u.append(u_hat)
         if len(hist_u) < 4:
-            k0 = plan.k / SBDF_STARTUP_SUBSTEPS
-            for _ in range(SBDF_STARTUP_SUBSTEPS):
-                u = sbdf1_step(plan, u, t)
-                t += k0
-            return u
-        rhs = (48.0 * hist_u[3] - 36.0 * hist_u[2] + 16.0 * hist_u[1] - 3.0 * hist_u[0]
-               + plan.k * (48.0 * hist_f[3] - 72.0 * hist_f[2] + 48.0 * hist_f[1]
-                           - 12.0 * hist_f[0]))
-        del hist_u[0], hist_f[0]
-        return plan.solvers["sbdf4"].solve(rhs)
+            for i in range(SBDF_STARTUP_SUBSTEPS):
+                u, u_hat, fn = sbdf1_step(plan, u, t, u_hat)
+                if i == 0:
+                    hist_f.append(fn)
+                t += plan.k / SBDF_STARTUP_SUBSTEPS
+        else:
+            hist_f.append(sbdf4.basis.forward(plan.disc.reaction(u, t)))
+            u_hat = sbdf4.inv_symbol * (
+                48.0 * hist_u[3] - 36.0 * hist_u[2] + 16.0 * hist_u[1] - 3.0 * hist_u[0]
+                + plan.k * (48.0 * hist_f[3] - 72.0 * hist_f[2] + 48.0 * hist_f[1]
+                            - 12.0 * hist_f[0]))
+            del hist_u[0], hist_f[0]
+            u = sbdf4.basis.inverse(u_hat)
+        kept[:] = u, u_hat
+        return u
     return step
 
 

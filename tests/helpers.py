@@ -9,9 +9,11 @@ exponential step with true matrix exponentials, the published
 22-entry split-step sequence, the 12-entry presmoothing sequence, and
 dense-solve stand-ins for a plan's solvers, so the step functions and the
 two sequences run against numpy.linalg.solve instead of the axis-map,
-sparse or eigenbasis solves.  Also a convergence report's CSV text and its
-parse back to rows, and a field CSV written in blocks of whole rows, the
-way the CLI once wrote it.
+sparse or eigenbasis solves; inverses refined in long double, and an sbdf4
+run in long double through them.  Also a convergence report's CSV text and
+its parse back to rows, a field CSV written in blocks of whole rows, the
+way the CLI once wrote it, and eigen_solve, no oracle but the package's
+eigen family applied as its schemes apply it, for that path's tests.
 """
 
 import csv
@@ -26,7 +28,7 @@ from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import FullOperator
 from etdsplit.problems import DiscretizedProblem, ProblemSpec, discretize
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, Grid2D, axis_matrix
-from etdsplit.steppers import PADE, SMOOTHER
+from etdsplit.steppers import PADE, SBDF_STARTUP_SUBSTEPS, SMOOTHER
 
 
 _DENSE_CAP = 64 * 64
@@ -332,6 +334,68 @@ def rational_r03(m: np.ndarray) -> np.ndarray:
     eye = np.eye(m.shape[0])
     den = 6.0 * eye + 6.0 * m + 3.0 * (m @ m) + m @ m @ m
     return 6.0 * np.linalg.inv(den)
+
+
+def eigen_solve(solver, rhs: np.ndarray) -> np.ndarray:
+    """(k*A - shift*I)^-1 rhs through an eigen-solver: forward, times inv_symbol, inverse."""
+    return solver.basis.inverse(solver.basis.forward(rhs) * solver.inv_symbol)
+
+
+def refined_inverse(mat: np.ndarray, steps: int = 2) -> np.ndarray:
+    """mat^-1 in long double: numpy's inverse refined by Newton-Schulz steps.
+
+    Each step X <- X (2I - mat X) squares the residual I - mat X, so two
+    steps from a double-precision inverse reach long double's rounding.
+    mat may be given in long double.  Returns np.longdouble, or
+    np.clongdouble for a complex mat.
+    """
+    wide = np.asarray(mat).astype(np.clongdouble if np.iscomplexobj(mat) else np.longdouble)
+    x = np.linalg.inv(wide.astype(complex if np.iscomplexobj(mat) else float)).astype(wide.dtype)
+    two = 2.0 * np.eye(len(wide), dtype=wide.dtype)
+    for _ in range(steps):
+        x = x @ (two - wide @ x)
+    return x
+
+
+def sbdf4_long_double_reference(disc: DiscretizedProblem, k: float, T: float) -> np.ndarray:
+    """An sbdf4 run to T in long double, through dense refined inverses.
+
+    The same scheme as the package's run: three startup intervals of
+    SBDF_STARTUP_SUBSTEPS substeps U' = (k0 A + I)^-1 (U + k0 F(U)), with
+    k0 = k/SBDF_STARTUP_SUBSTEPS rounded as the plan rounds it, then main
+    steps U' = (12 k A + 25 I)^-1 (48 U_3 - 36 U_2 + 16 U_1 - 3 U_0
+    + k (48 F_3 - 72 F_2 + 48 F_1 - 12 F_0)).  A is the dense full operator
+    per species.  Both shifted matrices are formed in long double, as
+    I + k0 A rounded to double would lose the low digits of k0 A, and
+    inverted by refined_inverse.  The reaction is evaluated in long double
+    at t = 0, so only time-independent reactions apply.  Returns float64.
+    """
+    grid, diffusion = disc.grid, disc.spec.diffusion
+    p, n = grid.p1d, grid.p1d ** 2
+    k0, k4 = np.longdouble(k / SBDF_STARTUP_SUBSTEPS), np.longdouble(12.0 * k)
+    eye = np.eye(n, dtype=np.longdouble)
+    a = [dense_full_operator(grid, diffusion, s).astype(np.longdouble)
+         for s in range(len(diffusion))]
+    x1 = np.stack([refined_inverse(k0 * op + eye) for op in a])
+    x4 = np.stack([refined_inverse(k4 * op + 25 * eye) for op in a])
+
+    def reaction(u):
+        return disc.spec.reaction(u.reshape(-1, p, p), 0.0).reshape(-1, n, 1)
+
+    u = disc.initial().astype(np.longdouble).reshape(-1, n, 1)
+    hist_u, hist_f = [], []
+    for _ in range(round(T / k)):
+        hist_u.append(u)
+        hist_f.append(reaction(u))
+        if len(hist_u) < 4:
+            for _ in range(SBDF_STARTUP_SUBSTEPS):
+                u = x1 @ (u + k0 * reaction(u))
+            continue
+        u = x4 @ (48 * hist_u[3] - 36 * hist_u[2] + 16 * hist_u[1] - 3 * hist_u[0]
+                  + np.longdouble(k) * (48 * hist_f[3] - 72 * hist_f[2] + 48 * hist_f[1]
+                                        - 12 * hist_f[0]))
+        del hist_u[0], hist_f[0]
+    return u.reshape(-1, p, p).astype(float)
 
 
 def zero_reaction_problem(base: str = "model_dirichlet") -> ProblemSpec:
