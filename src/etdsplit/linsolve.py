@@ -16,8 +16,9 @@ Three solve paths exist, matching the scheme families:
   transformed (Trefethen, Spectral Methods in MATLAB, SIAM 2000).  Above
   it fields live in grid space's even/odd basis and each map is the two
   half-size blocks: applying them takes half the flops of one p x p
-  product, and a 2-D transform is an O(p^2) butterfly.  A split plan is
-  built, and steps, with numpy alone.
+  product, and a 2-D transform is an O(p^2) butterfly; in grid space one
+  done in place costs nothing.  The maps check no shape, as the split step
+  checks its input once.  A split plan is built, and steps, with numpy alone.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -115,7 +116,8 @@ class AxisSolver:
         """field in the basis, written to out (a new array by default), which may be field."""
         out = np.empty_like(field) if out is None else out
         if not self.parity:
-            np.copyto(out, field)
+            if out is not field:  # in place, grid space costs nothing
+                np.copyto(out, field)
             return out
         p = field.shape[-1]
         middle = slice(p // 2, p - p // 2)  # empty for even p
@@ -128,7 +130,8 @@ class AxisSolver:
         """Inverse of forward, written to out (a new array by default), which may be coeffs."""
         out = np.empty_like(coeffs) if out is None else out
         if not self.parity:
-            np.copyto(out, coeffs)
+            if out is not coeffs:  # in place, grid space costs nothing
+                np.copyto(out, coeffs)
             return out
         _pair(coeffs, out)
         out *= 0.25
@@ -176,7 +179,7 @@ class AxisSolver:
                 raise ValidationError(f"unknown axis {axis!r}")
             mats = tuple(2.0 * (w * x).real + shift * np.eye(x.shape[-1]) for x in along[axis])
             _read_only(*mats)
-            maps.append(AxisMap(axis, (species, h + n, h + n), mats))
+            maps.append(AxisMap(axis, mats))
         return tuple(maps)
 
 
@@ -229,32 +232,33 @@ class AxisMap:
     one (species, p, p) block in grid space, or in the even/odd basis an
     even block (species, h, h) and an odd block (species, n, n), with
     n = p//2 and h = p - n.  Each block maps its part of the field along
-    the axis: f @ block along x, else block @ f.
+    the axis: f @ block along x, else block @ f.  A call checks no shape:
+    etdrk4p22if_step checks its u once, and maps only its run's buffers.
     """
 
     axis: str
-    shape: tuple    # (species, p, p)
     blocks: tuple
 
     def __call__(self, f: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                  add: bool = False) -> np.ndarray:
-        """out = map(f), or out += map(f) when add; out may be f, scratch neither."""
-        for g in (f, out, scratch):
-            if g.shape != self.shape:
-                raise ShapeError(f"field shape {g.shape}, expected {self.shape}")
-        along_x = self.axis == AXIS_X
-        parts = [(f, out, scratch)]
-        if len(self.blocks) == 2:  # the even part leads along the axis, the odd part follows
+        """out = map(f), or out += map(f) when add; out may be f, scratch neither.
+
+        One block is one np.matmul.  Two (the even part leads along the axis)
+        write to out, or with add to scratch, then added to out in one pass.
+        """
+        target = scratch if add else out  # numpy buffers f when target is f
+        if len(self.blocks) == 1:
+            left, right = (f, self.blocks[0]) if self.axis == AXIS_X else (self.blocks[0], f)
+            np.matmul(left, right, out=target)
+        else:
             h = self.blocks[0].shape[-1]
-            halves = (slice(None, h), slice(h, None))
-            parts = [tuple(g[..., half] if along_x else g[..., half, :] for g in parts[0])
-                     for half in halves]
-        for (f_part, out_part, scratch_part), block in zip(parts, self.blocks):
-            left, right = (f_part, block) if along_x else (block, f_part)
-            if add:
-                np.add(out_part, np.matmul(left, right, out=scratch_part), out=out_part)
-            else:
-                np.matmul(left, right, out=out_part)  # numpy buffers f when out is f
+            for half, block in zip((slice(None, h), slice(h, None)), self.blocks):
+                if self.axis == AXIS_X:
+                    np.matmul(f[..., half], block, out=target[..., half])
+                else:
+                    np.matmul(block, f[..., half, :], out=target[..., half, :])
+        if add:
+            np.add(out, scratch, out=out)
         return out
 
 

@@ -78,11 +78,13 @@ def _flat_initial(x, y):
 
 def _brusselator_reaction(w, t):
     u, v = w[0], w[1]
-    uuv = u * u * v
-    return np.stack([
-        BRUSSELATOR_ALPHA + uuv - (BRUSSELATOR_BETA + 1.0) * u,
-        BRUSSELATOR_BETA * u - uuv,
-    ])
+    uuv = u * u
+    uuv *= v
+    out = np.empty(w.shape, np.result_type(uuv, BRUSSELATOR_ALPHA))
+    np.multiply(BRUSSELATOR_BETA + 1.0, u, out=out[1])  # out[1] holds (beta+1) u first
+    np.subtract(np.add(BRUSSELATOR_ALPHA, uuv, out=out[0]), out[1], out=out[0])
+    np.subtract(np.multiply(BRUSSELATOR_BETA, u, out=out[1]), uuv, out=out[1])
+    return out
 
 
 def _brusselator_initial(x, y):

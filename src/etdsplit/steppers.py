@@ -67,7 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ShapeError, ValidationError
 from .linsolve import (
     assemble_full,
     axis_eigenbasis,
@@ -227,11 +227,11 @@ class SplitWork:
     """What one run of the split step keeps between steps.
 
     maps holds the ten axis maps the step derives from plan's two solvers
-    and the folded halves of B, and fields five (species, p, p) buffers and
-    the maps' scratch; a step on another plan rejects it.  state is the
-    array the last step returned and state_hat its transform, kept in
-    fields; a step from state starts at state_hat.  Each split run makes
-    its own, so no two runs share.
+    and the folded halves of B, fields five (species, p, p) buffers and
+    the maps' scratch, and bound the maps bound to that scratch once; a
+    step on another plan rejects it.  state is the array the last step
+    returned and state_hat its transform, kept in fields; a step from state
+    starts at state_hat.  Each split run makes its own, so no two share.
     """
 
     def __init__(self, plan: StepPlan):
@@ -246,6 +246,7 @@ class SplitWork:
                           (AXIS_X, k * PADE.w41, 0.0)))
         p = plan.disc.grid.p1d
         self.fields = [np.empty((plan.disc.spec.species, p, p)) for _ in range(6)]
+        self.bound = tuple(partial(m, scratch=self.fields[-1]) for m in self.maps)
         self.plan, self.state, self.state_hat = plan, None, None
 
 
@@ -271,9 +272,10 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
         work = SplitWork(plan)
     elif work.plan is not plan:
         raise ValidationError("a SplitWork serves only the plan it was made for")
-    f0, f1, f2, f3, f4, scratch = work.fields
-    hx, hy, px, px2, rx, ry, minus_ry, qx21, qx31, qx41 = (
-        partial(m, scratch=scratch) for m in work.maps)
+    f0, f1, f2, f3, f4, _ = work.fields
+    if np.shape(u) != f0.shape:  # the step's one shape check: the maps make none
+        raise ShapeError(f"field shape {np.shape(u)}, expected {f0.shape}")
+    hx, hy, px, px2, rx, ry, minus_ry, qx21, qx31, qx41 = work.bound
 
     def reaction_hat(field_hat, at):
         """The transformed reaction at the grid values of field_hat, in its buffer."""
@@ -285,11 +287,11 @@ def etdrk4p22if_step(plan: StepPlan, u: np.ndarray, t: float,
     hxu, pn = hx(u_hat, f2), px(fn, f3)
     us = qx21(fn, rx(u_hat, u_hat), add=True)  # u' starts as Rx u + Qx(k w21) N(u)
     a = hy(np.add(hxu, pn, out=f1), f1)
-    np.copyto(f4, a)  # reaction_hat overwrites its field, and stage c needs a
-    fa = reaction_hat(f4, t + 0.5 * k)
+    hxa = hx(a, f4)  # stage c's Hx a, taken before reaction_hat overwrites a
+    fa = reaction_hat(a, t + 0.5 * k)
     b = px(fa, hy(hxu, hxu), add=True)
     fb = reaction_hat(b, t + 0.5 * k)
-    c = hy(px2(fb, hx(a, a), add=True), a)  # Hy(Hx a + 2 Px N(b)), then - Ry Px N(u)
+    c = hy(px2(fb, hxa, add=True), hxa)  # Hy(Hx a + 2 Px N(b)), then - Ry Px N(u)
     c = minus_ry(pn, c, add=True)
     g = np.add(fa, fb, out=fa)
     fc = reaction_hat(c, t + k)

@@ -23,7 +23,8 @@ from etdsplit.linsolve import (
     tensor_eigen_solver,
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
-from etdsplit.steppers import PADE, SMOOTHER
+from etdsplit.problems import discretize, make_problem
+from etdsplit.steppers import ETDRK4P22IF, PADE, SMOOTHER, SplitWork, build_plan, etdrk4p22if_step
 from helpers import dense_axis_operator, dense_reference_solve, eigen_solve, refined_inverse
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
@@ -118,14 +119,24 @@ def test_axis_solve_zero_rhs_and_inverse_composition():
     assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-def test_axis_solve_shape_mismatch():
-    _, (amap,) = _maps(_grid(m=4), (1.0,), 0.1, PADE.c1, (AXIS_X, 1.0, 0.0))
-    good = np.zeros((1, 4, 4))
-    for shape in ((1, 5, 4), (1, 4, 5), (2, 4, 4), (4, 4)):
-        bad = np.zeros(shape)
-        for args in ((bad, good, good.copy()), (good, bad, good.copy()), (good, good.copy(), bad)):
+def test_axis_solve_shape_mismatch(monkeypatch):
+    # the axis maps check no shape, as a step applies them fifteen times;
+    # every field they map lives in the run's SplitWork buffers, and the
+    # split step checks its input once: a wrong-shaped u raises ShapeError
+    # before any map is applied, in either basis
+    calls = []
+    monkeypatch.setattr(linsolve.AxisMap, "__call__", lambda self, *a, **kw: calls.append(a))
+    disc = discretize(make_problem("brusselator"), 4)
+    p = disc.grid.p1d
+    for parity in (False, True):
+        plan = build_plan(ETDRK4P22IF, disc, 0.1)
+        plan = replace(plan, solvers={pole: replace(s, parity=parity)
+                                      for pole, s in plan.solvers.items()})
+        work = SplitWork(plan)
+        for shape in ((2, p + 1, p), (2, p, p + 1), (1, p, p), (3, p, p), (p, p)):
             with pytest.raises(ShapeError):
-                amap(*args)
+                etdrk4p22if_step(plan, np.zeros(shape), 0.0, work)
+    assert calls == []
 
 
 def test_axis_validation():

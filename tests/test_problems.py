@@ -5,10 +5,13 @@ import pytest
 
 from etdsplit.errors import ShapeError, ValidationError
 from etdsplit.problems import (
+    BRUSSELATOR_ALPHA,
+    BRUSSELATOR_BETA,
     PROBLEM_NAMES,
     DiscretizedProblem,
     discretize,
     interior_count_for_h,
+    _brusselator_reaction,
     make_problem,
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D
@@ -75,6 +78,23 @@ def test_brusselator_reaction_values():
     np.testing.assert_allclose(f[1], 3.4 - 1.0)         # beta u - u^2 v
     assert f[0][0, 0] == pytest.approx(-2.4)
     assert f[1][0, 0] == pytest.approx(2.4)
+
+
+def test_brusselator_reaction_is_the_formula_in_a_new_array():
+    # bit for bit alpha + u*u*v - (beta+1)*u and beta*u - u*u*v, written
+    # into one new array that shares no memory with its input; an integer
+    # field gives float64, as stacking the two rows did
+    rng = np.random.default_rng(20)
+    fields = [rng.normal(scale=3.0, size=(2, 17, 17)) for _ in range(3)]
+    fields.append(rng.integers(-4, 5, size=(2, 6, 6)))
+    for w in fields:
+        u, v = w
+        f = _brusselator_reaction(w, 0.0)
+        assert f.shape == w.shape and f.dtype == np.float64
+        assert not np.shares_memory(f, w)
+        assert np.array_equal(f[0], BRUSSELATOR_ALPHA + u * u * v - (BRUSSELATOR_BETA + 1.0) * u)
+        assert np.array_equal(f[1], BRUSSELATOR_BETA * u - u * u * v)
+        assert f is not _brusselator_reaction(w, 0.0)
 
 
 def test_reaction_shape_validation():

@@ -652,6 +652,35 @@ def test_split_step_transform_count(monkeypatch, parity_plans, name):
     assert counted_step(u_next.copy(), work)[1] == (5, 4)
 
 
+@pytest.mark.parametrize("basis", ["grid space", "even/odd"])
+def test_split_step_writes_into_no_input_or_earlier_state(request, basis):
+    # in place transforms and maps write only into the run's buffers: a step
+    # leaves the u it is given alone, whether it starts from the kept
+    # transform or not, and never writes into an array an earlier step
+    # returned, which callers keep as snapshots.  Inputs and results are
+    # made read-only, so a write into one raises
+    if basis == "even/odd":
+        request.getfixturevalue("parity_plans")
+    disc = discretize(make_problem("brusselator"), 7)
+    k = 0.05
+    plan = build_plan(ETDRK4P22IF, disc, k)
+    assert {s.parity for s in plan.solvers.values()} == {basis == "even/odd"}
+    work = SplitWork(plan)
+    u = disc.initial()
+    kept = []
+    for step in range(6):
+        if step == 3:
+            u = u.copy()  # not the array the last step returned: transformed afresh
+        u.flags.writeable = False
+        kept.append((u, u.copy()))
+        u = etdrk4p22if_step(plan, u, step * k, work)
+        assert not any(np.shares_memory(u, f) for f in work.fields)
+    kept.append((u, u.copy()))
+    for got, want in kept:
+        assert np.array_equal(got, want)
+    assert all(not np.shares_memory(a, b) for (a, _), (b, _) in zip(kept, kept[1:]))
+
+
 @pytest.mark.parametrize("name,m", [("model_dirichlet", 9), ("brusselator", 7)])
 def test_one_and_two_block_split_steps_match_dense_solves(name, m):
     # the grid picks grid space, where each map is one dense matrix; the
