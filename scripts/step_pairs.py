@@ -1,16 +1,16 @@
 """Time warm steps of two checkouts in one process, in alternated rounds, and write a BENCH file.
 
     python3 scripts/step_pairs.py --parent DIR --change DIR \
-        --workload split-coupled:1500 --out BENCH_label.json [--copy DIR] [--warm 20]
+        --copy DIR --workload split-coupled:1500 --out BENCH_label.json
 
 Three sides are loaded in this one process, each ``src/etdsplit`` under a
 module name of its own (``importlib.util.spec_from_file_location`` with
 ``submodule_search_locations``, so each package's relative imports resolve
 within its own copy): the parent, the change, and a second copy of the
-change (``--copy``, by default the change's directory loaded once more).
+change (``--copy``, a directory of its own).
 A workload's grid, its problem, scheme, m and k, is read from the parent's
 ``perfbench/workloads.py``.  Every side builds its plan on that grid,
-starts one run and takes ``--warm`` untimed steps.  Then each round times
+starts one run and takes WARM_STEPS untimed steps.  Then each round times
 one step per side with ``time.perf_counter``, with the garbage collector
 off, in an order that cycles through all six orders of the three sides,
 so each two sides run in each order equally often.
@@ -18,8 +18,10 @@ so each two sides run in each order equally often.
 A round gives two paired ratios of step times: change / parent, the A/B,
 and copy / change, the A/A.  Each ratio's median over the rounds comes
 with a bootstrap 95% CI (BOOTSTRAP_RESAMPLES resamples of the rounds).
-The A/A CI is the floor: an A/B result is resolved only when its CI lies
-wholly outside it.  The record keeps every round's step time per side, in
+The A/A is the floor, a band around 1 as wide as the A/A CI's farthest
+end from 1 (two copies of the same code may differ by a percent or more,
+each way): an A/B result is resolved only when its CI lies wholly outside
+that band.  The record keeps every round's step time per side, in
 microseconds to the nanosecond (round i ran in orders[i % 6]), and
 perfbench's environment record: the core count, the CPU, the versions and
 the BLAS.
@@ -29,7 +31,7 @@ process start stay out; ``bench_pairs.py``'s cold start records those, and
 perfbench stays the gate.  All sides share one interpreter, one numpy and
 one BLAS (one thread, set before numpy loads), so a change to any of those
 cannot show here.  Each side steps its own run from its own last state, so
-an sbdf4 workload times main steps once ``--warm`` has passed its three
+an sbdf4 workload times main steps once WARM_STEPS have passed its three
 startup steps.
 """
 
@@ -52,6 +54,7 @@ SIDES = ("parent", "change", "copy")
 ORDERS = tuple(itertools.permutations(SIDES))
 
 BOOTSTRAP_RESAMPLES = 2000
+WARM_STEPS = 20
 
 
 def load_module(name: str, path: Path, package: bool = False):
@@ -107,8 +110,9 @@ def summarise(ratios: list, resamples: int = BOOTSTRAP_RESAMPLES) -> dict:
 
 
 def resolved(ab: dict, aa: dict) -> bool:
-    """Whether an A/B summary's CI lies wholly outside the A/A summary's CI."""
-    return ab["ci_high"] < aa["ci_low"] or ab["ci_low"] > aa["ci_high"]
+    """Whether an A/B summary's CI lies wholly outside 1 +- d, d the A/A CI's farthest gap from 1."""
+    floor = max(abs(aa["ci_low"] - 1.0), abs(aa["ci_high"] - 1.0))
+    return ab["ci_high"] < 1.0 - floor or ab["ci_low"] > 1.0 + floor
 
 
 def time_rounds(runs: dict, k: float, rounds: int) -> list:
@@ -136,18 +140,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--copy", type=Path, default=None,
-                        help="second copy of the change for the A/A; default --change again")
+    parser.add_argument("--copy", required=True, type=Path,
+                        help="second copy of the change, for the A/A")
     parser.add_argument("--workload", required=True, action="append",
                         help="NAME:ROUNDS, repeatable")
-    parser.add_argument("--warm", type=int, default=20, help="untimed steps per side first")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # read when numpy first loads, below
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve(),
-             "copy": (args.copy or args.change).resolve()}
+             "copy": args.copy.resolve()}
     packages = {side: load_module(f"etdsplit_{side}", root / "src" / "etdsplit" / "__init__.py",
                                   package=True) for side, root in roots.items()}
     table = load_workloads(roots["parent"])
@@ -160,12 +163,12 @@ def main(argv=None) -> int:
     for spec in args.workload:
         name, _, count = spec.partition(":")
         grid = workload_grid(table[name].args)
-        runs = {side: start_run(packages[side], grid, args.warm) for side in SIDES}
+        runs = {side: start_run(packages[side], grid, WARM_STEPS) for side in SIDES}
         rounds = time_rounds(runs, grid["k"], int(count or 1))
         ab = summarise([r["change"] / r["parent"] for r in rounds])
         aa = summarise([r["copy"] / r["change"] for r in rounds])
         record["workloads"][name] = {
-            "grid": grid, "warm": args.warm, "ab": ab, "aa": aa, "resolved": resolved(ab, aa),
+            "grid": grid, "warm": WARM_STEPS, "ab": ab, "aa": aa, "resolved": resolved(ab, aa),
             "median_step_us": {side: statistics.median(r[side] for r in rounds) * 1e6
                                for side in SIDES},
             "orders": [list(order) for order in ORDERS],  # round i ran in orders[i % 6]

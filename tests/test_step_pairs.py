@@ -35,13 +35,17 @@ def test_bootstrap_is_repeatable_and_exact_on_constant_ratios():
 
 
 def test_a_gap_inside_the_aa_floor_is_unresolved():
-    # the A/A reads 0.5% fast by chance; an A/B inside that interval is not
-    # a change, one 10% faster is, and so is one 10% slower
-    aa = step_pairs.summarise(_ratios(0.995, 0.01, seed=1))
-    assert aa["ci_high"] < 1.0
-    for centre, want in ((0.995, False), (0.9, True), (1.1, True)):
-        ab = step_pairs.summarise(_ratios(centre, 0.01, seed=3))
-        assert step_pairs.resolved(ab, aa) == want, centre
+    # the A/A floor is a band around 1 out to its CI's farthest end: an A/B
+    # at the A/A's centre, at 1 or as far the other side of 1 is no change,
+    # even where its CI misses the A/A's; one 10% faster is a change, and so
+    # is one 10% slower.  Two copies of one code have read 1.4% apart.
+    for aa_centre in (0.995, 1.014):
+        aa = step_pairs.summarise(_ratios(aa_centre, 0.01, seed=1))
+        assert (aa["ci_high"] < 1.0) if aa_centre < 1.0 else (aa["ci_low"] > 1.0)
+        for centre, want in ((aa_centre, False), (1.0, False), (2.0 - aa_centre, False),
+                             (0.9, True), (1.1, True)):
+            ab = step_pairs.summarise(_ratios(centre, 0.002, seed=3))
+            assert step_pairs.resolved(ab, aa) == want, (aa_centre, centre)
 
 
 def test_rounds_cycle_every_order_and_advance_each_run():
