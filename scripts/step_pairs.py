@@ -110,7 +110,7 @@ def summarise(ratios: list, resamples: int = BOOTSTRAP_RESAMPLES) -> dict:
 
 
 def resolved(ab: dict, aa: dict) -> bool:
-    """Whether an A/B summary's CI lies wholly outside 1 +- d, d the A/A CI's farthest gap from 1."""
+    """Whether an A/B CI lies wholly outside 1 +- d, d the A/A CI's farthest gap from 1."""
     floor = max(abs(aa["ci_low"] - 1.0), abs(aa["ci_high"] - 1.0))
     return ab["ci_high"] < 1.0 - floor or ab["ci_low"] > 1.0 + floor
 
