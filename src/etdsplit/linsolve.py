@@ -19,6 +19,8 @@ Three solve paths exist, matching the scheme families:
   product, and a 2-D transform is an O(p^2) butterfly; in grid space one
   done in place costs nothing.  The maps check no shape, as the split step
   checks its input once.  A split plan is built, and steps, with numpy alone.
+  From THREAD_MIN_P on, with two CPUs, each even/odd map and butterfly runs
+  in two halves on two threads (_halves), with the bits of one thread.
 
 * Tensor-product eigen-solves of the full 2-D operator (k*A - shift*I) for
   the presmoother and the semi-implicit BDF schemes (fast diagonalization,
@@ -40,7 +42,12 @@ step; all kinds are immutable.  A split run builds its maps once, when it
 starts.
 """
 
+import contextvars
+import os
+import queue
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -65,6 +72,14 @@ EIGEN_COND_MAX = 1e3
 # swept p up to 103 in two passes over p = 79..239, and two blocks won at
 # every p from 111 to 143 in every case of a third, by 6-22%.
 GRID_SPACE_MAX_P = 103
+
+# Smallest p1d on which the even/odd split step runs in two halves, on two
+# threads when the process may use two CPUs.  Measured the same way
+# (BENCH_parity_threads.json, "sweep"): two threads won at every swept p from
+# 279 to 319 in every case of three of four passes over p = 111..319, and
+# lost once in the fourth, on a loaded host.  At p = 111 a step's 23 handoffs
+# (15 maps, 8 butterflies) cost about 1.5 ms.
+THREAD_MIN_P = 279
 
 
 def fold_halves(b: np.ndarray) -> tuple:
@@ -105,12 +120,15 @@ class AxisSolver:
     along each axis, entry j < p//2 holds x_j + x_(p-1-j), entry p-1-j holds
     x_j - x_(p-1-j) and the middle entry of odd p is doubled: the even part
     fills the first p - p//2 entries, the odd part the rest, reversed.
-    axis_solver sets parity above GRID_SPACE_MAX_P unknowns per axis.
+    axis_solver sets parity above GRID_SPACE_MAX_P unknowns per axis, and
+    threaded, which runs each transform and map in two halves (_halves),
+    from THREAD_MIN_P.
     """
 
     kd: tuple       # k*d per species
     pole: complex
     parity: bool
+    threaded: bool = False
 
     def forward(self, field: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """field in the basis, written to out (a new array by default), which may be field."""
@@ -121,7 +139,7 @@ class AxisSolver:
             return out
         p = field.shape[-1]
         middle = slice(p // 2, p - p // 2)  # empty for even p
-        _pair(field, out)
+        _pair(field, out, self.threaded)
         out[..., middle, :] *= 2.0
         out[..., middle] *= 2.0
         return out
@@ -133,7 +151,7 @@ class AxisSolver:
             if out is not coeffs:  # in place, grid space costs nothing
                 np.copyto(out, coeffs)
             return out
-        _pair(coeffs, out)
+        _pair(coeffs, out, self.threaded)
         out *= 0.25
         return out
 
@@ -179,36 +197,96 @@ class AxisSolver:
                 raise ValidationError(f"unknown axis {axis!r}")
             mats = tuple(2.0 * (w * x).real + shift * np.eye(x.shape[-1]) for x in along[axis])
             _read_only(*mats)
-            maps.append(AxisMap(axis, mats))
+            maps.append(AxisMap(axis, mats, self.threaded))
         return tuple(maps)
 
 
-def _pair(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pair(x: np.ndarray, out: np.ndarray, threaded: bool = False, lo: int = 0,
+          hi: Optional[int] = None) -> np.ndarray:
     """Entries j and p-1-j, j < p//2, of x to their sum and difference along both last axes.
 
     The sum goes to entry j of out and the difference to entry p-1-j; out
     may be x.  Applied twice it gives twice the input, but for the middle
-    of odd p.
+    of odd p.  Both passes keep row pairs (j, p-1-j) apart: this pairs those
+    with lo <= j < hi (by default p//2, with the middle row), threaded those
+    with j < p//4 here and the rest on the worker.
     """
     n = x.shape[-1] // 2
+    if threaded:
+        _halves(partial(_pair, x, out, False, 0, n // 2), partial(_pair, x, out, False, n // 2))
+        return out
+    hi = n if hi is None else hi
     # Along y the reversed rows are contiguous, so x is read once and both
     # results go straight to out; along x numpy writes a reversed view
     # fastest by a plain copy, so the difference goes through a contiguous
     # temporary.
-    head, tail = x[..., :n, :], x[..., ::-1, :][..., :n, :]
+    head, tail = x[..., lo:hi, :], x[..., ::-1, :][..., lo:hi, :]
     if out is x:
         tail = tail.copy()
-    else:
+    elif hi == n:
         middle = slice(n, x.shape[-2] - n)  # empty for even p
         out[..., middle, :] = x[..., middle, :]
-    np.subtract(head, tail, out=out[..., ::-1, :][..., :n, :])
-    np.add(head, tail, out=out[..., :n, :])
-    head, tail = out[..., :n], out[..., ::-1][..., :n]
-    kept = tail.copy()
-    diff = head - kept
-    head += kept
-    tail[...] = diff
+    np.subtract(head, tail, out=out[..., ::-1, :][..., lo:hi, :])
+    np.add(head, tail, out=out[..., lo:hi, :])
+    p = x.shape[-2]
+    for rows in (slice(lo, p - lo),) if hi == n else (slice(lo, hi), slice(p - hi, p - lo)):
+        head, tail = out[..., rows, :n], out[..., rows, ::-1][..., :n]
+        kept = tail.copy()
+        diff = head - kept
+        head += kept
+        tail[...] = diff
     return out
+
+
+_tasks = None  # the worker's queue, made with it on first use; False on one CPU
+
+
+def _halves(a, b) -> None:
+    """Run a here and b on the worker, in a copy of this contextvars context (np.errstate).
+
+    Returns once both are done, even on an error or interrupt, then raises
+    the first: a's, or an interrupt, before b's.  When the process may use
+    one CPU only, both run here.
+    """
+    global _tasks
+    if _tasks is None:
+        _tasks = (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+                  and queue.SimpleQueue())
+        if _tasks:
+            threading.Thread(target=_serve, args=(_tasks,), daemon=True).start()
+    if not _tasks:
+        a()
+        b()
+        return
+    done, errors, raised = threading.Lock(), [], []
+    done.acquire()
+    _tasks.put((contextvars.copy_context().run, b, done, raised))
+    try:
+        a()
+    except BaseException as exc:
+        errors.append(exc)
+    while True:
+        try:
+            done.acquire()  # b writes to a's arrays, so it ends first
+            break
+        except BaseException as exc:
+            errors.append(exc)
+    if errors or raised:
+        raise (errors + raised)[0]
+
+
+def _serve(tasks) -> None:
+    while True:
+        run, b, done, raised = tasks.get()
+        try:
+            run(b)
+        except BaseException as exc:
+            raised.append(exc)
+        done.release()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=lambda: globals().update(_tasks=None))
 
 
 def _read_only(*arrays):
@@ -221,7 +299,7 @@ def axis_solver(p: int, diffusion, k: float, pole) -> AxisSolver:
     if not k > 0:
         raise ValidationError(f"need k > 0, got {k}")
     return AxisSolver(kd=tuple(k * float(d) for d in diffusion), pole=pole,
-                      parity=p > GRID_SPACE_MAX_P)
+                      parity=p > GRID_SPACE_MAX_P, threaded=p >= THREAD_MIN_P)
 
 
 @dataclass(frozen=True)
@@ -232,12 +310,14 @@ class AxisMap:
     one (species, p, p) block in grid space, or in the even/odd basis an
     even block (species, h, h) and an odd block (species, n, n), with
     n = p//2 and h = p - n.  Each block maps its part of the field along
-    the axis: f @ block along x, else block @ f.  A call checks no shape:
-    etdrk4p22if_step checks its u once, and maps only its run's buffers.
+    the axis: f @ block along x, else block @ f; threaded, in two halves.
+    A call checks no shape: etdrk4p22if_step checks its u once, and maps
+    only its run's buffers.
     """
 
     axis: str
     blocks: tuple
+    threaded: bool = False
 
     def __call__(self, f: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                  add: bool = False) -> np.ndarray:
@@ -250,6 +330,13 @@ class AxisMap:
         if len(self.blocks) == 1:
             left, right = (f, self.blocks[0]) if self.axis == AXIS_X else (self.blocks[0], f)
             np.matmul(left, right, out=target)
+        elif self.threaded:  # each thread maps, and adds, its own part
+            h = self.blocks[0].shape[-1]
+            parts = [(..., half, slice(None)) if self.axis == AXIS_Y else (..., half)
+                     for half in (slice(None, h), slice(h, None))]
+            _halves(*(partial(AxisMap(self.axis, (b,)), f[part], out[part], scratch[part], add)
+                      for part, b in zip(parts, self.blocks)))
+            return out
         else:
             h = self.blocks[0].shape[-1]
             for half, block in zip((slice(None, h), slice(h, None)), self.blocks):

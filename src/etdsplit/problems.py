@@ -134,12 +134,25 @@ class DiscretizedProblem:
     grid: Grid2D
 
     def reaction(self, u: np.ndarray, t: float) -> np.ndarray:
-        """Pointwise reaction F(U, t) under the fixed field ordering."""
+        """Pointwise reaction F(U, t) under the fixed field ordering.
+
+        The one door every scheme calls the spec's reaction through, so the
+        one check of what it returns: an array of u's shape (else
+        ShapeError) with a real floating or integer dtype (else
+        ValidationError).
+        """
         u = np.asarray(u)
         if u.ndim != 3 or u.shape[0] != self.spec.species:
             raise ShapeError(f"field shape {u.shape} does not match "
                              f"{self.spec.species} species")
-        return self.spec.reaction(u, t)
+        f = self.spec.reaction(u, t)
+        if not isinstance(f, np.ndarray) or f.shape != u.shape:
+            raise ShapeError(f"reaction of {self.spec.name!r} returned {type(f).__name__} of "
+                             f"shape {np.shape(f)}, expected an array of shape {u.shape}")
+        if f.dtype.kind not in "fiu":
+            raise ValidationError(f"reaction of {self.spec.name!r} returned dtype {f.dtype}, "
+                                  "expected real floating or integer")
+        return f
 
     def initial(self) -> np.ndarray:
         return self.spec.initial(*self.grid.meshgrid())

@@ -55,8 +55,11 @@ pole in StepPlan.solvers.  check_run alone decides whether a run is valid
 and gives its step count.  integrate is the one function that runs a
 scheme: every scheme steps through its one loop, _march.
 
-Every kernel runs on one thread; the only parallelism is whatever BLAS
-uses inside its matrix products, the split step's grid-space maps included.
+Every kernel runs on the caller's thread, with whatever threads BLAS uses
+inside its matrix products, but one: from linsolve.THREAD_MIN_P unknowns
+per axis, when the process may use two CPUs, the split step's maps and
+transforms each run in two halves on two threads, the caller's and
+linsolve's one worker.  Their results are bit for bit those of one thread.
 """
 
 import math

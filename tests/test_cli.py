@@ -12,6 +12,7 @@ import tempfile
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import etdsplit.analysis as analysis
 import etdsplit.cli as cli
+import etdsplit.linsolve as linsolve
 import etdsplit.problems as problems
 import etdsplit.steppers as steppers
 from etdsplit.analysis import _fmt
@@ -655,6 +657,22 @@ def test_solve_divergence_reported_once_without_warnings(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "non-finite state" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_threaded_solve_divergence_reported_once_without_warnings(monkeypatch, capsys):
+    # p = 319: the split step runs on two threads (forced, whatever the CPU
+    # count) and diverges at step 2; the worker keeps the caller's
+    # np.errstate, so no numpy warning leaks from it
+    monkeypatch.setattr(steppers, "axis_solver",
+                        lambda *args: replace(linsolve.axis_solver(*args), threaded=True))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--problem", "brusselator", "--m", "317", "--k", "5",
+                         "--T", "50", "--scheme", "etdrk4p22if"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "non-finite state after step 2" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

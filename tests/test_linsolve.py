@@ -1,3 +1,8 @@
+import contextvars
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -13,6 +18,7 @@ from etdsplit.errors import ShapeError, SingularSystemError, ValidationError
 from etdsplit.linsolve import (
     EIGEN_COND_MAX,
     GRID_SPACE_MAX_P,
+    THREAD_MIN_P,
     FullOperator,
     TensorEigenSolver,
     assemble_full,
@@ -24,7 +30,18 @@ from etdsplit.linsolve import (
 )
 from etdsplit.spatial import AXIS_X, AXIS_Y, DIRICHLET, NEUMANN, Grid2D, axis_matrix
 from etdsplit.problems import discretize, make_problem
-from etdsplit.steppers import ETDRK4P22IF, PADE, SMOOTHER, SplitWork, build_plan, etdrk4p22if_step
+from etdsplit.steppers import (
+    ETDRK4P22,
+    ETDRK4P22IF,
+    PADE,
+    SBDF4,
+    SMOOTHER,
+    SMOOTHER_ONLY,
+    SplitWork,
+    build_plan,
+    etdrk4p22if_step,
+    integrate,
+)
 from helpers import dense_axis_operator, dense_reference_solve, eigen_solve, refined_inverse
 
 ALL_POLES = (PADE.c1, PADE.c2, SMOOTHER.e1, SMOOTHER.e2, SMOOTHER.f1, SMOOTHER.f2)
@@ -487,3 +504,201 @@ def test_eigenbasis_from_halves_diagonalizes_b(bc, m, a, length):
     with mock.patch.object(linsolve, "EIGEN_COND_MAX", cond * (1.0 - 1e-10)):
         with pytest.raises(SingularSystemError, match="ill-conditioned"):
             axis_eigenbasis(b)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A worker of its own for the test, whatever CPUs the process may use."""
+    monkeypatch.setattr(linsolve, "_tasks", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _threaded_plan(plan, threaded=True):
+    """plan's split solvers in the even/odd basis, on two threads or one."""
+    return replace(plan, solvers={pole: replace(s, parity=True, threaded=threaded)
+                                  for pole, s in plan.solvers.items()})
+
+
+@pytest.mark.parametrize("p", [9, 10])
+@pytest.mark.parametrize("species", [1, 2])
+def test_threaded_maps_and_butterflies_equal_inline_bit_for_bit(two_cpus, p, species):
+    # each thread makes the same operations on its own elements, so the two
+    # halves on two threads give the very bits of both halves inline: maps
+    # along x and y, with and without add, into another buffer or in place,
+    # and both 2-D butterflies
+    diffusion = (1.0, 0.3)[:species]
+    inline = replace(axis_solver(p, diffusion, 0.1, PADE.c1), parity=True, threaded=False)
+    threaded = replace(inline, threaded=True)
+    specs = ((AXIS_X, PADE.w11, 1.0), (AXIS_Y, PADE.w11, 1.0),
+             (AXIS_X, 0.3 * PADE.w21, 0.0), (AXIS_Y, -PADE.w11, -1.0))
+    halves = fold_halves(axis_matrix(_grid(m=p)))
+    rng = np.random.default_rng(10 * p + species)
+    f, g = (rng.normal(size=(species, p, p)) for _ in range(2))
+    for one, two in zip(inline.axis_maps(halves, *specs), threaded.axis_maps(halves, *specs)):
+        assert two.threaded and not one.threaded and len(two.blocks) == 2
+        for add in (False, True):
+            got = [amap(f, g.copy(), np.empty_like(f), add=add) for amap in (one, two)]
+            assert np.array_equal(*got), (one.axis, add)
+            got = []
+            for amap in (one, two):
+                h = f.copy()
+                assert amap(h, h, np.empty_like(f), add=add) is h
+                got.append(h)
+            assert np.array_equal(*got), (one.axis, add, "in place")
+    for method in ("forward", "inverse"):
+        got = [getattr(s, method)(f) for s in (inline, threaded)]
+        assert np.array_equal(*got), method
+        in_place = [f.copy(), f.copy()]
+        for s, h in zip((inline, threaded), in_place):
+            assert getattr(s, method)(h, h) is h
+        assert np.array_equal(*in_place) and np.array_equal(in_place[0], got[0]), method
+
+
+@pytest.mark.parametrize("name,m", [("model_dirichlet", 11), ("brusselator", 10)])
+def test_threaded_split_steps_equal_inline_bit_for_bit(two_cpus, name, m):
+    disc = discretize(make_problem(name), m)
+    plan = build_plan(ETDRK4P22IF, disc, 0.05)
+    states = []
+    for threaded in (False, True):
+        path = _threaded_plan(plan, threaded)
+        u, work = disc.initial(), SplitWork(path)
+        assert all(amap.threaded == threaded for amap in work.maps)
+        for step in range(3):
+            u = etdrk4p22if_step(path, u, step * 0.05, work)
+        states.append(u)
+    assert np.array_equal(*states)
+
+
+def test_axis_solver_runs_in_halves_from_thread_min_p():
+    assert GRID_SPACE_MAX_P < THREAD_MIN_P
+    for p in (GRID_SPACE_MAX_P, GRID_SPACE_MAX_P + 1, THREAD_MIN_P - 1, THREAD_MIN_P,
+              THREAD_MIN_P + 1):
+        solver = axis_solver(p, (1.0,), 0.1, PADE.c1)
+        assert solver.threaded == (p >= THREAD_MIN_P), p
+
+
+def test_halves_on_one_cpu_runs_both_here_and_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(linsolve, "_tasks", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    before = threading.active_count()
+    seen = []
+    for _ in range(2):
+        linsolve._halves(lambda: seen.append(("a", threading.get_ident())),
+                         lambda: seen.append(("b", threading.get_ident())))
+    assert seen == [("a", threading.get_ident()), ("b", threading.get_ident())] * 2
+    assert linsolve._tasks is False and threading.active_count() == before
+
+
+def test_halves_runs_b_on_the_worker_in_the_callers_context(two_cpus):
+    # np.errstate lives in a context variable: b sees the caller's, so a
+    # diverging step warns on neither thread
+    var = contextvars.ContextVar("var", default="unset")
+    seen = {}
+
+    def b():
+        seen.update(thread=threading.get_ident(), var=var.get(), over=np.geterr()["over"])
+
+    token = var.set("caller")
+    try:
+        with np.errstate(over="ignore"):
+            linsolve._halves(lambda: None, b)
+    finally:
+        var.reset(token)
+    assert seen["thread"] != threading.get_ident()
+    assert (seen["var"], seen["over"]) == ("caller", "ignore")
+
+
+def test_halves_returns_once_both_are_done_and_raises_the_first_error(two_cpus):
+    done = []
+
+    def slow():
+        time.sleep(0.05)
+        done.append("b")
+
+    def fails(exc):
+        def raising():
+            raise exc
+        return raising
+
+    # an error in a, an interrupt too, reaches the caller only after b is done
+    for exc in (ValueError("in a"), KeyboardInterrupt()):
+        done.clear()
+        with pytest.raises(type(exc)):
+            linsolve._halves(fails(exc), slow)
+        assert done == ["b"]
+    # an error in b reaches the caller; with both failing, a's comes first
+    with pytest.raises(KeyError, match="in b"):
+        linsolve._halves(lambda: None, fails(KeyError("in b")))
+    with pytest.raises(ValueError, match="in a"):
+        linsolve._halves(fails(ValueError("in a")), fails(KeyError("in b")))
+    # and the worker serves the next call
+    ran = []
+    linsolve._halves(lambda: ran.append("a"), lambda: ran.append("b"))
+    assert sorted(ran) == ["a", "b"]
+
+
+def test_halves_from_many_threads_runs_every_half_once(two_cpus):
+    # callers on four threads share the one worker; with the interpreter
+    # switching threads every microsecond, each call still runs both its
+    # halves, once each, before it returns
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        wrong = []
+
+        def caller(index):
+            for call in range(200):
+                ran = []
+                linsolve._halves(lambda: ran.append("a"), lambda: ran.append("b"))
+                if sorted(ran) != ["a", "b"]:
+                    wrong.append((index, call, ran))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_steps_on_a_worker_of_its_own(two_cpus):
+    disc = discretize(make_problem("brusselator"), 8)
+    plan = _threaded_plan(build_plan(ETDRK4P22IF, disc, 0.05))
+    works = [SplitWork(plan), SplitWork(plan)]
+    u = [etdrk4p22if_step(plan, disc.initial(), 0.0, w) for w in works]  # the worker runs
+    want = etdrk4p22if_step(plan, u[1], 0.05, works[1])
+    pid = os.fork()
+    if pid == 0:  # the child: no worker thread came with it, so it needs one of its own
+        code = 1
+        try:
+            got = etdrk4p22if_step(plan, u[0], 0.05, works[0])
+            code = 0 if np.array_equal(got, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's step did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("scheme,m", [(ETDRK4P22IF, 9), (ETDRK4P22IF, 110), (SMOOTHER_ONLY, 9),
+                                      (SBDF4, 9), (ETDRK4P22, 9)])
+def test_runs_below_thread_min_p_start_no_thread(monkeypatch, scheme, m):
+    # grid space, the even/odd basis below THREAD_MIN_P, the eigen family
+    # and SuperLU all run on the caller's thread alone
+    monkeypatch.setattr(linsolve, "_tasks", None)  # as if no worker had started
+    before = threading.active_count()
+    disc = discretize(make_problem("model_dirichlet"), m)
+    integrate(disc, scheme, 0.1, 0.4)
+    assert linsolve._tasks is None and threading.active_count() == before

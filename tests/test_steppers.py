@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +11,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etdsplit.errors import DivergenceError, ValidationError
+import etdsplit.linsolve as linsolve
+from etdsplit.errors import DivergenceError, ShapeError, ValidationError
 from etdsplit.linsolve import (
     AxisEigenbasis,
     AxisMap,
@@ -919,6 +921,66 @@ def test_integrate_divergence_detection():
     disc = discretize(spec, 4)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
         integrate(disc, ETDRK4P22IF, 0.5, 2.0)
+
+
+def test_threaded_divergence_reported_once_without_warnings(monkeypatch):
+    # a split run on two threads overflows on both; the worker runs in the
+    # caller's np.errstate, so only the finite check speaks
+    monkeypatch.setattr(steppers, "axis_solver",
+                        lambda *args: replace(axis_solver(*args), parity=True, threaded=True))
+    spec = ProblemSpec(name="explosive", a=0.0, b=1.0, bc=DIRICHLET, species=1,
+                       diffusion=(1.0,), reaction=lambda u, t: np.exp(u * 1e4),
+                       initial=lambda x, y: np.ones_like(x)[np.newaxis],
+                       exact=None, default_T=1.0)
+    disc = discretize(spec, 300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="after step 1 "):
+            integrate(disc, ETDRK4P22IF, 0.5, 2.0)
+    assert all(s.threaded for s in build_plan(ETDRK4P22IF, disc, 0.5).solvers.values())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+BAD_REACTIONS = {
+    "row": (lambda u, t: u[0, 0], ShapeError),
+    "float": (lambda u, t: 1.0, ShapeError),
+    "complex": (lambda u, t: -u + 0j, ValidationError),
+}
+
+
+REACTION_PATHS = ["split-grid-space", "split-even-odd", SBDF4, SMOOTHER_ONLY, ETDRK4P22]
+
+
+def _reaction_path(monkeypatch, path):
+    """The scheme that runs path, with the split step's even/odd basis forced for that path."""
+    if path == "split-even-odd":
+        monkeypatch.setattr(steppers, "axis_solver",
+                            lambda *args: replace(axis_solver(*args), parity=True))
+    return ETDRK4P22IF if path.startswith("split") else path
+
+
+@pytest.mark.parametrize("bad", list(BAD_REACTIONS))
+@pytest.mark.parametrize("path", REACTION_PATHS)
+def test_every_scheme_rejects_a_bad_reaction_alike(monkeypatch, path, bad):
+    # DiscretizedProblem.reaction checks what the user's function returns,
+    # so every path answers a wrong shape or dtype with one error class,
+    # before any state comes back
+    reaction, error = BAD_REACTIONS[bad]
+    scheme = _reaction_path(monkeypatch, path)
+    disc = discretize(replace(make_problem("model_dirichlet"), reaction=reaction), 15)
+    with pytest.raises(error, match="reaction of 'model_dirichlet' returned"):
+        integrate(disc, scheme, 0.1, 0.4)
+
+
+@pytest.mark.parametrize("path", REACTION_PATHS)
+def test_a_reaction_may_return_u_itself(monkeypatch, path):
+    # the split step copies the reaction into its own buffers and the other
+    # schemes read it before u changes, so a view of u is a valid return
+    scheme = _reaction_path(monkeypatch, path)
+    spec = make_problem("model_dirichlet")
+    got = [integrate(discretize(replace(spec, reaction=reaction), 15), scheme, 0.1, 0.4)
+           for reaction in (lambda u, t: u, lambda u, t: u.copy())]
+    assert np.array_equal(*got)
 
 
 def test_integrate_snapshot_callback():
